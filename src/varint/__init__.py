@@ -10,19 +10,18 @@ from .errors import (ConfigError, NoConvergence, SingularHessian, SingularKKT,
                      SingularWd, VarintError)
 from .jets import (DiscretePath, Grid, JetPoint, PairState, pack, uniform_grid,
                    unpack)
-from .lagrangian import (CotangentTQPoint, LagrangianModel, MechanicalModel,
-                         controlled_forces, el_residual, fourth_order_rhs,
-                         hessian_W, legendre, named_lagrangian,
-                         spline_lagrangian)
-from .discretization import (DiscreteLagrangian, block_partials, make_scheme,
+from .lagrangian import (LagrangianModel, MechanicalModel, controlled_forces,
+                         el_residual, fourth_order_rhs, hessian_W, legendre,
+                         named_lagrangian, spline_lagrangian)
+from .discretization import (DiscreteLagrangian, make_scheme,
                              midpoint_difference, spline_exact, taylor_average,
                              trapezoid_velocity)
 from .bvp import (BasisPack, EndpointData, PolyCurve, VectorPolynomial,
                   action_gradient, basis_gamma, endpoint_from_w,
                   endpoints_to_w, exact_Ld, integrate_el, project_tangent,
                   reconstruct, shooting_bvp, solve_regularized)
-from .flow import (StepWorkspace, Wd_matrix, del_residual, initial_pair,
-                   phi_values, run, solve_boundary_path, step)
+from .flow import (Wd_matrix, del_residual, initial_pair, phi_values, run,
+                   solve_boundary_path, step)
 from .momentum import (MomentaState, fminus, fminus_inverse, fplus,
                        fplus_inverse, hamiltonian_step, legendre_match_errors,
                        symplectic_defect)

@@ -24,9 +24,10 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial import Legendre, Polynomial
 
-from .errors import NoConvergence, SingularHessian
+from .errors import SingularHessian
 from .jets import JetPoint
 from .lagrangian import FD_STEP, LagrangianModel, fourth_order_rhs_raw
+from .newton import newton
 
 
 # -- orthonormal bases on [0, 1] ------------------------------------------------
@@ -250,6 +251,25 @@ def project_tangent(gvec: np.ndarray, k: int = 2) -> np.ndarray:
 
 # -- quadrature-discretized action -------------------------------------------------
 
+_TABLES = {}
+
+
+def _basis_tables(funcs, nnodes):
+    """Gauss nodes and weights on [0, 1] with the basis values and first two
+    antiderivatives from 0 at the nodes; memoized per basis and node count."""
+    key = (tuple((f.coef.tobytes(), f.domain.tobytes(), f.window.tobytes())
+                 for f in funcs), nnodes)
+    if key not in _TABLES:
+        u, wq = gauss_legendre_01(nnodes)
+        B0 = np.array([[f(x) for f in funcs] for x in u])
+        B1 = np.array([[f.integ(1, lbnd=0.0)(x) for f in funcs] for x in u])
+        B2 = np.array([[f.integ(2, lbnd=0.0)(x) for f in funcs] for x in u])
+        for arr in (u, wq, B0, B1, B2):
+            arr.setflags(write=False)
+        _TABLES[key] = (u, wq, B0, B1, B2)
+    return _TABLES[key]
+
+
 class _ActionAssembler:
     """Action, gradient, and Hessian of the reparameterized one-step action
     as functions of the top-derivative coefficients (second-order case)."""
@@ -263,10 +283,7 @@ class _ActionAssembler:
         if nnodes is None:
             pdeg = L.poly_degree if L.poly_degree is not None else 4
             nnodes = math.ceil((2 * m + pdeg) / 2) + 4
-        self.u, self.wq = gauss_legendre_01(nnodes)
-        self.B0 = np.array([[f(u) for f in funcs] for u in self.u])
-        self.B1 = np.array([[f.integ(1, lbnd=0.0)(u) for f in funcs] for u in self.u])
-        self.B2 = np.array([[f.integ(2, lbnd=0.0)(u) for f in funcs] for u in self.u])
+        self.u, self.wq, self.B0, self.B1, self.B2 = _basis_tables(funcs, nnodes)
 
     def curves(self, coeffs):
         h = self.h
@@ -335,46 +352,24 @@ def _solve_regularized(L, q1jet, q2jet, h, degree, tol, max_iter, nnodes):
     k = 2
     if degree < k:
         raise ValueError(f"degree must be >= {k}")
-    pack = basis_gamma(k)
-    funcs = tuple(pack.extended(degree))
+    funcs = tuple(basis_gamma(k).extended(degree))
     ed = endpoints_to_w(q1jet, q2jet, h)
     n = L.n
-    coeffs = np.zeros((degree + 1, n))
-    coeffs[:k] = ed.w
     asm = _ActionAssembler(L, funcs, q1jet, h, nnodes)
 
-    def residual(c):
-        return asm.gradient(c)[k:].reshape(-1)
+    def coeffs_of(z):
+        # the first k coefficients are pinned to the endpoint data
+        return np.vstack([ed.w, z.reshape(degree + 1 - k, n)])
 
-    r = residual(coeffs)
-    rnorm = np.max(np.abs(r)) if r.size else 0.0
-    for it in range(max_iter):
-        if rnorm <= tol:
-            break
-        H = asm.hessian(coeffs)
-        nfree = (degree + 1 - k) * n
-        Hff = H[k * n:, k * n:]
-        try:
-            delta = np.linalg.solve(Hff, -r)
-        except np.linalg.LinAlgError as exc:
-            raise SingularHessian("projected action Hessian is singular") from exc
-        alpha, accepted = 1.0, False
-        for _ in range(30):
-            trial = coeffs.copy()
-            trial[k:] += alpha * delta.reshape(degree + 1 - k, n)
-            rt = residual(trial)
-            rt_norm = np.max(np.abs(rt)) if rt.size else 0.0
-            if rt_norm <= tol or rt_norm < (1.0 - 1e-4 * alpha) * rnorm:
-                coeffs, r, rnorm, accepted = trial, rt, rt_norm, True
-                break
-            alpha *= 0.5
-        if not accepted:
-            raise NoConvergence("regularized Newton stalled",
-                                iterations=it, residual_norm=rnorm)
-    else:
-        raise NoConvergence("regularized Newton did not reach tolerance",
-                            iterations=max_iter, residual_norm=rnorm)
-    return PolyCurve(coeffs, funcs, k), asm
+    def residual(z):
+        return asm.gradient(coeffs_of(z))[k:].reshape(-1)
+
+    def jacobian(z, r):
+        return asm.hessian(coeffs_of(z))[k * n:, k * n:]
+
+    z, _ = newton(residual, jacobian, np.zeros((degree + 1 - k) * n), tol, tol,
+                  max_iter, SingularHessian, "regularized Newton")
+    return PolyCurve(coeffs_of(z), funcs, k), asm
 
 
 #: Largest step accepted by the connecting-trajectory solvers by default.
@@ -476,34 +471,9 @@ def _shoot_once(L, q1jet, q2jet, h, substeps, x0, tol, max_iter):
 
     # the endpoint map carries integration roundoff; accept a stall there
     floor = 64.0 * np.finfo(float).eps * scale * math.sqrt(substeps)
-    x = x0.copy()
-    r = endpoint(x)
-    rnorm = np.max(np.abs(r))
-    for it in range(max_iter):
-        if rnorm <= tol * scale:
-            return polish(x, r)
-        try:
-            delta = np.linalg.solve(jacobian(x, r), -r)
-        except np.linalg.LinAlgError as exc:
-            raise SingularHessian("shooting Jacobian is singular") from exc
-        alpha, accepted = 1.0, False
-        for _ in range(30):
-            xt = x + alpha * delta
-            rt = endpoint(xt)
-            rt_norm = np.max(np.abs(rt))
-            if rt_norm <= tol * scale or rt_norm < (1.0 - 1e-4 * alpha) * rnorm:
-                x, r, rnorm, accepted = xt, rt, rt_norm, True
-                break
-            alpha *= 0.5
-        if not accepted:
-            if rnorm <= max(tol * scale, floor):
-                return polish(x, r)
-            raise NoConvergence("shooting Newton stalled", iterations=it,
-                                residual_norm=rnorm)
-    if rnorm <= max(tol * scale, floor):
-        return polish(x, r)
-    raise NoConvergence("shooting Newton did not reach tolerance",
-                        iterations=max_iter, residual_norm=rnorm)
+    x, r = newton(endpoint, jacobian, x0, tol * scale, max(tol * scale, floor),
+                  max_iter, SingularHessian, "shooting Newton")
+    return polish(x, r)
 
 
 def shooting_bvp(L: LagrangianModel, q1jet: JetPoint, q2jet: JetPoint, h: float,

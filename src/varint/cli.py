@@ -2,7 +2,7 @@
 
 Scenario configurations come in as JSON, trajectories go out as CSV (17
 significant digits, '.' decimal, newline-terminated rows), and run summaries
-as JSON.  Identical configuration and seed produce byte-identical CSV.
+as JSON.  Identical configurations produce byte-identical CSV.
 Subcommands: ``simulate`` (initial-value runs), ``bvp`` (two-point solves),
 ``ocp`` (optimal control), ``order`` (step-size sweeps), and ``check``
 (invariant suites).
@@ -25,7 +25,7 @@ from . import checks
 from .control import (JointLimitPenalty, OCProblem, TwoLinkParams,
                       control_effort_cost, free_particle_model, solve_ocp,
                       solution_table, two_link_forces, two_link_model)
-from .discretization import make_scheme
+from .discretization import SCHEMES, make_scheme
 from .errors import ConfigError, VarintError
 from .flow import initial_pair, phi_values, run as run_flow, solve_boundary_path
 from .jets import JetPoint, uniform_grid
@@ -33,8 +33,6 @@ from .lagrangian import named_lagrangian
 from .order import cubic_trajectory, estimate_order
 
 KINDS = ("spline", "custom-lagrangian", "ocp-twolink", "ocp-custom")
-SCHEMES = ("taylor", "taylor-midpoint", "midpoint-difference",
-           "trapezoid-velocity", "spline-exact")
 
 
 def _fmt(x: float) -> str:
@@ -90,7 +88,7 @@ class ScenarioConfig:
         _require(all(c.isalnum() or c in "-_" for c in name),
                  "name may contain only alphanumerics, '-' and '_'")
         scheme = obj.get("scheme", "taylor")
-        _require(scheme in SCHEMES, f"scheme must be one of {SCHEMES}")
+        _require(scheme in SCHEMES, f"scheme must be one of {tuple(SCHEMES)}")
         if "grid" in obj:
             g = obj["grid"]
             _require(isinstance(g, dict), "grid must be an object")
@@ -123,12 +121,11 @@ def _lagrangian_of(cfg: ScenarioConfig):
         raise ConfigError(str(exc))
 
 
-def _path_outputs(cfg, path, extra_cols=None):
+def _path_outputs(path):
     n = path.n
     header = ["t"] + [f"q{i}" for i in range(n)] + [f"v{i}" for i in range(n)]
-    cols = [path.grid.times, path.positions(), path.velocities()]
-    rows = np.column_stack(cols)
-    return header, rows
+    return header, np.column_stack([path.grid.times, path.positions(),
+                                    path.velocities()])
 
 
 def _summary(cfg, path, cost=None, timings=None):
@@ -152,7 +149,7 @@ def _summary(cfg, path, cost=None, timings=None):
     return out
 
 
-def run_scenario(cfg: ScenarioConfig, command: str, outdir: Path, seed: int) -> dict:
+def run_scenario(cfg: ScenarioConfig, command: str, outdir: Path) -> dict:
     """Execute one validated scenario and write its output files.
 
     Outputs are held in memory and written only after the solve succeeds, so
@@ -196,7 +193,7 @@ def run_scenario(cfg: ScenarioConfig, command: str, outdir: Path, seed: int) -> 
             xN = JetPoint(_vector(b["qN"], "boundary.qN", L.n),
                           (_vector(b["vN"], "boundary.vN", L.n),))
             path = solve_boundary_path(Ld, x0, xN, grid, tol=tol)
-        header, rows = _path_outputs(cfg, path)
+        header, rows = _path_outputs(path)
         summary = _summary(cfg, path,
                            timings={"solve_s": time.perf_counter() - t_start})
     elif command == "ocp":
@@ -329,7 +326,6 @@ def main(argv=None) -> int:
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--workers", type=int, default=1,
                        help="concurrent scenarios for batch configs")
-        p.add_argument("--seed", type=int, default=0)
     pc = sub.add_parser("check", help="run invariant suites")
     pc.add_argument("suites", nargs="*", default=[],
                     help=f"suites to run (default all): {sorted(checks.SUITES)}")
@@ -347,15 +343,14 @@ def main(argv=None) -> int:
         return 2
 
     outdir = Path(args.out)
-    status = 0
     try:
         if args.workers > 1 and len(scenarios) > 1:
             with concurrent.futures.ThreadPoolExecutor(args.workers) as pool:
-                futs = [pool.submit(run_scenario, c, args.command, outdir, args.seed)
+                futs = [pool.submit(run_scenario, c, args.command, outdir)
                         for c in scenarios]
                 results = [f.result() for f in futs]
         else:
-            results = [run_scenario(c, args.command, outdir, args.seed)
+            results = [run_scenario(c, args.command, outdir)
                        for c in scenarios]
     except ConfigError as exc:
         print(_error_json(exc))
@@ -365,7 +360,7 @@ def main(argv=None) -> int:
         return 1
     for res in results:
         print(json.dumps({"name": res.get("name"), "status": "ok"}, sort_keys=True))
-    return status
+    return 0
 
 
 if __name__ == "__main__":

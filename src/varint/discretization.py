@@ -242,20 +242,18 @@ def spline_exact(n=None) -> DiscreteLagrangian:
     return _SplineExact(n)
 
 
-def block_partials(Ld: DiscreteLagrangian, s: PairState):
-    """The four covector blocks (D1, D2, D3, D4) of Ld at the pair state."""
-    return Ld.partials(s)
+#: Scheme constructors by the names :func:`make_scheme` and the CLI accept.
+SCHEMES = {
+    "taylor": taylor_average,
+    "taylor-midpoint": lambda L: taylor_average(L, midpoint_averages=True),
+    "midpoint-difference": midpoint_difference,
+    "trapezoid-velocity": trapezoid_velocity,
+    "spline-exact": lambda L: spline_exact(L.n),
+}
 
 
 def make_scheme(name: str, L: LagrangianModel) -> DiscreteLagrangian:
     """Scheme registry used by the solvers and the CLI."""
-    table = {
-        "taylor": lambda: taylor_average(L),
-        "taylor-midpoint": lambda: taylor_average(L, midpoint_averages=True),
-        "midpoint-difference": lambda: midpoint_difference(L),
-        "trapezoid-velocity": lambda: trapezoid_velocity(L),
-        "spline-exact": lambda: spline_exact(L.n),
-    }
-    if name not in table:
-        raise KeyError(f"unknown scheme {name!r}; known: {sorted(table)}")
-    return table[name]()
+    if name not in SCHEMES:
+        raise KeyError(f"unknown scheme {name!r}; known: {sorted(SCHEMES)}")
+    return SCHEMES[name](L)

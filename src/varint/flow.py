@@ -10,8 +10,6 @@ errors exponentially.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla
@@ -20,23 +18,7 @@ from .discretization import DiscreteLagrangian
 from .errors import NoConvergence, SingularKKT, SingularWd
 from .jets import DiscretePath, Grid, JetPoint, PairState
 from .lagrangian import LagrangianModel
-
-
-@dataclass
-class StepWorkspace:
-    """Reusable scratch arrays for one-step Newton solves (single-threaded)."""
-
-    n: int
-    z: np.ndarray = field(init=False)
-    residual: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.z = np.zeros(2 * self.n)
-        self.residual = np.zeros(2 * self.n)
-
-    def clear(self):
-        self.z[:] = 0.0
-        self.residual[:] = 0.0
+from .newton import newton
 
 
 def _state(q, v) -> JetPoint:
@@ -62,8 +44,7 @@ def Wd_matrix(Ld: DiscreteLagrangian, s: PairState) -> np.ndarray:
 
 
 def step(Ld: DiscreteLagrangian, prev: JetPoint, cur: JetPoint, h: float,
-         guess: JetPoint = None, tol: float = 1e-12, max_iter: int = 50,
-         workspace: StepWorkspace = None) -> JetPoint:
+         guess: JetPoint = None, tol: float = 1e-12, max_iter: int = 50) -> JetPoint:
     """Solve the recursion for the next node by damped Newton.
 
     The Jacobian of the residual in the unknown next state is exactly the
@@ -72,60 +53,30 @@ def step(Ld: DiscreteLagrangian, prev: JetPoint, cur: JetPoint, h: float,
     """
     n = cur.dim
     if guess is None:
-        z = np.concatenate([2.0 * cur.q - prev.q,
-                            2.0 * cur.deriv(1) - prev.deriv(1)])
+        z0 = np.concatenate([2.0 * cur.q - prev.q,
+                             2.0 * cur.deriv(1) - prev.deriv(1)])
     else:
-        z = np.concatenate([guess.q, guess.deriv(1)])
+        z0 = np.concatenate([guess.q, guess.deriv(1)])
 
     back = PairState(prev, cur, h)
     _, _, D3a, D4a = Ld.partials(back)
     fixed = np.concatenate([D3a, D4a])
 
+    def pair(zv):
+        return PairState(cur, _state(zv[:n], zv[n:]), h)
+
     def residual(zv):
-        D1b, D2b, _, _ = Ld.partials(PairState(cur, _state(zv[:n], zv[n:]), h))
+        D1b, D2b, _, _ = Ld.partials(pair(zv))
         return fixed + np.concatenate([D1b, D2b])
 
     # the residual sums cancelling partials; it cannot be driven below
     # roundoff at the scheme's sensitivity scale, so two floors: a tight one
     # for regular exit and a loose one accepted when progress stops
     eps = np.finfo(float).eps
-    scale0 = max(Ld.residual_scale(back),
-                 Ld.residual_scale(PairState(cur, _state(z[:n], z[n:]), h)))
-    tight = max(tol, 2.0 * eps * scale0)
-    loose = max(tol, 64.0 * eps * scale0)
-
-    r = residual(z)
-    rnorm = np.max(np.abs(r))
-    for it in range(max_iter):
-        if rnorm <= tight:
-            break
-        pair = PairState(cur, _state(z[:n], z[n:]), h)
-        J = Wd_matrix(Ld, pair)
-        try:
-            delta = np.linalg.solve(J, -r)
-        except np.linalg.LinAlgError as exc:
-            raise SingularWd("cross-derivative block matrix is singular") from exc
-        alpha, accepted = 1.0, False
-        for _ in range(30):
-            zt = z + alpha * delta
-            rt = residual(zt)
-            rt_norm = np.max(np.abs(rt))
-            if rt_norm <= tight or rt_norm < (1.0 - 1e-4 * alpha) * rnorm:
-                z, r, rnorm, accepted = zt, rt, rt_norm, True
-                break
-            alpha *= 0.5
-        if not accepted:
-            if rnorm <= loose:
-                break
-            raise NoConvergence("step Newton stalled", iterations=it,
-                                residual_norm=rnorm)
-    else:
-        if rnorm > loose:
-            raise NoConvergence("step Newton did not reach tolerance",
-                                iterations=max_iter, residual_norm=rnorm)
-    if workspace is not None:
-        workspace.z[:] = z
-        workspace.residual[:] = r
+    scale0 = max(Ld.residual_scale(back), Ld.residual_scale(pair(z0)))
+    z, _ = newton(residual, lambda zv, r: Wd_matrix(Ld, pair(zv)), z0,
+                  max(tol, 2.0 * eps * scale0), max(tol, 64.0 * eps * scale0),
+                  max_iter, SingularWd, "step Newton")
     return _state(z[:n], z[n:])
 
 
@@ -151,22 +102,14 @@ def run(Ld: DiscreteLagrangian, x0: JetPoint, x1: JetPoint, grid: Grid,
     """
     h = grid.h
     states = [x0, x1]
-    ws = StepWorkspace(x0.dim)
-    res_norms = []
     for k in range(1, grid.N):
         try:
-            nxt = step(Ld, states[k - 1], states[k], h, tol=tol,
-                       max_iter=max_iter, workspace=ws)
-        except (NoConvergence, SingularWd) as exc:
-            if isinstance(exc, NoConvergence):
-                exc.step_index = k
+            states.append(step(Ld, states[k - 1], states[k], h, tol=tol,
+                               max_iter=max_iter))
+        except NoConvergence as exc:
+            exc.step_index = k
             raise
-        res_norms.append(float(np.max(np.abs(ws.residual))))
-        states.append(nxt)
-    path = DiscretePath(grid, tuple(states))
-    diags = {"del_residual": np.asarray(res_norms)}
-    diags["phi"] = phi_values(path)
-    return DiscretePath(grid, tuple(states), diags)
+    return _with_diagnostics(Ld, grid, states)
 
 
 def initial_pair(L: LagrangianModel, jet3: JetPoint, h: float,
@@ -400,6 +343,11 @@ def solve_boundary_path(Ld: DiscreteLagrangian, x0: JetPoint, xN: JetPoint,
             prev = g
 
     states = [x0] + [_state(u[:x0.dim], u[x0.dim:]) for u in U] + [xN]
+    return _with_diagnostics(Ld, grid, states)
+
+
+def _with_diagnostics(Ld, grid, states):
+    """The path with its per-node DEL residual norms and phi samples."""
     path = DiscretePath(grid, tuple(states))
     per_node = np.max(np.abs(_path_residual(Ld, states, grid.h)), axis=1)
     diags = {"del_residual": per_node, "phi": phi_values(path)}

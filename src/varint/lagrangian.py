@@ -369,7 +369,7 @@ class MechanicalModel:
 
 
 @dataclass(frozen=True, eq=False)
-class CotangentTQPoint:
+class MomentaState:
     """A point (q, v, p, pt) of the cotangent bundle over velocity phase space."""
 
     q: np.ndarray
@@ -379,12 +379,22 @@ class CotangentTQPoint:
 
     def __post_init__(self):
         for name in ("q", "v", "p", "pt"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float).reshape(-1))
+            object.__setattr__(self, name,
+                               np.asarray(getattr(self, name), dtype=float).reshape(-1))
         if not (self.q.size == self.v.size == self.p.size == self.pt.size):
             raise ValueError("q, v, p, pt must share one dimension")
 
+    @property
+    def n(self) -> int:
+        return self.q.size
+
     def as_array(self) -> np.ndarray:
         return np.concatenate([self.q, self.v, self.p, self.pt])
+
+    @staticmethod
+    def from_array(arr, n: int) -> "MomentaState":
+        arr = np.asarray(arr, dtype=float)
+        return MomentaState(arr[:n], arr[n:2 * n], arr[2 * n:3 * n], arr[3 * n:])
 
 
 def _momentum_rate(L: LagrangianModel, q, dq, ddq, d3q):
@@ -468,14 +478,14 @@ def fourth_order_rhs(L: LagrangianModel, jet: JetPoint) -> np.ndarray:
     return fourth_order_rhs_raw(L, *(jet.deriv(j) for j in range(4)))
 
 
-def legendre(L: LagrangianModel, jet: JetPoint) -> CotangentTQPoint:
+def legendre(L: LagrangianModel, jet: JetPoint) -> MomentaState:
     """Continuous momentum map: (q, v, dL/dqdot - d/dt dL/dqddot, dL/dqddot)."""
     if jet.order < 3:
         raise ValueError("legendre needs a jet of order 3")
     q, dq, ddq, d3q = (jet.deriv(j) for j in range(4))
     _, Ldq, Lddq = L.grad_at(q, dq, ddq)
     p = Ldq - _momentum_rate(L, q, dq, ddq, d3q)
-    return CotangentTQPoint(q, dq, p, Lddq)
+    return MomentaState(q, dq, p, Lddq)
 
 
 def controlled_forces(M: MechanicalModel, jet: JetPoint) -> np.ndarray:

@@ -9,43 +9,13 @@ momentum-space step map, implemented by Newton inversion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .discretization import DiscreteLagrangian
-from .errors import NoConvergence, SingularWd
+from .errors import SingularWd
 from .jets import JetPoint, PairState
-from .lagrangian import LagrangianModel, legendre
-
-
-@dataclass(frozen=True, eq=False)
-class MomentaState:
-    """A point (q, v, p, pt) of the momentum phase space."""
-
-    q: np.ndarray
-    v: np.ndarray
-    p: np.ndarray
-    pt: np.ndarray
-
-    def __post_init__(self):
-        for name in ("q", "v", "p", "pt"):
-            object.__setattr__(self, name,
-                               np.asarray(getattr(self, name), dtype=float).reshape(-1))
-        if not (self.q.size == self.v.size == self.p.size == self.pt.size):
-            raise ValueError("q, v, p, pt must share one dimension")
-
-    @property
-    def n(self) -> int:
-        return self.q.size
-
-    def as_array(self) -> np.ndarray:
-        return np.concatenate([self.q, self.v, self.p, self.pt])
-
-    @staticmethod
-    def from_array(arr, n: int) -> "MomentaState":
-        arr = np.asarray(arr, dtype=float)
-        return MomentaState(arr[:n], arr[n:2 * n], arr[2 * n:3 * n], arr[3 * n:])
+from .lagrangian import LagrangianModel, MomentaState, legendre
+from .newton import newton
 
 
 def fplus(Ld: DiscreteLagrangian, s: PairState) -> MomentaState:
@@ -60,44 +30,16 @@ def fminus(Ld: DiscreteLagrangian, s: PairState) -> MomentaState:
     return MomentaState(s.left.q, s.left.deriv(1), -D1, -D2)
 
 
-def _newton_2n(residual, jacobian, z0, scale_fn, tol, max_iter, what):
-    """Damped Newton on a momentum-matching residual.
+def _floors(Ld, s0, target, tol):
+    """Tight and loose stop levels of a momentum-matching solve.
 
-    The residual differences cancelling partials, so the stop test allows for
-    roundoff at the sensitivity scale reported by ``scale_fn`` at the initial
-    guess: a tight floor for regular exit, a looser one when progress stops.
+    The residual differences cancelling partials, so the levels allow for
+    roundoff at the larger of the scheme's sensitivity scale at the initial
+    guess ``s0`` and the size of the target momenta.
     """
-    z = z0.copy()
     eps = np.finfo(float).eps
-    scale0 = scale_fn(z)
-    tight = max(tol, 2.0 * eps * scale0)
-    loose = max(tol, 64.0 * eps * scale0)
-    r = residual(z)
-    rnorm = np.max(np.abs(r))
-    for it in range(max_iter):
-        if rnorm <= tight:
-            return z
-        try:
-            delta = np.linalg.solve(jacobian(z), -r)
-        except np.linalg.LinAlgError as exc:
-            raise SingularWd(f"{what}: Jacobian is singular") from exc
-        alpha, accepted = 1.0, False
-        for _ in range(30):
-            zt = z + alpha * delta
-            rt = residual(zt)
-            rt_norm = np.max(np.abs(rt))
-            if rt_norm <= tight or rt_norm < (1.0 - 1e-4 * alpha) * rnorm:
-                z, r, rnorm, accepted = zt, rt, rt_norm, True
-                break
-            alpha *= 0.5
-        if not accepted:
-            if rnorm <= loose:
-                return z
-            raise NoConvergence(f"{what} stalled", iterations=it, residual_norm=rnorm)
-    if rnorm <= loose:
-        return z
-    raise NoConvergence(f"{what} did not converge", iterations=max_iter,
-                        residual_norm=rnorm)
+    scale0 = max(Ld.residual_scale(s0), float(np.max(np.abs(target))))
+    return max(tol, 2.0 * eps * scale0), max(tol, 64.0 * eps * scale0)
 
 
 def fminus_inverse(Ld: DiscreteLagrangian, m: MomentaState, h: float,
@@ -119,15 +61,12 @@ def fminus_inverse(Ld: DiscreteLagrangian, m: MomentaState, h: float,
         D1, D2, _, _ = Ld.partials(pair(z))
         return np.concatenate([-D1, -D2]) - target
 
-    def jacobian(z):
+    def jacobian(z, r):
         DD = Ld.second_partials(pair(z))
         return -DD[:2 * n, 2 * n:]
 
-    def scale_fn(z):
-        return max(Ld.residual_scale(pair(z)), float(np.max(np.abs(target))))
-
-    z = _newton_2n(residual, jacobian, z0, scale_fn, tol, max_iter,
-                   "minus-map inversion")
+    z, _ = newton(residual, jacobian, z0, *_floors(Ld, pair(z0), target, tol),
+                  max_iter, SingularWd, "minus-map inversion")
     return pair(z)
 
 
@@ -150,15 +89,12 @@ def fplus_inverse(Ld: DiscreteLagrangian, m: MomentaState, h: float,
         _, _, D3, D4 = Ld.partials(pair(z))
         return np.concatenate([D3, D4]) - target
 
-    def jacobian(z):
+    def jacobian(z, r):
         DD = Ld.second_partials(pair(z))
         return DD[2 * n:, :2 * n]
 
-    def scale_fn(z):
-        return max(Ld.residual_scale(pair(z)), float(np.max(np.abs(target))))
-
-    z = _newton_2n(residual, jacobian, z0, scale_fn, tol, max_iter,
-                   "plus-map inversion")
+    z, _ = newton(residual, jacobian, z0, *_floors(Ld, pair(z0), target, tol),
+                  max_iter, SingularWd, "plus-map inversion")
     return pair(z)
 
 

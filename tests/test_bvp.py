@@ -227,6 +227,14 @@ class TestSolveRegularized:
         vals = [exact_Ld(spline1, a, b, 0.8, degree=m) for m in (2, 4, 8, 12)]
         assert np.max(np.abs(np.diff(vals))) <= 1e-12
 
+    def test_converged_last_iteration_accepted(self, spline_potential):
+        # one Newton step reaches the tolerance, so the last permitted
+        # iteration ends a converged solve rather than a failed one
+        curve = solve_regularized(spline_potential, jet1(0.0, 0.3),
+                                  jet1(1.0, -0.2), 0.5, max_iter=1)
+        gradient = action_gradient(spline_potential, curve, jet1(0.0, 0.3), 0.5)
+        assert np.max(np.abs(gradient[2:])) <= 1e-12
+
 
 class TestShooting:
     def test_unit_displacement_jet(self, spline1):

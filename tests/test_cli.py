@@ -99,8 +99,8 @@ class TestBvpCommand:
     def test_byte_identical_reruns(self, tmp_path, capsys):
         cfg = write_config(tmp_path, BVP_CFG)
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
-        assert main(["bvp", "--config", cfg, "--out", str(out1), "--seed", "7"]) == 0
-        assert main(["bvp", "--config", cfg, "--out", str(out2), "--seed", "7"]) == 0
+        assert main(["bvp", "--config", cfg, "--out", str(out1)]) == 0
+        assert main(["bvp", "--config", cfg, "--out", str(out2)]) == 0
         a = (out1 / "figure-bvp_trajectory.csv").read_bytes()
         b = (out2 / "figure-bvp_trajectory.csv").read_bytes()
         assert a == b

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
-from varint import (JetPoint, PairState, block_partials, make_scheme,
-                    midpoint_difference, spline_exact, taylor_average,
-                    trapezoid_velocity)
+from varint import (JetPoint, PairState, make_scheme, midpoint_difference,
+                    spline_exact, taylor_average, trapezoid_velocity)
 
 
 def pair(q0, v0, q1, v1, h):
@@ -117,7 +116,7 @@ class TestSplineExact:
 class TestBlockPartials:
     def test_spline_exact_values(self):
         Ld = spline_exact()
-        D1, D2, D3, D4 = block_partials(Ld, pair(0, 0, 1, 0, 1.0))
+        D1, D2, D3, D4 = Ld.partials(pair(0, 0, 1, 0, 1.0))
         assert D1[0] == pytest.approx(-12.0)
         assert D2[0] == pytest.approx(-6.0)
         assert D3[0] == pytest.approx(12.0)
@@ -127,10 +126,10 @@ class TestBlockPartials:
         # D3 is linear in q1 for the exact action; it vanishes at the minimizer
         Ld = spline_exact()
         h, q0, v0, v1 = 0.5, 0.2, 0.4, -0.1
-        s0 = block_partials(Ld, pair(q0, v0, 0.0, v1, h))[2][0]
-        s1 = block_partials(Ld, pair(q0, v0, 1.0, v1, h))[2][0]
+        s0 = Ld.partials(pair(q0, v0, 0.0, v1, h))[2][0]
+        s1 = Ld.partials(pair(q0, v0, 1.0, v1, h))[2][0]
         qstar = -s0 / (s1 - s0)
-        assert abs(block_partials(Ld, pair(q0, v0, qstar, v1, h))[2][0]) <= 1e-12
+        assert abs(Ld.partials(pair(q0, v0, qstar, v1, h))[2][0]) <= 1e-12
 
     @pytest.mark.parametrize("maker", [
         lambda L: taylor_average(L),

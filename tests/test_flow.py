@@ -137,7 +137,6 @@ class TestRun:
     def test_translation_momentum_constant(self, spline2):
         # for the translation-invariant action, the later-point momentum along
         # the symmetry direction is the same at every step
-        from varint import block_partials
         Ld = spline_exact()
         direction = np.array([1.0, 1.0]) / np.sqrt(2.0)
         grid = uniform_grid(0.0, 2.0, 40)
@@ -147,7 +146,7 @@ class TestRun:
         vals = []
         for k in range(grid.N):
             s = PairState(path.states[k], path.states[k + 1], grid.h)
-            D1, D2, D3, D4 = block_partials(Ld, s)
+            D1, D2, D3, D4 = Ld.partials(s)
             vals.append(D3 @ direction)
         assert np.max(np.abs(np.diff(vals))) <= 1e-10
 
