@@ -317,7 +317,7 @@ class _ActionAssembler:
         H = np.zeros((m1 * n, m1 * n))
         I = np.eye(n)
         for g, w in enumerate(self.wq):
-            Hf = self.L.hess_full_at(Q0[g], Q1[g], Q2[g])
+            Hf = self.L.hess_at(Q0[g], Q1[g], Q2[g])
             Bg = np.vstack([h * h * np.kron(self.B2[g], I),
                             h * np.kron(self.B1[g], I),
                             np.kron(self.B0[g], I)])

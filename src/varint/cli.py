@@ -52,6 +52,7 @@ def _require(cond, msg):
 
 
 def _check_keys(obj: dict, allowed, where: str):
+    _require(isinstance(obj, dict), f"{where} must be an object")
     unknown = sorted(set(obj) - set(allowed))
     _require(not unknown, f"unknown fields in {where}: {unknown}")
 
@@ -59,10 +60,27 @@ def _check_keys(obj: dict, allowed, where: str):
 def _vector(obj, name, n=None):
     try:
         v = np.asarray(obj, dtype=float).reshape(-1)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{name} must be a numeric vector")
+    _require(np.all(np.isfinite(v)), f"{name} must be finite")
     _require(n is None or v.size == n, f"{name} must have length {n}")
     return v
+
+
+def _number(obj, name):
+    _require(isinstance(obj, (int, float)), f"{name} must be a number")
+    return float(_vector(obj, name, 1)[0])
+
+
+def _boundary(cfg, command: str, n: int):
+    """The four boundary vectors (q0, v0, qN, vN), all required."""
+    b = cfg.raw.get("boundary")
+    _require(isinstance(b, dict), f"{command} requires 'boundary'")
+    keys = ("q0", "v0", "qN", "vN")
+    _check_keys(b, keys, "boundary")
+    missing = [k for k in keys if k not in b]
+    _require(not missing, f"boundary is missing {missing}")
+    return [_vector(b[k], f"boundary.{k}", n) for k in keys]
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,14 +109,16 @@ class ScenarioConfig:
         _require(scheme in SCHEMES, f"scheme must be one of {tuple(SCHEMES)}")
         if "grid" in obj:
             g = obj["grid"]
-            _require(isinstance(g, dict), "grid must be an object")
             _check_keys(g, {"t0", "T", "N"}, "grid")
             _require(isinstance(g.get("N"), int) and g["N"] >= 1,
                      "grid.N must be a positive integer")
-            _require(float(g.get("T", 0)) > float(g.get("t0", 0.0)),
+            _require(_number(g.get("T"), "grid.T") > _number(g.get("t0", 0.0), "grid.t0"),
                      "grid.T must exceed grid.t0")
         if "tolerances" in obj:
             _check_keys(obj["tolerances"], {"newton", "path"}, "tolerances")
+            for k, v in obj["tolerances"].items():
+                _require(_number(v, f"tolerances.{k}") > 0,
+                         f"tolerances.{k} must be positive")
         return ScenarioConfig(kind, name, scheme, obj)
 
 
@@ -185,13 +205,9 @@ def run_scenario(cfg: ScenarioConfig, command: str, outdir: Path) -> dict:
                 x0, x1 = initial_pair(L, jet, grid.h)
             path = run_flow(Ld, x0, x1, grid)
         else:
-            b = cfg.raw.get("boundary")
-            _require(isinstance(b, dict), "bvp requires 'boundary'")
-            _check_keys(b, {"q0", "v0", "qN", "vN"}, "boundary")
-            x0 = JetPoint(_vector(b["q0"], "boundary.q0", L.n),
-                          (_vector(b["v0"], "boundary.v0", L.n),))
-            xN = JetPoint(_vector(b["qN"], "boundary.qN", L.n),
-                          (_vector(b["vN"], "boundary.vN", L.n),))
+            _require(grid.N >= 2, "bvp requires grid.N >= 2")
+            q0, v0, qN, vN = _boundary(cfg, "bvp", L.n)
+            x0, xN = JetPoint(q0, (v0,)), JetPoint(qN, (vN,))
             path = solve_boundary_path(Ld, x0, xN, grid, tol=tol)
         header, rows = _path_outputs(path)
         summary = _summary(cfg, path,
@@ -221,26 +237,26 @@ def run_scenario(cfg: ScenarioConfig, command: str, outdir: Path) -> dict:
 
 
 def _ocp_problem_of(cfg: ScenarioConfig):
-    b = cfg.raw.get("boundary")
-    _require(isinstance(b, dict), "ocp requires 'boundary'")
-    _check_keys(b, {"q0", "v0", "qN", "vN"}, "boundary")
     g = cfg.raw.get("grid")
     _require(isinstance(g, dict), "ocp requires 'grid'")
     T, N = float(g["T"]), int(g["N"])
+    _require(T > 0 and N >= 2, "ocp requires grid.T > 0 and grid.N >= 2")
     if cfg.kind == "ocp-twolink":
         pr = cfg.raw.get("params", {})
         _check_keys(pr, {"m1", "m2", "l1", "l2", "J1", "J2", "g"}, "params")
-        params = TwoLinkParams(**{k: float(v) for k, v in pr.items()})
+        pr = {k: _number(v, f"params.{k}") for k, v in pr.items()}
+        _require(all(v > 0 for v in pr.values()), "params must be positive")
+        params = TwoLinkParams(**pr)
         model = two_link_model(params)
         penalty = None
         pcfg = cfg.raw.get("penalty")
         if pcfg:
             _check_keys(pcfg, {"slope", "lo_deg", "hi_deg", "width"}, "penalty")
             penalty = JointLimitPenalty(
-                n=2, slope=float(pcfg.get("slope", 1000.0)),
-                lo=math.radians(float(pcfg.get("lo_deg", 0.0))),
-                hi=math.radians(float(pcfg.get("hi_deg", 170.0))),
-                width=float(pcfg.get("width", 1e-6)))
+                n=2, slope=_number(pcfg.get("slope", 1000.0), "penalty.slope"),
+                lo=math.radians(_number(pcfg.get("lo_deg", 0.0), "penalty.lo_deg")),
+                hi=math.radians(_number(pcfg.get("hi_deg", 170.0), "penalty.hi_deg")),
+                width=_number(pcfg.get("width", 1e-6), "penalty.width"))
         forces = lambda jet: two_link_forces(params, jet)
         labels = ["t", "theta1", "theta2", "dtheta1", "dtheta2", "u1", "u2"]
         n = 2
@@ -252,11 +268,8 @@ def _ocp_problem_of(cfg: ScenarioConfig):
         n = int(entry.get("n", 1))
         model = free_particle_model(n)
         penalty, forces, labels = None, None, None
-    problem = OCProblem(model, control_effort_cost(),
-                        qa=_vector(b["q0"], "boundary.q0", n),
-                        va=_vector(b["v0"], "boundary.v0", n),
-                        qb=_vector(b["qN"], "boundary.qN", n),
-                        vb=_vector(b["vN"], "boundary.vN", n),
+    qa, va, qb, vb = _boundary(cfg, "ocp", n)
+    problem = OCProblem(model, control_effort_cost(), qa=qa, va=va, qb=qb, vb=vb,
                         T=T, N=N, penalty=penalty)
     return problem, forces, labels
 
@@ -276,7 +289,7 @@ def _run_order(cfg: ScenarioConfig, outdir: Path) -> dict:
     coeffs = np.asarray(tr["coeffs"], dtype=float)
     boundary = cubic_trajectory(coeffs.T if coeffs.shape[0] != 4 else coeffs)
     t0 = time.perf_counter()
-    report = estimate_order(Ld, L, boundary, [float(h) for h in hs],
+    report = estimate_order(Ld, L, boundary, [_number(h, "h_values") for h in hs],
                             scheme_name=cfg.scheme)
     outdir.mkdir(parents=True, exist_ok=True)
     csv_path = outdir / f"{cfg.name}_order.csv"

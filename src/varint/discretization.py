@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .jets import PairState
-from .lagrangian import FD_STEP, LagrangianModel
+from .lagrangian import FD_STEP, LagrangianModel, _central_diff
 
 
 class DiscreteLagrangian:
@@ -33,32 +33,17 @@ class DiscreteLagrangian:
     def value(self, s: PairState) -> float:
         raise NotImplementedError
 
-    def _value_flat(self, x, h):
-        n = x.size // 4
-        return self.value(_pair_from_flat(x, n, h))
-
     def partials(self, s: PairState):
         n = s.n
-        x = _flat_from_pair(s)
-        g = np.empty(4 * n)
-        for i in range(4 * n):
-            d = FD_STEP * (1.0 + abs(x[i]))
-            xp = x.copy(); xp[i] += d
-            xm = x.copy(); xm[i] -= d
-            g[i] = (self._value_flat(xp, s.h) - self._value_flat(xm, s.h)) / (2.0 * d)
+        g = _central_diff(lambda x: self.value(_pair_from_flat(x, n, s.h)),
+                          _flat_from_pair(s))
         return g[:n], g[n:2 * n], g[2 * n:3 * n], g[3 * n:]
 
     def second_partials(self, s: PairState) -> np.ndarray:
         n = s.n
-        x = _flat_from_pair(s)
-        J = np.empty((4 * n, 4 * n))
-        for i in range(4 * n):
-            d = FD_STEP * (1.0 + abs(x[i]))
-            xp = x.copy(); xp[i] += d
-            xm = x.copy(); xm[i] -= d
-            gp = np.concatenate(self.partials(_pair_from_flat(xp, n, s.h)))
-            gm = np.concatenate(self.partials(_pair_from_flat(xm, n, s.h)))
-            J[i] = (gp - gm) / (2.0 * d)
+        J = _central_diff(
+            lambda x: np.concatenate(self.partials(_pair_from_flat(x, n, s.h))),
+            _flat_from_pair(s))
         return 0.5 * (J + J.T)
 
     def residual_scale(self, s: PairState) -> float:
@@ -129,7 +114,7 @@ class _AffineJetScheme(DiscreteLagrangian):
         n = s.n
         H = np.zeros((4 * n, 4 * n))
         for w, P, q, dq, ddq in self._points(s):
-            H += w * (P.T @ self.L.hess_full_at(q, dq, ddq) @ P)
+            H += w * (P.T @ self.L.hess_at(q, dq, ddq) @ P)
         return H
 
     def _fd_noise_scale(self, s: PairState) -> float:

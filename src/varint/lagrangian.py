@@ -1,10 +1,12 @@
 """Continuous Lagrangians and their pointwise calculus.
 
-Second-order models L(q, qdot, qddot) expose value, first partials, and the
-six distinct second-partial blocks.  Derivatives are analytic callbacks when
-supplied (or generated symbolically via :meth:`LagrangianModel.from_sympy`);
-otherwise central finite differences on the value are used and the model is
-flagged as FD-backed.
+A model of jet order k is a Lagrangian L(q, qdot, ..., q^(k)) on n-vectors:
+k = 2 for the second-order systems, k = 1 for mechanical Lagrangians
+L(q, qdot).  Every model exposes the value, the k + 1 first-partial blocks
+and the full symmetric second-partial matrix in jet layout.  Derivatives are
+analytic callbacks when supplied (or generated symbolically via
+``from_sympy``); otherwise central finite differences on the value are used
+and the model is flagged as FD-backed.
 
 Total time derivatives are always expanded by the chain rule on the supplied
 partials, never by differencing along a trajectory, so identities involving
@@ -27,8 +29,6 @@ FD_STEP = _EPS ** (1.0 / 3.0)
 #: Step factor for second differences of the value.
 FD_STEP2 = _EPS ** 0.25
 
-_BLOCKS2 = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
-
 
 def _as_vec(x, n, name):
     v = np.asarray(x, dtype=float).reshape(-1)
@@ -37,28 +37,20 @@ def _as_vec(x, n, name):
     return v
 
 
-def _fd_grad(f, x):
-    """Central-difference gradient of scalar f at flat point x."""
+def _central_diff(f, x, step=FD_STEP):
+    """Central differences of f at flat point x, one row per coordinate of x:
+    the gradient of a scalar f, the transposed Jacobian of a vector f.
+
+    Coordinate i moves by ``step * (1 + |x_i|)``.
+    """
     x = np.asarray(x, dtype=float)
-    g = np.empty_like(x)
+    rows = []
     for i in range(x.size):
-        d = FD_STEP * (1.0 + abs(x[i]))
+        d = step * (1.0 + abs(x[i]))
         xp = x.copy(); xp[i] += d
         xm = x.copy(); xm[i] -= d
-        g[i] = (f(xp) - f(xm)) / (2.0 * d)
-    return g
-
-
-def _fd_jac(f, x, m):
-    """Central-difference Jacobian of vector f (length m) at flat point x."""
-    x = np.asarray(x, dtype=float)
-    J = np.empty((x.size, m))
-    for i in range(x.size):
-        d = FD_STEP * (1.0 + abs(x[i]))
-        xp = x.copy(); xp[i] += d
-        xm = x.copy(); xm[i] -= d
-        J[i] = (np.asarray(f(xp)) - np.asarray(f(xm))) / (2.0 * d)
-    return J
+        rows.append((np.asarray(f(xp)) - np.asarray(f(xm))) / (2.0 * d))
+    return np.array(rows)
 
 
 def _fd_hess(f, x):
@@ -98,19 +90,42 @@ def _lambdify_matrix(args, mat):
     return lambda flat: np.asarray(f(*flat), dtype=float)
 
 
+def _from_sympy(cls, n, expr, blocks, **kw):
+    """Fully analytic model of class ``cls`` from a sympy expression.
+
+    ``blocks`` holds the jet variables, ``cls.order + 1`` sequences of n
+    symbols each; ``kw`` goes to the constructor.
+    """
+    blocks = [list(b) for b in blocks]
+    args = [s for b in blocks for s in b]
+    grads = [sp.diff(expr, s) for s in args]
+    hess_mat = sp.Matrix([[sp.diff(g, s) for s in args] for g in grads])
+    f_val = _lambdify_scalar(args, expr)
+    f_grad = _lambdify_vector(args, grads)
+    f_hess = _lambdify_matrix(args, hess_mat)
+
+    model = cls(n, lambda *x: f_val(np.concatenate(x)),
+                grad=lambda *x: f_grad(np.concatenate(x)).reshape(len(blocks), n),
+                hess=lambda *x: f_hess(np.concatenate(x)), **kw)
+    model.sympy_data = (expr, *blocks)
+    return model
+
+
 class LagrangianModel:
-    """A second-order Lagrangian on jets (q, qdot, qddot), all n-vectors.
+    """A Lagrangian on jets (q, qdot, ..., q^(order)), all n-vectors.
+
+    Methods take the ``order + 1`` jet blocks as separate arguments.
 
     Parameters
     ----------
     n : state dimension.
-    value : callable (q, dq, ddq) -> float.
-    grad : optional callable returning the three first-partial covectors
-        (dL/dq, dL/dqdot, dL/dqddot).  FD fallback when omitted.
-    hess : optional callable returning a dict {(i, j): (n, n) array} for
-        0 <= i <= j <= 2 with entry [a, b] = d^2 L / dx^i_a dx^j_b.
+    value : callable (q, dq, ...) -> float.
+    grad : optional callable returning the ``order + 1`` first-partial
+        covectors (dL/dq, dL/dqdot, ...).  FD fallback when omitted.
+    hess : optional callable returning the symmetric ((order+1) n, (order+1) n)
+        matrix of second partials in jet layout.  FD fallback when omitted.
     el4 : optional callable (q, dq, ddq, d3q, d4q) -> n-vector evaluating the
-        full equation-of-motion residual analytically.
+        full equation-of-motion residual of a second-order model analytically.
     poly_degree : polynomial degree of L in the jet variables, if any; used
         only to size quadratures exactly.
     """
@@ -123,7 +138,6 @@ class LagrangianModel:
         self._value = value
         self._grad = grad
         self._hess = hess
-        self._hess_full = None
         self._el4 = el4
         self.poly_degree = poly_degree
         self.name = name or "lagrangian"
@@ -131,86 +145,45 @@ class LagrangianModel:
         self.analytic_hess = hess is not None
         self.sympy_data = None
 
-    # -- raw evaluation -----------------------------------------------------
+    def _blocks(self, flat):
+        n = self.n
+        return tuple(flat[i * n:(i + 1) * n] for i in range(self.order + 1))
 
-    def value_at(self, q, dq, ddq) -> float:
-        return float(self._value(q, dq, ddq))
+    def value_at(self, *x) -> float:
+        return float(self._value(*x))
 
-    def grad_at(self, q, dq, ddq):
+    def grad_at(self, *x):
         n = self.n
         if self._grad is not None:
-            g = self._grad(q, dq, ddq)
-            return tuple(_as_vec(g[i], n, "grad block") for i in range(3))
-        flat = np.concatenate([q, dq, ddq])
-        g = _fd_grad(lambda x: self._value(x[:n], x[n:2 * n], x[2 * n:]), flat)
-        return g[:n], g[n:2 * n], g[2 * n:]
+            g = self._grad(*x)
+            return tuple(_as_vec(g[i], n, "grad block") for i in range(self.order + 1))
+        return self._blocks(_central_diff(
+            lambda y: self._value(*self._blocks(y)), np.concatenate(x)))
 
-    def hess_at(self, q, dq, ddq):
-        n = self.n
+    def hess_at(self, *x) -> np.ndarray:
         if self._hess is not None:
-            return self._hess(q, dq, ddq)
+            return self._hess(*x)
+        flat = np.concatenate(x)
         if self._grad is not None:
-            flat = np.concatenate([q, dq, ddq])
-            J = _fd_jac(lambda x: np.concatenate(
-                self.grad_at(x[:n], x[n:2 * n], x[2 * n:])), flat, 3 * n)
-            full = 0.5 * (J + J.T)
-        else:
-            flat = np.concatenate([q, dq, ddq])
-            full = _fd_hess(lambda x: self._value(x[:n], x[n:2 * n], x[2 * n:]), flat)
-        return {(i, j): full[i * n:(i + 1) * n, j * n:(j + 1) * n] for i, j in _BLOCKS2}
-
-    def hess_full_at(self, q, dq, ddq) -> np.ndarray:
-        """Second partials as one symmetric (3n, 3n) matrix."""
-        if self._hess_full is not None:
-            return self._hess_full(q, dq, ddq)
-        n = self.n
-        H = self.hess_at(q, dq, ddq)
-        full = np.zeros((3 * n, 3 * n))
-        for (i, j), M in H.items():
-            full[i * n:(i + 1) * n, j * n:(j + 1) * n] = M
-            if i != j:
-                full[j * n:(j + 1) * n, i * n:(i + 1) * n] = M.T
-        return full
+            J = _central_diff(lambda y: np.concatenate(self.grad_at(*self._blocks(y))),
+                              flat)
+            return 0.5 * (J + J.T)
+        return _fd_hess(lambda y: self._value(*self._blocks(y)), flat)
 
     def el4_at(self, q, dq, ddq, d3q, d4q):
         if self._el4 is None:
             return None
         return _as_vec(self._el4(q, dq, ddq, d3q, d4q), self.n, "el4")
 
-    # -- jet-facing API -----------------------------------------------------
-
-    def _split(self, jet: JetPoint, order: int):
-        if jet.order < order:
-            raise ValueError(f"jet must have order >= {order}, got {jet.order}")
-        if jet.dim != self.n:
-            raise ValueError(f"jet dimension {jet.dim} != model dimension {self.n}")
-        return tuple(jet.deriv(j) for j in range(order + 1))
-
-    def value(self, jet: JetPoint) -> float:
-        return self.value_at(*self._split(jet, 2)[:3])
-
-    def grad(self, jet: JetPoint):
-        return self.grad_at(*self._split(jet, 2)[:3])
-
-    def hess(self, jet: JetPoint):
-        return self.hess_at(*self._split(jet, 2)[:3])
-
-    # -- constructors ---------------------------------------------------------
-
     @classmethod
     def from_sympy(cls, n, expr, q, dq, ddq, poly_degree=None, name=None):
-        """Build a fully analytic model from a sympy expression.
+        """Build a fully analytic second-order model from a sympy expression.
 
         ``q``, ``dq``, ``ddq`` are sequences of n symbols each.
         """
         q, dq, ddq = list(q), list(dq), list(ddq)
         d3q = list(sp.symbols(f"_d3q0:{n}", real=True))
         d4q = list(sp.symbols(f"_d4q0:{n}", real=True))
-        args = q + dq + ddq
-        syms = args
-
-        grads = [sp.diff(expr, s) for s in syms]
-        hess_mat = sp.Matrix([[sp.diff(g, s) for s in syms] for g in grads])
 
         def dt(e, include_d4=False):
             out = sum(sp.diff(e, q[i]) * dq[i] + sp.diff(e, dq[i]) * ddq[i]
@@ -222,53 +195,28 @@ class LagrangianModel:
         el_exprs = [sp.diff(expr, q[i]) - dt(sp.diff(expr, dq[i]))
                     + dt(dt(sp.diff(expr, ddq[i])), include_d4=True)
                     for i in range(n)]
-
-        f_val = _lambdify_scalar(args, expr)
-        f_grad = _lambdify_vector(args, grads)
-        f_hess = _lambdify_matrix(args, hess_mat)
-        f_el = _lambdify_vector(args + d3q + d4q, el_exprs)
-
-        def value(qv, dv, av):
-            return f_val(np.concatenate([qv, dv, av]))
-
-        def grad(qv, dv, av):
-            g = f_grad(np.concatenate([qv, dv, av]))
-            return g[:n], g[n:2 * n], g[2 * n:]
-
-        def hess(qv, dv, av):
-            full = f_hess(np.concatenate([qv, dv, av]))
-            return {(i, j): full[i * n:(i + 1) * n, j * n:(j + 1) * n]
-                    for i, j in _BLOCKS2}
-
-        def el4(qv, dv, av, jv, sv):
-            return f_el(np.concatenate([qv, dv, av, jv, sv]))
-
-        def hess_full(qv, dv, av):
-            return f_hess(np.concatenate([qv, dv, av]))
-
-        model = cls(n, value, grad=grad, hess=hess, el4=el4,
-                    poly_degree=poly_degree, name=name)
-        model._hess_full = hess_full
-        model.sympy_data = (expr, q, dq, ddq)
-        return model
+        f_el = _lambdify_vector(q + dq + ddq + d3q + d4q, el_exprs)
+        return _from_sympy(cls, n, expr, (q, dq, ddq),
+                           el4=lambda *x: f_el(np.concatenate(x)),
+                           poly_degree=poly_degree, name=name)
 
     def with_position_term(self, f, df, d2f, name=None):
         """New model whose value gains a configuration-only term f(q).
 
         ``df`` returns the n-gradient and ``d2f`` the (n, n) Hessian of f.
         """
-        base = self
+        base, n = self, self.n
 
-        def value(q, dq, ddq):
-            return base.value_at(q, dq, ddq) + float(f(q))
+        def value(q, *rest):
+            return base.value_at(q, *rest) + float(f(q))
 
-        def grad(q, dq, ddq):
-            Lq, Ldq, Lddq = base.grad_at(q, dq, ddq)
-            return Lq + np.asarray(df(q), dtype=float), Ldq, Lddq
+        def grad(q, *rest):
+            Lq, *others = base.grad_at(q, *rest)
+            return (Lq + np.asarray(df(q), dtype=float), *others)
 
-        def hess(q, dq, ddq):
-            H = dict(base.hess_at(q, dq, ddq))
-            H[(0, 0)] = H[(0, 0)] + np.asarray(d2f(q), dtype=float)
+        def hess(q, *rest):
+            H = np.array(base.hess_at(q, *rest))
+            H[:n, :n] += np.asarray(d2f(q), dtype=float)
             return H
 
         el4 = None
@@ -276,96 +224,22 @@ class LagrangianModel:
             def el4(q, dq, ddq, d3q, d4q):
                 return base.el4_at(q, dq, ddq, d3q, d4q) + np.asarray(df(q), dtype=float)
 
-        out = LagrangianModel(base.n, value,
-                              grad=grad if base.analytic_grad else None,
-                              hess=hess if base.analytic_hess else None,
-                              el4=el4, poly_degree=None,
-                              name=name or f"{base.name}+penalty")
-        if base._hess_full is not None:
-            n = base.n
-
-            def hess_full(q, dq, ddq):
-                full = np.array(base._hess_full(q, dq, ddq))
-                full[:n, :n] += np.asarray(d2f(q), dtype=float)
-                return full
-
-            out._hess_full = hess_full
-        return out
+        return type(self)(n, value,
+                          grad=grad if base.analytic_grad else None,
+                          hess=hess if base.analytic_hess else None,
+                          el4=el4, poly_degree=None,
+                          name=name or f"{base.name}+penalty")
 
 
-class MechanicalModel:
+class MechanicalModel(LagrangianModel):
     """A first-order Lagrangian L(q, qdot) for controlled mechanical systems."""
 
     order = 1
 
-    def __init__(self, n, value, grad=None, hess=None, name=None):
-        self.n = int(n)
-        self._value = value
-        self._grad = grad
-        self._hess = hess
-        self.name = name or "mechanical"
-        self.analytic_grad = grad is not None
-        self.analytic_hess = hess is not None
-        self.sympy_data = None
-
-    def value_at(self, q, dq) -> float:
-        return float(self._value(q, dq))
-
-    def grad_at(self, q, dq):
-        n = self.n
-        if self._grad is not None:
-            g = self._grad(q, dq)
-            return _as_vec(g[0], n, "dL/dq"), _as_vec(g[1], n, "dL/dqdot")
-        flat = np.concatenate([q, dq])
-        g = _fd_grad(lambda x: self._value(x[:n], x[n:]), flat)
-        return g[:n], g[n:]
-
-    def hess_at(self, q, dq):
-        n = self.n
-        if self._hess is not None:
-            return self._hess(q, dq)
-        if self._grad is not None:
-            flat = np.concatenate([q, dq])
-            J = _fd_jac(lambda x: np.concatenate(self.grad_at(x[:n], x[n:])), flat, 2 * n)
-            full = 0.5 * (J + J.T)
-        else:
-            flat = np.concatenate([q, dq])
-            full = _fd_hess(lambda x: self._value(x[:n], x[n:]), flat)
-        return {(0, 0): full[:n, :n], (0, 1): full[:n, n:], (1, 1): full[n:, n:]}
-
-    def value(self, jet: JetPoint) -> float:
-        return self.value_at(jet.q, jet.deriv(1))
-
-    def grad(self, jet: JetPoint):
-        return self.grad_at(jet.q, jet.deriv(1))
-
-    def hess(self, jet: JetPoint):
-        return self.hess_at(jet.q, jet.deriv(1))
-
     @classmethod
     def from_sympy(cls, n, expr, q, dq, name=None):
-        q, dq = list(q), list(dq)
-        args = q + dq
-        grads = [sp.diff(expr, s) for s in args]
-        hess_mat = sp.Matrix([[sp.diff(g, s) for s in args] for g in grads])
-        f_val = _lambdify_scalar(args, expr)
-        f_grad = _lambdify_vector(args, grads)
-        f_hess = _lambdify_matrix(args, hess_mat)
-
-        def value(qv, dv):
-            return f_val(np.concatenate([qv, dv]))
-
-        def grad(qv, dv):
-            g = f_grad(np.concatenate([qv, dv]))
-            return g[:n], g[n:]
-
-        def hess(qv, dv):
-            full = f_hess(np.concatenate([qv, dv]))
-            return {(0, 0): full[:n, :n], (0, 1): full[:n, n:2 * n], (1, 1): full[n:, n:]}
-
-        model = cls(n, value, grad=grad, hess=hess, name=name)
-        model.sympy_data = (expr, q, dq)
-        return model
+        """Fully analytic model; ``q``, ``dq`` are sequences of n symbols."""
+        return _from_sympy(cls, n, expr, (q, dq), name=name)
 
 
 @dataclass(frozen=True, eq=False)
@@ -399,8 +273,9 @@ class MomentaState:
 
 def _momentum_rate(L: LagrangianModel, q, dq, ddq, d3q):
     """Total time derivative of dL/dqddot along the jet, from second partials."""
+    n = L.n
     H = L.hess_at(q, dq, ddq)
-    return H[(0, 2)].T @ dq + H[(1, 2)].T @ ddq + H[(2, 2)] @ d3q
+    return H[:n, 2 * n:].T @ dq + H[n:2 * n, 2 * n:].T @ ddq + H[2 * n:, 2 * n:] @ d3q
 
 
 def el_residual_raw(L: LagrangianModel, q, dq, ddq, d3q, d4q) -> np.ndarray:
@@ -408,9 +283,11 @@ def el_residual_raw(L: LagrangianModel, q, dq, ddq, d3q, d4q) -> np.ndarray:
     ana = L.el4_at(q, dq, ddq, d3q, d4q)
     if ana is not None:
         return ana
+    n = L.n
     Lq, Ldq, _ = L.grad_at(q, dq, ddq)
     H = L.hess_at(q, dq, ddq)
-    p_rate = H[(0, 1)].T @ dq + H[(1, 1)] @ ddq + H[(1, 2)] @ d3q
+    p_rate = (H[:n, n:2 * n].T @ dq + H[n:2 * n, n:2 * n] @ ddq
+              + H[n:2 * n, 2 * n:] @ d3q)
 
     # step balances truncation against the noise level of the inner second
     # partials: exact for analytic ones, difference noise otherwise
@@ -425,7 +302,7 @@ def el_residual_raw(L: LagrangianModel, q, dq, ddq, d3q, d4q) -> np.ndarray:
     d = factor * scale / drive
     Gp = _momentum_rate(L, q + d * dq, dq + d * ddq, ddq + d * d3q, d3q)
     Gm = _momentum_rate(L, q - d * dq, dq - d * ddq, ddq - d * d3q, d3q)
-    g_rate = (Gp - Gm) / (2.0 * d) + H[(2, 2)] @ d4q
+    g_rate = (Gp - Gm) / (2.0 * d) + H[2 * n:, 2 * n:] @ d4q
     return g_rate - p_rate + Lq
 
 
@@ -442,26 +319,27 @@ def el_residual(L: LagrangianModel, jet: JetPoint) -> np.ndarray:
     return el_residual_raw(L, *(jet.deriv(j) for j in range(5)))
 
 
+def _acceleration_hessian(L: LagrangianModel, q, dq, ddq):
+    """Symmetrized W = d^2 L / dqddot dqddot and whether it is regular,
+    by the scale-aware test |det W| > 1e-10 * max|W|**n."""
+    n = L.n
+    W = L.hess_at(q, dq, ddq)[2 * n:, 2 * n:]
+    W = 0.5 * (W + W.T)
+    return W, bool(abs(np.linalg.det(W)) > 1e-10 * np.max(np.abs(W)) ** n)
+
+
 def hessian_W(L: LagrangianModel, jet: JetPoint):
     """Acceleration Hessian W = d^2 L / dqddot dqddot and a regularity flag.
 
     The flag uses a scale-aware threshold: |det W| > 1e-10 * max|W|**n.
     """
-    q, dq, ddq = (jet.deriv(j) for j in range(3))
-    W = L.hess_at(q, dq, ddq)[(2, 2)]
-    W = 0.5 * (W + W.T)
-    scale = np.max(np.abs(W)) if W.size else 0.0
-    tol = 1e-10 * scale ** L.n
-    is_regular = abs(np.linalg.det(W)) > tol
-    return W, bool(is_regular)
+    return _acceleration_hessian(L, *(jet.deriv(j) for j in range(3)))
 
 
 def fourth_order_rhs_raw(L: LagrangianModel, q, dq, ddq, d3q) -> np.ndarray:
     """Array-argument form of :func:`fourth_order_rhs`."""
-    W = L.hess_at(q, dq, ddq)[(2, 2)]
-    W = 0.5 * (W + W.T)
-    scale = np.max(np.abs(W)) if W.size else 0.0
-    if not abs(np.linalg.det(W)) > 1e-10 * scale ** L.n:
+    W, regular = _acceleration_hessian(L, q, dq, ddq)
+    if not regular:
         raise SingularHessian(f"acceleration Hessian of {L.name} is singular at this jet")
     R = el_residual_raw(L, q, dq, ddq, d3q, np.zeros(L.n))
     return np.linalg.solve(W, -R)
@@ -493,9 +371,10 @@ def controlled_forces(M: MechanicalModel, jet: JetPoint) -> np.ndarray:
     if jet.order < 2:
         raise ValueError("controlled_forces needs a jet of order 2")
     q, dq, ddq = jet.q, jet.deriv(1), jet.deriv(2)
+    n = M.n
     Lq, _ = M.grad_at(q, dq)
     H = M.hess_at(q, dq)
-    return H[(0, 1)].T @ dq + H[(1, 1)] @ ddq - Lq
+    return H[:n, n:].T @ dq + H[n:, n:] @ ddq - Lq
 
 
 # -- common model builders ----------------------------------------------------

@@ -14,7 +14,7 @@ import numpy as np
 from .discretization import DiscreteLagrangian
 from .errors import SingularWd
 from .jets import JetPoint, PairState
-from .lagrangian import LagrangianModel, MomentaState, legendre
+from .lagrangian import LagrangianModel, MomentaState, _central_diff, legendre
 from .newton import newton
 
 
@@ -121,17 +121,9 @@ def symplectic_defect(Ld: DiscreteLagrangian, m: MomentaState, h: float,
     """
     n = m.n
     base_pair = fminus_inverse(Ld, m, h)
-    x = m.as_array()
-    J = np.empty((4 * n, 4 * n))
-    for i in range(4 * n):
-        d = fd_step * (1.0 + abs(x[i]))
-        xp = x.copy(); xp[i] += d
-        xm = x.copy(); xm[i] -= d
-        outp = hamiltonian_step(Ld, MomentaState.from_array(xp, n), h,
-                                guess=base_pair.right)
-        outm = hamiltonian_step(Ld, MomentaState.from_array(xm, n), h,
-                                guess=base_pair.right)
-        J[:, i] = (outp.as_array() - outm.as_array()) / (2.0 * d)
+    J = _central_diff(lambda x: hamiltonian_step(
+        Ld, MomentaState.from_array(x, n), h, guess=base_pair.right).as_array(),
+        m.as_array(), fd_step).T
     I = np.eye(2 * n)
     Z = np.zeros((2 * n, 2 * n))
     Omega = np.block([[Z, I], [-I, Z]])
@@ -169,12 +161,7 @@ def legendre_match_errors(L: LagrangianModel, q1jet: JetPoint, q2jet: JetPoint,
         return _shoot_action(L, q1, q2, h, S, x0[2 * n:])
 
     base = np.concatenate([q1jet.q, q1jet.deriv(1), q2jet.q, q2jet.deriv(1)])
-    D = np.empty(4 * n)
-    for i in range(4 * n):
-        d = step_factor * (1.0 + abs(base[i]))
-        xp = base.copy(); xp[i] += d
-        xm = base.copy(); xm[i] -= d
-        D[i] = (action(xp) - action(xm)) / (2.0 * d)
+    D = _central_diff(action, base, step_factor)
     D1, D2, D3, D4 = D[:n], D[n:2 * n], D[2 * n:3 * n], D[3 * n:]
     left_err = max(np.max(np.abs(-D1 - cont0.p)), np.max(np.abs(-D2 - cont0.pt)))
     right_err = max(np.max(np.abs(D3 - conth.p)), np.max(np.abs(D4 - conth.pt)))

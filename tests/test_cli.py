@@ -78,6 +78,57 @@ class TestValidation:
         assert not (tmp_path / "out").exists()
 
 
+OCP_CFG = {
+    "kind": "ocp-custom",
+    "name": "free",
+    "model": {"name": "free-particle", "n": 1},
+    "grid": {"t0": 0.0, "T": 1.0, "N": 4},
+    "boundary": {"q0": [0.0], "v0": [0.0], "qN": [1.0], "vN": [0.0]},
+}
+
+
+DROP = object()
+
+
+def _edit(base, path, value):
+    """Copy of config ``base`` with the field at ``path`` set to ``value``
+    (removed for ``DROP``)."""
+    cfg = json.loads(json.dumps(base))
+    *keys, last = path
+    obj = cfg
+    for k in keys:
+        obj = obj[k]
+    if value is DROP:
+        del obj[last]
+    else:
+        obj[last] = value
+    return cfg
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("bvp", _edit(BVP_CFG, ["grid", "T"], "abc")),
+    ("bvp", _edit(BVP_CFG, ["boundary", "q0"], DROP)),
+    ("ocp", _edit(OCP_CFG, ["boundary", "vN"], DROP)),
+    ("bvp", _edit(BVP_CFG, ["tolerances"], 5)),
+    ("bvp", _edit(BVP_CFG, ["tolerances"], {"path": "abc"})),
+    ("bvp", _edit(BVP_CFG, ["grid", "N"], 1)),
+    ("bvp", _edit(BVP_CFG, ["boundary", "q0"], [float("nan"), 0.0])),
+    ("bvp", _edit(BVP_CFG, ["boundary", "vN"], [10.0, float("inf")])),
+    ("ocp", _edit(OCP_CFG, ["boundary", "q0"], [float("-inf")])),
+], ids=["T-not-number", "bvp-boundary-missing", "ocp-boundary-missing",
+        "tolerances-not-object", "tolerance-not-number", "bvp-N-1",
+        "nan-boundary", "inf-boundary", "ocp-inf-boundary"])
+def test_config_errors_exit_2(tmp_path, capsys, command, cfg):
+    out = tmp_path / "out"
+    out.mkdir()
+    rc = main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 2
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["type"] == "config"
+    assert list(out.iterdir()) == []
+
+
 class TestBvpCommand:
     def test_figure_scenario_against_dense_oracle(self, tmp_path, capsys):
         out = tmp_path / "out"

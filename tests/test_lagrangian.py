@@ -177,7 +177,7 @@ class TestDerivativeConsistency:
         worst = 0.0
         for _ in range(100):
             x = rng.normal(size=3 * n)
-            H = model.hess_full_at(x[:n], x[n:2 * n], x[2 * n:])
+            H = model.hess_at(x[:n], x[n:2 * n], x[2 * n:])
             ref = np.column_stack([fd_gradient_oracle(lambda y, i=i: grad(y)[i], x)
                                    for i in range(3 * n)])
             worst = max(worst, np.max(np.abs(H - ref)) / (1 + np.max(np.abs(ref))))
@@ -186,5 +186,41 @@ class TestDerivativeConsistency:
     def test_hessian_symmetry(self, rng):
         model = model_from_expr(2, "cos(q0)*ddq0**2/2 + ddq1**2/2 + dq0*dq1*q1")
         x = rng.normal(size=6)
-        H = model.hess_full_at(x[:2], x[2:4], x[4:])
+        H = model.hess_at(x[:2], x[2:4], x[4:])
         assert np.allclose(H, H.T, atol=1e-12)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_fd_fallbacks_match_sympy(self, order, rng):
+        # value-only and value+grad models share the finite-difference
+        # fallbacks across jet orders
+        import sympy as sp
+        n = 2
+        blocks = [sp.symbols(f"{p}0:{n}") for p in ("q", "dq", "ddq")[:order + 1]]
+        q, dq = blocks[:2]
+        expr = (sp.cos(q[0]) * dq[0] ** 2 / 2 + dq[1] ** 2 / 2
+                + dq[0] * dq[1] * q[1] + sp.sin(q[1]))
+        if order == 2:
+            ddq = blocks[2]
+            expr += (sp.cos(q[0]) * ddq[0] ** 2 / 2 + ddq[1] ** 2 / 2
+                     + sp.sin(q[1]) * ddq[0])
+        cls = MechanicalModel if order == 1 else LagrangianModel
+        exact = cls.from_sympy(n, expr, *blocks)
+        value_only = cls(n, exact.value_at)
+        with_grad = cls(n, exact.value_at, grad=exact.grad_at)
+        assert not value_only.analytic_grad and not with_grad.analytic_hess
+
+        def rel(a, b):
+            return np.max(np.abs(a - b)) / (1 + np.max(np.abs(b)))
+
+        worst = 0.0
+        for _ in range(20):
+            x = np.split(rng.normal(size=(order + 1) * n), order + 1)
+            g, H = np.concatenate(exact.grad_at(*x)), exact.hess_at(*x)
+            assert H.shape == ((order + 1) * n, (order + 1) * n)
+            for model in (value_only, with_grad):
+                blocks_fd = model.grad_at(*x)
+                assert len(blocks_fd) == order + 1
+                H_fd = model.hess_at(*x)
+                assert np.array_equal(H_fd, H_fd.T)
+                worst = max(worst, rel(np.concatenate(blocks_fd), g), rel(H_fd, H))
+        assert worst <= 1e-5
