@@ -32,9 +32,9 @@ from .newton import newton
 
 # -- orthonormal bases on [0, 1] ------------------------------------------------
 
-def gauss_legendre_01(nnodes: int):
-    """Gauss nodes and weights for integrals over [0, 1]."""
-    x, w = np.polynomial.legendre.leggauss(int(nnodes))
+def gauss_legendre_01(count: int):
+    """``count`` Gauss nodes and weights for integrals over [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(int(count))
     return (x + 1.0) / 2.0, w / 2.0
 
 
@@ -254,13 +254,13 @@ def project_tangent(gvec: np.ndarray, k: int = 2) -> np.ndarray:
 _TABLES = {}
 
 
-def _basis_tables(funcs, nnodes):
+def _basis_tables(funcs, count):
     """Gauss nodes and weights on [0, 1] with the basis values and first two
     antiderivatives from 0 at the nodes; memoized per basis and node count."""
     key = (tuple((f.coef.tobytes(), f.domain.tobytes(), f.window.tobytes())
-                 for f in funcs), nnodes)
+                 for f in funcs), count)
     if key not in _TABLES:
-        u, wq = gauss_legendre_01(nnodes)
+        u, wq = gauss_legendre_01(count)
         B0 = np.array([[f(x) for f in funcs] for x in u])
         B1 = np.array([[f.integ(1, lbnd=0.0)(x) for f in funcs] for x in u])
         B2 = np.array([[f.integ(2, lbnd=0.0)(x) for f in funcs] for x in u])
@@ -274,16 +274,15 @@ class _ActionAssembler:
     """Action, gradient, and Hessian of the reparameterized one-step action
     as functions of the top-derivative coefficients (second-order case)."""
 
-    def __init__(self, L: LagrangianModel, funcs, q1jet: JetPoint, h: float, nnodes=None):
+    def __init__(self, L: LagrangianModel, funcs, q1jet: JetPoint, h: float):
         self.L = L
         self.h = float(h)
         self.q1 = q1jet.q
         self.v1 = q1jet.deriv(1)
         m = len(funcs) - 1
-        if nnodes is None:
-            pdeg = L.poly_degree if L.poly_degree is not None else 4
-            nnodes = math.ceil((2 * m + pdeg) / 2) + 4
-        self.u, self.wq, self.B0, self.B1, self.B2 = _basis_tables(funcs, nnodes)
+        pdeg = L.poly_degree if L.poly_degree is not None else 4
+        count = math.ceil((2 * m + pdeg) / 2) + 4
+        self.u, self.wq, self.B0, self.B1, self.B2 = _basis_tables(funcs, count)
 
     def curves(self, coeffs):
         h = self.h
@@ -325,28 +324,29 @@ class _ActionAssembler:
         return H
 
 
-def action_gradient(L: LagrangianModel, Qk: PolyCurve, q1jet: JetPoint, h: float,
-                    nnodes=None) -> np.ndarray:
+def action_gradient(L: LagrangianModel, Qk: PolyCurve, q1jet: JetPoint,
+                    h: float) -> np.ndarray:
     """Coefficient-space gradient of the reparameterized action at Qk.
 
     Returns one n-vector per basis element, matching the layout of
     ``Qk.coeffs``; it equals the finite-difference gradient of the quadrature
     action to quadrature accuracy.
     """
-    asm = _ActionAssembler(L, Qk.funcs, q1jet, h, nnodes)
+    asm = _ActionAssembler(L, Qk.funcs, q1jet, h)
     return asm.gradient(Qk.coeffs)
 
 
-def _hermite_jet(q1jet: JetPoint, q2jet: JetPoint, h: float):
-    """Initial acceleration and jerk of the cubic matching both endpoints."""
-    q0, v0 = q1jet.q, q1jet.deriv(1)
-    q1, v1 = q2jet.q, q2jet.deriv(1)
-    c2 = (3.0 * (q1 - q0) - h * (2.0 * v0 + v1)) / h**2
-    c3 = (-2.0 * (q1 - q0) + h * (v0 + v1)) / h**3
-    return 2.0 * c2, 6.0 * c3
+def _hermite_coeffs(a: JetPoint, b: JetPoint, T: float):
+    """(c2, c3) of the cubic q(t) = q_a + t v_a + t^2 c2 + t^3 c3 that meets
+    the jet ``b`` at t = T."""
+    q0, v0 = a.q, a.deriv(1)
+    q1, v1 = b.q, b.deriv(1)
+    c2 = (3.0 * (q1 - q0) - T * (2.0 * v0 + v1)) / T**2
+    c3 = (-2.0 * (q1 - q0) + T * (v0 + v1)) / T**3
+    return c2, c3
 
 
-def _solve_regularized(L, q1jet, q2jet, h, degree, tol, max_iter, nnodes):
+def _solve_regularized(L, q1jet, q2jet, h, degree, max_iter):
     if q1jet.order != 1:
         raise ValueError("the regularized solver handles second-order models (order-1 jets)")
     k = 2
@@ -355,7 +355,7 @@ def _solve_regularized(L, q1jet, q2jet, h, degree, tol, max_iter, nnodes):
     funcs = tuple(basis_gamma(k).extended(degree))
     ed = endpoints_to_w(q1jet, q2jet, h)
     n = L.n
-    asm = _ActionAssembler(L, funcs, q1jet, h, nnodes)
+    asm = _ActionAssembler(L, funcs, q1jet, h)
 
     def coeffs_of(z):
         # the first k coefficients are pinned to the endpoint data
@@ -367,37 +367,35 @@ def _solve_regularized(L, q1jet, q2jet, h, degree, tol, max_iter, nnodes):
     def jacobian(z, r):
         return asm.hessian(coeffs_of(z))[k * n:, k * n:]
 
-    z, _ = newton(residual, jacobian, np.zeros((degree + 1 - k) * n), tol, tol,
-                  max_iter, SingularHessian, "regularized Newton")
+    z, _ = newton(residual, jacobian, np.zeros((degree + 1 - k) * n), 1e-12,
+                  1e-12, max_iter, SingularHessian, "regularized Newton")
     return PolyCurve(coeffs_of(z), funcs, k), asm
 
 
-#: Largest step accepted by the connecting-trajectory solvers by default.
-#: Local uniqueness only holds for small enough steps; no a-priori bound is
-#: available, so this is configuration.  Observed convergence in the test
-#: problems (cubic-spline family, added potentials, the lifted arm cost)
-#: extends to h of order one; the shipped experiments use h <= 0.5.
-DEFAULT_H_MAX = 4.0
+#: Largest step accepted by the connecting-trajectory solvers.  Local
+#: uniqueness only holds for small enough steps and no a-priori bound is
+#: available; observed convergence in the test problems (cubic-spline family,
+#: added potentials, the lifted arm cost) extends to h of order one, and the
+#: shipped experiments use h <= 0.5.
+H_MAX = 4.0
 
 
-def _check_h(h, h_max):
-    limit = DEFAULT_H_MAX if h_max is None else h_max
-    if not 0.0 < h <= limit:
-        raise ValueError(f"step h={h} outside (0, {limit}]; pass h_max to widen")
+def _check_h(h):
+    if not 0.0 < h <= H_MAX:
+        raise ValueError(f"step h={h} outside (0, {H_MAX}]")
 
 
 def solve_regularized(L: LagrangianModel, q1jet: JetPoint, q2jet: JetPoint, h: float,
-                      degree: int = 8, tol: float = 1e-12, max_iter: int = 50,
-                      nnodes=None, h_max: float = None) -> PolyCurve:
+                      degree: int = 8, max_iter: int = 50) -> PolyCurve:
     """Top-derivative curve of the connecting trajectory by projected Newton.
 
     The first k coefficients are pinned to the endpoint data w; Newton (damped
     by a halving line search, warm-started from the connecting cubic, i.e.
     zero free coefficients) drives the remaining gradient components below
-    ``tol``.
+    1e-12.
     """
-    _check_h(h, h_max)
-    curve, _ = _solve_regularized(L, q1jet, q2jet, h, degree, tol, max_iter, nnodes)
+    _check_h(h)
+    curve, _ = _solve_regularized(L, q1jet, q2jet, h, degree, max_iter)
     return curve
 
 
@@ -477,25 +475,24 @@ def _shoot_once(L, q1jet, q2jet, h, substeps, x0, tol, max_iter):
 
 
 def shooting_bvp(L: LagrangianModel, q1jet: JetPoint, q2jet: JetPoint, h: float,
-                 substeps: int = 16, max_substeps: int = 1024, tol: float = 1e-11,
-                 max_iter: int = 50, return_substeps: bool = False,
-                 h_max: float = None):
+                 return_substeps: bool = False):
     """Initial order-3 jet whose forward flow meets the right endpoint.
 
-    The substep count starts at ``substeps`` and doubles until a solve with
-    twice the resolution moves the answer by at most 1e-11 (relative to the
-    jet scale), capped at ``max_substeps``.
+    Each solve drives the endpoint miss below 1e-11 (relative to the endpoint
+    scale) in at most 50 Newton steps.  The substep count starts at 16 and
+    doubles until a solve with twice the resolution moves the answer by at
+    most 1e-11 (relative to the jet scale), capped at 1024.
     """
-    _check_h(h, h_max)
-    a0, j0 = _hermite_jet(q1jet, q2jet, h)
-    x = _shoot_once(L, q1jet, q2jet, h, substeps, np.concatenate([a0, j0]),
-                    tol, max_iter)
-    S = substeps
+    _check_h(h)
+    c2, c3 = _hermite_coeffs(q1jet, q2jet, h)
+    x = _shoot_once(L, q1jet, q2jet, h, 16, np.concatenate([2.0 * c2, 6.0 * c3]),
+                    1e-11, 50)
+    S = 16
     while True:
-        x2 = _shoot_once(L, q1jet, q2jet, h, 2 * S, x, tol, max_iter)
+        x2 = _shoot_once(L, q1jet, q2jet, h, 2 * S, x, 1e-11, 50)
         close = np.max(np.abs(x2 - x)) <= 1e-11 * (1.0 + np.max(np.abs(x2)))
         x, S = x2, 2 * S
-        if close or S >= max_substeps:
+        if close or S >= 1024:
             break
     n = L.n
     jet = JetPoint(q1jet.q, (q1jet.deriv(1), x[:n], x[n:]))
@@ -503,8 +500,7 @@ def shooting_bvp(L: LagrangianModel, q1jet: JetPoint, q2jet: JetPoint, h: float,
 
 
 def exact_Ld(L: LagrangianModel, q1jet: JetPoint, q2jet: JetPoint, h: float,
-             method: str = "regularized", degree: int = 8, nnodes=None,
-             substeps: int = 16, tol: float = None, h_max: float = None) -> float:
+             method: str = "regularized", degree: int = 8) -> float:
     """Action integral along the connecting trajectory.
 
     ``method="regularized"`` reports h times the quadrature action of the
@@ -512,15 +508,12 @@ def exact_Ld(L: LagrangianModel, q1jet: JetPoint, q2jet: JetPoint, h: float,
     along the flow of the solved initial jet.  The two agree to solver
     tolerance and cross-validate each other.
     """
-    _check_h(h, h_max)
+    _check_h(h)
     if method == "regularized":
-        curve, asm = _solve_regularized(L, q1jet, q2jet, h, degree,
-                                        tol if tol is not None else 1e-12, 50, nnodes)
+        curve, asm = _solve_regularized(L, q1jet, q2jet, h, degree, 50)
         return h * asm.action(curve.coeffs)
     if method == "shooting":
-        jet, S = shooting_bvp(L, q1jet, q2jet, h, substeps=substeps,
-                              tol=tol if tol is not None else 1e-11,
-                              return_substeps=True)
+        jet, S = shooting_bvp(L, q1jet, q2jet, h, return_substeps=True)
         _, action = integrate_el(L, jet, h, S, with_action=True)
         return action
     raise ValueError(f"unknown method {method!r}")

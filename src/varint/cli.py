@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checks
+from .bvp import H_MAX
 from .control import (JointLimitPenalty, OCProblem, TwoLinkParams,
                       control_effort_cost, free_particle_model, solve_ocp,
                       solution_table, two_link_forces, two_link_model)
@@ -72,6 +73,12 @@ def _number(obj, name):
     return float(_vector(obj, name, 1)[0])
 
 
+def _dimension(obj, name):
+    _require(isinstance(obj, int) and not isinstance(obj, bool) and obj >= 1,
+             f"{name} must be a positive integer")
+    return obj
+
+
 def _boundary(cfg, command: str, n: int):
     """The four boundary vectors (q0, v0, qN, vN), all required."""
     b = cfg.raw.get("boundary")
@@ -97,7 +104,7 @@ class ScenarioConfig:
         _require(isinstance(obj, dict), "scenario must be a JSON object")
         top_allowed = {"kind", "name", "scheme", "grid", "boundary", "initial",
                        "lagrangian", "n", "model", "params", "penalty",
-                       "tolerances", "h_values", "trajectory", "seed"}
+                       "tolerances", "h_values", "trajectory"}
         _check_keys(obj, top_allowed, "scenario")
         kind = obj.get("kind")
         _require(kind in KINDS, f"kind must be one of {KINDS}, got {kind!r}")
@@ -115,7 +122,7 @@ class ScenarioConfig:
             _require(_number(g.get("T"), "grid.T") > _number(g.get("t0", 0.0), "grid.t0"),
                      "grid.T must exceed grid.t0")
         if "tolerances" in obj:
-            _check_keys(obj["tolerances"], {"newton", "path"}, "tolerances")
+            _check_keys(obj["tolerances"], {"path"}, "tolerances")
             for k, v in obj["tolerances"].items():
                 _require(_number(v, f"tolerances.{k}") > 0,
                          f"tolerances.{k} must be positive")
@@ -130,13 +137,13 @@ def _grid_of(cfg: ScenarioConfig):
 
 def _lagrangian_of(cfg: ScenarioConfig):
     if cfg.kind == "spline":
-        n = int(cfg.raw.get("n", 1))
-        return named_lagrangian("spline", n)
+        return named_lagrangian("spline", _dimension(cfg.raw.get("n", 1), "n"))
     entry = cfg.raw.get("lagrangian")
     _require(isinstance(entry, dict), "custom-lagrangian requires a 'lagrangian' object")
     _check_keys(entry, {"name", "n"}, "lagrangian")
     try:
-        return named_lagrangian(entry["name"], int(entry.get("n", 1)))
+        return named_lagrangian(entry["name"],
+                                _dimension(entry.get("n", 1), "lagrangian.n"))
     except KeyError as exc:
         raise ConfigError(str(exc))
 
@@ -185,7 +192,6 @@ def run_scenario(cfg: ScenarioConfig, command: str, outdir: Path) -> dict:
         L = _lagrangian_of(cfg)
         Ld = make_scheme(cfg.scheme, L)
         grid = _grid_of(cfg)
-        tol = float(cfg.raw.get("tolerances", {}).get("path", 1e-10))
         if command == "simulate":
             init = cfg.raw.get("initial")
             _require(isinstance(init, dict), "simulate requires 'initial'")
@@ -208,6 +214,7 @@ def run_scenario(cfg: ScenarioConfig, command: str, outdir: Path) -> dict:
             _require(grid.N >= 2, "bvp requires grid.N >= 2")
             q0, v0, qN, vN = _boundary(cfg, "bvp", L.n)
             x0, xN = JetPoint(q0, (v0,)), JetPoint(qN, (vN,))
+            tol = float(cfg.raw.get("tolerances", {}).get("path", 1e-10))
             path = solve_boundary_path(Ld, x0, xN, grid, tol=tol)
         header, rows = _path_outputs(path)
         summary = _summary(cfg, path,
@@ -265,7 +272,7 @@ def _ocp_problem_of(cfg: ScenarioConfig):
         _check_keys(entry, {"name", "n"}, "model")
         _require(entry.get("name") == "free-particle",
                  "ocp-custom supports the built-in 'free-particle' model")
-        n = int(entry.get("n", 1))
+        n = _dimension(entry.get("n", 1), "model.n")
         model = free_particle_model(n)
         penalty, forces, labels = None, None, None
     qa, va, qb, vb = _boundary(cfg, "ocp", n)
@@ -286,11 +293,17 @@ def _run_order(cfg: ScenarioConfig, outdir: Path) -> dict:
     _require(isinstance(tr, dict), "order requires 'trajectory'")
     _check_keys(tr, {"kind", "coeffs"}, "trajectory")
     _require(tr.get("kind") == "cubic", "trajectory.kind must be 'cubic'")
-    coeffs = np.asarray(tr["coeffs"], dtype=float)
-    boundary = cubic_trajectory(coeffs.T if coeffs.shape[0] != 4 else coeffs)
+    _require("coeffs" in tr, "order requires 'trajectory.coeffs'")
+    coeffs = _vector(tr["coeffs"], "trajectory.coeffs")
+    _require(np.shape(tr["coeffs"]) == (4, L.n),
+             f"trajectory.coeffs must be a (4, {L.n}) array")
+    h_values = [_number(h, "h_values") for h in hs]
+    _require(all(0.0 < h <= H_MAX for h in h_values),
+             f"h_values must lie in (0, {H_MAX}]")
+    _require(len(set(h_values)) == len(h_values), "h_values must be distinct")
+    boundary = cubic_trajectory(coeffs.reshape(4, L.n))
     t0 = time.perf_counter()
-    report = estimate_order(Ld, L, boundary, [_number(h, "h_values") for h in hs],
-                            scheme_name=cfg.scheme)
+    report = estimate_order(Ld, L, boundary, h_values, scheme_name=cfg.scheme)
     outdir.mkdir(parents=True, exist_ok=True)
     csv_path = outdir / f"{cfg.name}_order.csv"
     csv_path.write_text(report.to_csv())

@@ -13,6 +13,7 @@ optional elbow-style joint-limit penalty.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -20,7 +21,7 @@ import numpy as np
 import sympy as sp
 
 from .discretization import DiscreteLagrangian, make_scheme
-from .flow import solve_boundary_path
+from .flow import _path_action, solve_boundary_path
 from .jets import DiscretePath, JetPoint, uniform_grid
 from .lagrangian import LagrangianModel, MechanicalModel, controlled_forces
 
@@ -186,17 +187,18 @@ class OCPResult:
     scheme: DiscreteLagrangian
 
 
-def _width_ladder(width: float, start: float = 0.5, ratio: float = 8.0):
-    if width >= start:
+def _width_ladder(width: float):
+    """Penalty widths from 0.5 down to ``width`` by factors of 8."""
+    if width >= 0.5:
         return [width]
-    ladder = [start]
-    while ladder[-1] / ratio > width:
-        ladder.append(ladder[-1] / ratio)
+    ladder = [0.5]
+    while ladder[-1] / 8.0 > width:
+        ladder.append(ladder[-1] / 8.0)
     ladder.append(width)
     return ladder
 
 
-def solve_ocp(P: OCProblem, scheme: str = "taylor-midpoint", tol: float = 1e-10,
+def solve_ocp(P: OCProblem, scheme: str = "taylor-midpoint",
               max_iter: int = 200) -> OCPResult:
     """Solve the discrete boundary-value optimality system over the path.
 
@@ -205,10 +207,9 @@ def solve_ocp(P: OCProblem, scheme: str = "taylor-midpoint", tol: float = 1e-10,
     exactly.  A joint-limit penalty is continued from a widely smoothed
     barrier down to its target kink width, warm-starting every stage, so the
     iterates never have to cross the stiff barrier blindly.  Returns the path
-    together with the discrete action value.
+    together with the discrete action value.  The path tolerance is 1e-10
+    (1e-6 for the intermediate penalty stages).
     """
-    from .jets import PairState
-
     grid = uniform_grid(0.0, P.T, P.N)
     x0 = JetPoint(P.qa, (P.va,))
     xN = JetPoint(P.qb, (P.vb,))
@@ -216,10 +217,8 @@ def solve_ocp(P: OCProblem, scheme: str = "taylor-midpoint", tol: float = 1e-10,
     if P.penalty is None:
         lifted = lift_cost(P)
         Ld = make_scheme(scheme, lifted)
-        path = solve_boundary_path(Ld, x0, xN, grid, tol=tol, max_iter=max_iter)
+        path = solve_boundary_path(Ld, x0, xN, grid, tol=1e-10, max_iter=max_iter)
     else:
-        import dataclasses
-
         base = lift_cost(dataclasses.replace(P, penalty=None))
         guess = None
         widths = _width_ladder(P.penalty.width)
@@ -228,14 +227,13 @@ def solve_ocp(P: OCProblem, scheme: str = "taylor-midpoint", tol: float = 1e-10,
             lifted = base.with_position_term(pen.value, pen.grad, pen.hess,
                                              name=f"{base.name}+limit")
             Ld = make_scheme(scheme, lifted)
-            stage_tol = tol if i == len(widths) - 1 else max(tol, 1e-6)
+            stage_tol = 1e-10 if i == len(widths) - 1 else 1e-6
             path = solve_boundary_path(Ld, x0, xN, grid, guess=guess,
                                        tol=stage_tol, max_iter=max_iter)
             guess = np.column_stack([path.positions()[1:-1],
                                      path.velocities()[1:-1]])
 
-    cost = float(sum(Ld.value(PairState(path.states[k], path.states[k + 1], grid.h))
-                     for k in range(grid.N)))
+    cost = _path_action(Ld, path.states, grid.h)
     return OCPResult(path, cost, lifted, Ld)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .jets import PairState
+from .jets import PairState, pack, unpack
 from .lagrangian import FD_STEP, LagrangianModel, _central_diff
 
 
@@ -35,15 +35,13 @@ class DiscreteLagrangian:
 
     def partials(self, s: PairState):
         n = s.n
-        g = _central_diff(lambda x: self.value(_pair_from_flat(x, n, s.h)),
-                          _flat_from_pair(s))
+        g = _central_diff(lambda x: self.value(unpack(x, 2, n, s.h)), pack(s))
         return g[:n], g[n:2 * n], g[2 * n:3 * n], g[3 * n:]
 
     def second_partials(self, s: PairState) -> np.ndarray:
         n = s.n
         J = _central_diff(
-            lambda x: np.concatenate(self.partials(_pair_from_flat(x, n, s.h))),
-            _flat_from_pair(s))
+            lambda x: np.concatenate(self.partials(unpack(x, 2, n, s.h))), pack(s))
         return 0.5 * (J + J.T)
 
     def residual_scale(self, s: PairState) -> float:
@@ -54,22 +52,12 @@ class DiscreteLagrangian:
         the state magnitude, plus difference noise when the partials
         themselves come from finite differences.
         """
-        x = max(1.0, float(np.max(np.abs(_flat_from_pair(s)))))
+        x = max(1.0, float(np.max(np.abs(pack(s)))))
         dd = float(np.linalg.norm(self.second_partials(s), np.inf))
         return dd * x + self._fd_noise_scale(s)
 
     def _fd_noise_scale(self, s: PairState) -> float:
         return max(1.0, abs(self.value(s))) / FD_STEP
-
-
-def _flat_from_pair(s: PairState) -> np.ndarray:
-    return np.concatenate([s.left.q, s.left.deriv(1), s.right.q, s.right.deriv(1)])
-
-
-def _pair_from_flat(x, n, h) -> PairState:
-    from .jets import JetPoint
-    return PairState(JetPoint(x[:n], (x[n:2 * n],)),
-                     JetPoint(x[2 * n:3 * n], (x[3 * n:],)), h)
 
 
 class _AffineJetScheme(DiscreteLagrangian):
@@ -94,7 +82,7 @@ class _AffineJetScheme(DiscreteLagrangian):
 
     def _points(self, s: PairState):
         n = s.n
-        x = _flat_from_pair(s)
+        x = pack(s)
         for w, P in self._maps(s.h, n):
             y = P @ x
             yield w, P, y[:n], y[n:2 * n], y[2 * n:]

@@ -1,11 +1,11 @@
 """The implicit two-point recursion of a discrete Lagrangian and its solvers.
 
-``step`` advances one node by Newton on the stationarity conditions of the
-summed action; ``run`` iterates it along a grid.  ``solve_boundary_path``
-solves the whole-path two-point problem (both endpoint states pinned) with a
-damped Newton on the stacked residual and a sparse block-tridiagonal
-Jacobian, which stays well-behaved where the step recursion would amplify
-errors exponentially.
+``step`` advances one node through the momentum maps, (F-)^{-1} o F+, so its
+solve is the minus-map inversion of :mod:`varint.momentum`; ``run`` iterates
+it along a grid.  ``solve_boundary_path`` solves the whole-path two-point
+problem (both endpoint states pinned) with a damped Newton on the stacked
+residual and a sparse block-tridiagonal Jacobian, which stays well-behaved
+where the step recursion would amplify errors exponentially.
 """
 
 from __future__ import annotations
@@ -14,11 +14,12 @@ import numpy as np
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
+from .bvp import _hermite_coeffs, integrate_el
 from .discretization import DiscreteLagrangian
-from .errors import NoConvergence, SingularKKT, SingularWd
+from .errors import NoConvergence, SingularKKT
 from .jets import DiscretePath, Grid, JetPoint, PairState
 from .lagrangian import LagrangianModel
-from .newton import newton
+from .momentum import fminus_inverse, fplus
 
 
 def _state(q, v) -> JetPoint:
@@ -32,9 +33,7 @@ def del_residual(Ld: DiscreteLagrangian, prev: JetPoint, cur: JetPoint,
     Zero iff (D3 + D1, D4 + D2) vanish across the two adjacent pairs, which
     is the condition for the summed action to be stationary at ``cur``.
     """
-    D1b, D2b, _, _ = Ld.partials(PairState(cur, nxt, h))
-    _, _, D3a, D4a = Ld.partials(PairState(prev, cur, h))
-    return np.concatenate([D3a + D1b, D4a + D2b])
+    return _path_residual(Ld, [prev, cur, nxt], h)[0]
 
 
 def Wd_matrix(Ld: DiscreteLagrangian, s: PairState) -> np.ndarray:
@@ -43,41 +42,17 @@ def Wd_matrix(Ld: DiscreteLagrangian, s: PairState) -> np.ndarray:
     return Ld.second_partials(s)[:2 * n, 2 * n:]
 
 
-def step(Ld: DiscreteLagrangian, prev: JetPoint, cur: JetPoint, h: float,
-         guess: JetPoint = None, tol: float = 1e-12, max_iter: int = 50) -> JetPoint:
-    """Solve the recursion for the next node by damped Newton.
+def step(Ld: DiscreteLagrangian, prev: JetPoint, cur: JetPoint, h: float) -> JetPoint:
+    """Next node of the recursion: the discrete flow (F-)^{-1} o F+.
 
-    The Jacobian of the residual in the unknown next state is exactly the
-    cross-derivative block matrix of the forward pair, so solvability is its
-    regularity.  The default guess extrapolates linearly from (prev, cur).
+    The plus map of the pair (prev, cur) gives the momenta at ``cur``; the
+    minus map is inverted from them, starting from the linear extrapolation
+    of (prev, cur).  Solvability is the regularity of the cross-derivative
+    block matrix of the forward pair.
     """
-    n = cur.dim
-    if guess is None:
-        z0 = np.concatenate([2.0 * cur.q - prev.q,
-                             2.0 * cur.deriv(1) - prev.deriv(1)])
-    else:
-        z0 = np.concatenate([guess.q, guess.deriv(1)])
-
-    back = PairState(prev, cur, h)
-    _, _, D3a, D4a = Ld.partials(back)
-    fixed = np.concatenate([D3a, D4a])
-
-    def pair(zv):
-        return PairState(cur, _state(zv[:n], zv[n:]), h)
-
-    def residual(zv):
-        D1b, D2b, _, _ = Ld.partials(pair(zv))
-        return fixed + np.concatenate([D1b, D2b])
-
-    # the residual sums cancelling partials; it cannot be driven below
-    # roundoff at the scheme's sensitivity scale, so two floors: a tight one
-    # for regular exit and a loose one accepted when progress stops
-    eps = np.finfo(float).eps
-    scale0 = max(Ld.residual_scale(back), Ld.residual_scale(pair(z0)))
-    z, _ = newton(residual, lambda zv, r: Wd_matrix(Ld, pair(zv)), z0,
-                  max(tol, 2.0 * eps * scale0), max(tol, 64.0 * eps * scale0),
-                  max_iter, SingularWd, "step Newton")
-    return _state(z[:n], z[n:])
+    guess = _state(2.0 * cur.q - prev.q, 2.0 * cur.deriv(1) - prev.deriv(1))
+    return fminus_inverse(Ld, fplus(Ld, PairState(prev, cur, h)), h,
+                          guess=guess).right
 
 
 def phi_values(path: DiscretePath) -> np.ndarray:
@@ -92,8 +67,8 @@ def phi_values(path: DiscretePath) -> np.ndarray:
     return (q[1:] - q[:-1]) / h - 0.5 * (v[:-1] + v[1:])
 
 
-def run(Ld: DiscreteLagrangian, x0: JetPoint, x1: JetPoint, grid: Grid,
-        tol: float = 1e-12, max_iter: int = 50) -> DiscretePath:
+def run(Ld: DiscreteLagrangian, x0: JetPoint, x1: JetPoint,
+        grid: Grid) -> DiscretePath:
     """Iterate the one-step solve from two seed states along the grid.
 
     Initial guesses extrapolate linearly.  Failures carry the step index.
@@ -104,23 +79,20 @@ def run(Ld: DiscreteLagrangian, x0: JetPoint, x1: JetPoint, grid: Grid,
     states = [x0, x1]
     for k in range(1, grid.N):
         try:
-            states.append(step(Ld, states[k - 1], states[k], h, tol=tol,
-                               max_iter=max_iter))
+            states.append(step(Ld, states[k - 1], states[k], h))
         except NoConvergence as exc:
             exc.step_index = k
             raise
     return _with_diagnostics(Ld, grid, states)
 
 
-def initial_pair(L: LagrangianModel, jet3: JetPoint, h: float,
-                 substeps: int = 16):
+def initial_pair(L: LagrangianModel, jet3: JetPoint, h: float):
     """Seed states (x0, x1) for :func:`run` from one initial order-3 jet.
 
     x1 comes from one step of the continuous flow, so seeded runs start on
     the trajectory the scheme approximates.
     """
-    from .bvp import integrate_el
-    out = integrate_el(L, jet3, h, substeps)
+    out = integrate_el(L, jet3, h, 16)
     x0 = _state(jet3.q, jet3.deriv(1))
     x1 = _state(out.q, out.deriv(1))
     return x0, x1
@@ -130,9 +102,7 @@ def _hermite_path(x0: JetPoint, xN: JetPoint, grid: Grid) -> np.ndarray:
     """Cubic interpolant of the boundary data sampled at interior nodes."""
     T = grid.h * grid.N
     q0, v0 = x0.q, x0.deriv(1)
-    q1, v1 = xN.q, xN.deriv(1)
-    c2 = (3.0 * (q1 - q0) - T * (2.0 * v0 + v1)) / T**2
-    c3 = (-2.0 * (q1 - q0) + T * (v0 + v1)) / T**3
+    c2, c3 = _hermite_coeffs(x0, xN, T)
     out = np.empty((grid.N - 1, 2 * x0.dim))
     for k in range(1, grid.N):
         t = k * grid.h

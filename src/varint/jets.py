@@ -176,7 +176,8 @@ def uniform_grid(t0: float, T: float, N: int) -> Grid:
 
 def pack(state: PairState) -> np.ndarray:
     """Flatten a pair state to a 2kn vector: (left.q, left.derivs..., right...)."""
-    return np.concatenate([state.left.as_array(), state.right.as_array()])
+    left, right = state.left, state.right
+    return np.concatenate([left.q, *left.derivs, right.q, *right.derivs])
 
 
 def unpack(v, k: int, n: int, h: float = 1.0) -> PairState:

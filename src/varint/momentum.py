@@ -30,22 +30,26 @@ def fminus(Ld: DiscreteLagrangian, s: PairState) -> MomentaState:
     return MomentaState(s.left.q, s.left.deriv(1), -D1, -D2)
 
 
-def _floors(Ld, s0, target, tol):
+def _floors(Ld, s0, target):
     """Tight and loose stop levels of a momentum-matching solve.
 
-    The residual differences cancelling partials, so the levels allow for
-    roundoff at the larger of the scheme's sensitivity scale at the initial
-    guess ``s0`` and the size of the target momenta.
+    Both are 1e-12 unless roundoff forbids: the residual differences
+    cancelling partials, so the levels allow for roundoff at the larger of
+    the scheme's sensitivity scale at the initial guess ``s0`` and the size
+    of the target momenta.
     """
     eps = np.finfo(float).eps
     scale0 = max(Ld.residual_scale(s0), float(np.max(np.abs(target))))
-    return max(tol, 2.0 * eps * scale0), max(tol, 64.0 * eps * scale0)
+    return max(1e-12, 2.0 * eps * scale0), max(1e-12, 64.0 * eps * scale0)
 
 
 def fminus_inverse(Ld: DiscreteLagrangian, m: MomentaState, h: float,
-                   guess: JetPoint = None, tol: float = 1e-12,
-                   max_iter: int = 50) -> PairState:
-    """Pair state whose minus map equals ``m`` (left point is fixed by m)."""
+                   guess: JetPoint = None) -> PairState:
+    """Pair state whose minus map equals ``m`` (left point is fixed by m).
+
+    Newton (at most 50 steps) starts from ``guess`` for the right point, or
+    from the straight-line one (q + h v, v).
+    """
     n = m.n
     left = JetPoint(m.q, (m.v,))
     target = np.concatenate([m.p, m.pt])
@@ -65,22 +69,21 @@ def fminus_inverse(Ld: DiscreteLagrangian, m: MomentaState, h: float,
         DD = Ld.second_partials(pair(z))
         return -DD[:2 * n, 2 * n:]
 
-    z, _ = newton(residual, jacobian, z0, *_floors(Ld, pair(z0), target, tol),
-                  max_iter, SingularWd, "minus-map inversion")
+    z, _ = newton(residual, jacobian, z0, *_floors(Ld, pair(z0), target),
+                  50, SingularWd, "minus-map inversion")
     return pair(z)
 
 
-def fplus_inverse(Ld: DiscreteLagrangian, m: MomentaState, h: float,
-                  guess: JetPoint = None, tol: float = 1e-12,
-                  max_iter: int = 50) -> PairState:
-    """Pair state whose plus map equals ``m`` (right point is fixed by m)."""
+def fplus_inverse(Ld: DiscreteLagrangian, m: MomentaState, h: float) -> PairState:
+    """Pair state whose plus map equals ``m`` (right point is fixed by m).
+
+    Newton (at most 50 steps) starts from the straight-line left point
+    (q - h v, v).
+    """
     n = m.n
     right = JetPoint(m.q, (m.v,))
     target = np.concatenate([m.p, m.pt])
-    if guess is None:
-        z0 = np.concatenate([m.q - h * m.v, m.v])
-    else:
-        z0 = np.concatenate([guess.q, guess.deriv(1)])
+    z0 = np.concatenate([m.q - h * m.v, m.v])
 
     def pair(z):
         return PairState(JetPoint(z[:n], (z[n:],)), right, h)
@@ -93,37 +96,35 @@ def fplus_inverse(Ld: DiscreteLagrangian, m: MomentaState, h: float,
         DD = Ld.second_partials(pair(z))
         return DD[2 * n:, :2 * n]
 
-    z, _ = newton(residual, jacobian, z0, *_floors(Ld, pair(z0), target, tol),
-                  max_iter, SingularWd, "plus-map inversion")
+    z, _ = newton(residual, jacobian, z0, *_floors(Ld, pair(z0), target),
+                  50, SingularWd, "plus-map inversion")
     return pair(z)
 
 
 def hamiltonian_step(Ld: DiscreteLagrangian, m: MomentaState, h: float,
-                     guess: JetPoint = None, tol: float = 1e-12,
-                     max_iter: int = 50) -> MomentaState:
+                     guess: JetPoint = None) -> MomentaState:
     """Momentum-space step: plus map after inverting the minus map.
 
     In coordinates this sends (q0, v0, -D1, -D2) of the solved pair to
     (q1, v1, D3, D4) of the same pair.
     """
-    s = fminus_inverse(Ld, m, h, guess=guess, tol=tol, max_iter=max_iter)
+    s = fminus_inverse(Ld, m, h, guess=guess)
     return fplus(Ld, s)
 
 
-def symplectic_defect(Ld: DiscreteLagrangian, m: MomentaState, h: float,
-                      fd_step: float = 1e-6) -> float:
+def symplectic_defect(Ld: DiscreteLagrangian, m: MomentaState, h: float) -> float:
     """Max-norm deviation of the step map's Jacobian from preserving the
     canonical two-form in (q, v | p, pt) coordinates.
 
     The Jacobian comes from central differences with per-coordinate steps
-    ``fd_step * (1 + |coordinate|)``, warm-started from the base solve, so the
-    value is limited by second-order difference noise.
+    1e-6 * (1 + |coordinate|), warm-started from the base solve, so the value
+    is limited by second-order difference noise.
     """
     n = m.n
     base_pair = fminus_inverse(Ld, m, h)
     J = _central_diff(lambda x: hamiltonian_step(
         Ld, MomentaState.from_array(x, n), h, guess=base_pair.right).as_array(),
-        m.as_array(), fd_step).T
+        m.as_array(), 1e-6).T
     I = np.eye(2 * n)
     Z = np.zeros((2 * n, 2 * n))
     Omega = np.block([[Z, I], [-I, Z]])
@@ -131,7 +132,7 @@ def symplectic_defect(Ld: DiscreteLagrangian, m: MomentaState, h: float,
 
 
 def legendre_match_errors(L: LagrangianModel, q1jet: JetPoint, q2jet: JetPoint,
-                          h: float, fd_step: float = None):
+                          h: float):
     """Errors of the two momentum-map identities for the exact one-step action.
 
     The minus map of the exact action should equal the continuous momentum
@@ -141,13 +142,12 @@ def legendre_match_errors(L: LagrangianModel, q1jet: JetPoint, q2jet: JetPoint,
     count frozen at the base solve, warm-started) and compares both sides.
     Returns (left_err, right_err) in max norm.
 
-    The default difference step (2e-5) sits well above the jitter of the
-    inner solves, which are themselves driven to near machine accuracy.
+    The difference step (2e-5) sits well above the jitter of the inner
+    solves, which are themselves driven to near machine accuracy.
     """
     from .bvp import integrate_el, shooting_bvp
 
     n = L.n
-    step_factor = fd_step if fd_step is not None else 2e-5
     jet0, S = shooting_bvp(L, q1jet, q2jet, h, return_substeps=True)
     jeth = integrate_el(L, jet0, h, S)
     cont0 = legendre(L, jet0)
@@ -161,7 +161,7 @@ def legendre_match_errors(L: LagrangianModel, q1jet: JetPoint, q2jet: JetPoint,
         return _shoot_action(L, q1, q2, h, S, x0[2 * n:])
 
     base = np.concatenate([q1jet.q, q1jet.deriv(1), q2jet.q, q2jet.deriv(1)])
-    D = _central_diff(action, base, step_factor)
+    D = _central_diff(action, base, 2e-5)
     D1, D2, D3, D4 = D[:n], D[n:2 * n], D[2 * n:3 * n], D[3 * n:]
     left_err = max(np.max(np.abs(-D1 - cont0.p)), np.max(np.abs(-D2 - cont0.pt)))
     right_err = max(np.max(np.abs(D3 - conth.p)), np.max(np.abs(D4 - conth.pt)))

@@ -1,7 +1,7 @@
 """Damped Newton for the small dense stationarity systems.
 
-The one-step recursion, the momentum-map inverses and both exact-action
-solvers each drive a residual in a few unknowns to zero.  The residuals
+The momentum-map inverses (and through them the one-step recursion) and
+both exact-action solvers each drive a residual in a few unknowns to zero.  The residuals
 difference large cancelling terms, so they cannot always be driven below a
 roundoff floor that the caller estimates: ``tight`` ends a regular solve,
 ``loose`` is the level at which a stalled or exhausted solve is still

@@ -70,17 +70,16 @@ class OrderReport:
 
 
 def local_error(Ld: DiscreteLagrangian, L: LagrangianModel, q1jet: JetPoint,
-                q2jet: JetPoint, h: float, method: str = "regularized",
-                **solver_opts) -> float:
-    """|scheme value - exact one-step action| at the given endpoint data."""
+                q2jet: JetPoint, h: float, **solver_opts) -> float:
+    """|scheme value - exact one-step action| at the given endpoint data;
+    ``solver_opts`` go to :func:`exact_Ld`."""
     approx = Ld.value(PairState(q1jet, q2jet, h))
-    exact = exact_Ld(L, q1jet, q2jet, h, method=method, **solver_opts)
+    exact = exact_Ld(L, q1jet, q2jet, h, **solver_opts)
     return abs(approx - exact)
 
 
 def estimate_order(Ld: DiscreteLagrangian, L: LagrangianModel, boundary,
-                   h_list, method: str = "regularized", scheme_name: str = None,
-                   **solver_opts) -> OrderReport:
+                   h_list, scheme_name: str = None, **solver_opts) -> OrderReport:
     """Fit the error exponent over a geometric step sweep.
 
     ``boundary(t)`` samples an exact trajectory as an order-1 jet; the pair
@@ -92,7 +91,7 @@ def estimate_order(Ld: DiscreteLagrangian, L: LagrangianModel, boundary,
     if h_arr.size < 4:
         raise ValueError("need at least 4 step sizes")
     errs = np.array([local_error(Ld, L, boundary(0.0), boundary(h), h,
-                                 method=method, **solver_opts) for h in h_arr])
+                                 **solver_opts) for h in h_arr])
     name = scheme_name or getattr(Ld, "name", "")
     if np.all(errs < EXACT_FLOOR):
         return OrderReport(h_arr, errs, None, None, True, name)

@@ -87,6 +87,20 @@ OCP_CFG = {
 }
 
 
+ORDER_CFG = {
+    "kind": "spline",
+    "name": "order",
+    "scheme": "taylor",
+    "n": 1,
+    "h_values": [0.64, 0.32, 0.16, 0.08],
+    "trajectory": {"kind": "cubic", "coeffs": [[0.1], [0.4], [0.6], [1.1]]},
+}
+
+CUSTOM_ORDER_CFG = dict(ORDER_CFG, kind="custom-lagrangian",
+                        lagrangian={"name": "spline", "n": 1})
+del CUSTOM_ORDER_CFG["n"]
+
+
 DROP = object()
 
 
@@ -115,9 +129,28 @@ def _edit(base, path, value):
     ("bvp", _edit(BVP_CFG, ["boundary", "q0"], [float("nan"), 0.0])),
     ("bvp", _edit(BVP_CFG, ["boundary", "vN"], [10.0, float("inf")])),
     ("ocp", _edit(OCP_CFG, ["boundary", "q0"], [float("-inf")])),
+    ("bvp", _edit(BVP_CFG, ["n"], "abc")),
+    ("order", _edit(ORDER_CFG, ["n"], 0)),
+    ("order", _edit(CUSTOM_ORDER_CFG, ["lagrangian", "n"], "abc")),
+    ("order", _edit(CUSTOM_ORDER_CFG, ["lagrangian", "n"], 0)),
+    ("ocp", _edit(OCP_CFG, ["model", "n"], "abc")),
+    ("ocp", _edit(dict(OCP_CFG, boundary={"q0": [], "v0": [], "qN": [], "vN": []}),
+                  ["model", "n"], 0)),
+    ("order", _edit(ORDER_CFG, ["trajectory", "coeffs"], DROP)),
+    ("order", _edit(ORDER_CFG, ["trajectory", "coeffs"], [[0.1], [0.4], [0.6]])),
+    ("order", _edit(ORDER_CFG, ["h_values"], [0.64, 0.32, 0.32, 0.08])),
+    ("order", _edit(ORDER_CFG, ["h_values"], [0.64, 0.32, 0.16, 0.0])),
+    ("order", _edit(ORDER_CFG, ["h_values"], [8.0, 0.32, 0.16, 0.08])),
+    ("bvp", _edit(BVP_CFG, ["seed"], 3)),
+    ("bvp", _edit(BVP_CFG, ["tolerances"], {"newton": 1e-6})),
 ], ids=["T-not-number", "bvp-boundary-missing", "ocp-boundary-missing",
         "tolerances-not-object", "tolerance-not-number", "bvp-N-1",
-        "nan-boundary", "inf-boundary", "ocp-inf-boundary"])
+        "nan-boundary", "inf-boundary", "ocp-inf-boundary",
+        "n-not-integer", "n-zero", "lagrangian-n-not-integer",
+        "lagrangian-n-zero", "model-n-not-integer", "model-n-zero",
+        "order-coeffs-missing", "order-coeffs-3-rows", "h-values-duplicate",
+        "h-values-zero", "h-values-above-h-max", "seed-field",
+        "newton-tolerance-field"])
 def test_config_errors_exit_2(tmp_path, capsys, command, cfg):
     out = tmp_path / "out"
     out.mkdir()
