@@ -16,13 +16,11 @@ from .lagrangian import (LagrangianModel, MechanicalModel, controlled_forces,
 from .discretization import (DiscreteLagrangian, make_scheme,
                              midpoint_difference, spline_exact, taylor_average,
                              trapezoid_velocity)
-from .bvp import (BasisPack, EndpointData, PolyCurve, VectorPolynomial,
-                  action_gradient, basis_gamma, endpoint_from_w,
-                  endpoints_to_w, exact_Ld, integrate_el, project_tangent,
-                  reconstruct, shooting_bvp, solve_regularized)
-from .flow import (Wd_matrix, del_residual, initial_pair, phi_values, run,
+from .bvp import (endpoints_to_w, exact_Ld, integrate_el, shooting_bvp,
+                  solve_regularized)
+from .flow import (del_residual, initial_pair, phi_values, run,
                    solve_boundary_path, step)
-from .momentum import (MomentaState, fminus, fminus_inverse, fplus,
+from .momentum import (MomentaState, Wd_matrix, fminus, fminus_inverse, fplus,
                        fplus_inverse, hamiltonian_step, legendre_match_errors,
                        symplectic_defect)
 from .order import OrderReport, cubic_trajectory, estimate_order, local_error

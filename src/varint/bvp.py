@@ -3,26 +3,25 @@
 Two independent routes compute the action along the trajectory connecting two
 tangent-space endpoints over a step h:
 
-* a regularized spectral solver: the top derivative curve is expanded in an
-  orthonormal polynomial basis on [0, 1], the endpoint data pin its first k
-  coefficients, and Newton drives the projected action gradient to zero;
+* a regularized spectral solver: the acceleration curve is expanded in an
+  orthonormal polynomial basis on [0, 1], the endpoint data pin its first two
+  coefficients, and Newton drives the remaining action gradient to zero;
 * a shooting solver: Newton on the unknown initial acceleration and jerk,
   integrating the explicit fourth-order equation of motion with classical
   Runge-Kutta substeps.
 
 Each serves as an oracle for the other.  The reparameterized curves live on
-u in [0, 1]; lower-order curves are recovered from the top derivative by the
-iterated-integral formula implemented in :func:`reconstruct`.
+u in [0, 1]; velocity and position are recovered from the acceleration by
+integrating the basis once and twice from u = 0.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial import Legendre, Polynomial
+from numpy.polynomial import legendre as leg
 
 from .errors import SingularHessian
 from .jets import JetPoint
@@ -30,259 +29,68 @@ from .lagrangian import FD_STEP, LagrangianModel, fourth_order_rhs_raw
 from .newton import newton
 
 
-# -- orthonormal bases on [0, 1] ------------------------------------------------
+# -- the spectral solver ------------------------------------------------------------
 
-def gauss_legendre_01(count: int):
-    """``count`` Gauss nodes and weights for integrals over [0, 1]."""
-    x, w = np.polynomial.legendre.leggauss(int(count))
-    return (x + 1.0) / 2.0, w / 2.0
-
-
-def _monomial01(deg: int) -> Legendre:
-    c = np.zeros(deg + 1)
-    c[deg] = 1.0
-    return Legendre.cast(Polynomial(c), domain=[0.0, 1.0])
+#: Change matrix from the orthonormal pair b = (sqrt(3)(1 - 2s), 1) to the
+#: constraint polynomials a = (1 - s, 1): a_j = sum_i GAMMA[j, i] b_i.
+GAMMA = np.array([[1.0 / (2.0 * math.sqrt(3.0)), 0.5], [0.0, 1.0]])
+GAMMA.setflags(write=False)
 
 
-def _inner(p: Legendre, q: Legendre) -> float:
-    return float((p * q).integ(lbnd=0.0)(1.0))
+def endpoints_to_w(q1jet: JetPoint, q2jet: JetPoint, h: float) -> np.ndarray:
+    """Coefficients ``w`` (shape (2, n)) of the acceleration curve along b
+    that the endpoint data pin: GAMMA @ w = z with
+    z = ((q2 - q1 - h v1) / h^2, (v2 - v1) / h).
 
-
-def shifted_legendre_orthonormal(deg: int) -> Legendre:
-    """Degree-``deg`` shifted Legendre polynomial, unit norm on [0, 1]."""
-    c = np.zeros(deg + 1)
-    c[deg] = math.sqrt(2 * deg + 1)
-    return Legendre(c, domain=[0.0, 1.0])
-
-
-@dataclass(frozen=True, eq=False)
-class BasisPack:
-    """Constraint polynomials a_j, an orthonormal b-basis, and the change matrix.
-
-    a_j(s) = (1-s)^(k-j-1)/(k-j-1)! span polynomials of degree < k; the b_j
-    are orthonormal for the L2 inner product on [0, 1], ordered by descending
-    degree and signed positive at s = 0, so that for k = 2 they are
-    b_0 = sqrt(3)(1-2s), b_1 = 1.  ``gamma[j, i]`` expands a_j = sum_i
-    gamma[j, i] b_i.
-    """
-
-    k: int
-    a: tuple
-    b: tuple
-    gamma: np.ndarray
-
-    def extended(self, degree: int):
-        """Basis list (b_0..b_{k-1}, then orthonormal shifted Legendre up to
-        ``degree``); orthonormal as a whole since the b's span degree < k."""
-        if degree < self.k - 1:
-            raise ValueError(f"degree must be at least {self.k - 1}")
-        return list(self.b) + [shifted_legendre_orthonormal(d)
-                               for d in range(self.k, degree + 1)]
-
-
-@lru_cache(maxsize=None)
-def basis_gamma(k: int) -> BasisPack:
-    """Build the order-k basis pack; Gram-Schmidt on monomials, then the
-    degree-descending, positive-at-zero ordering used throughout."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    gs = []
-    for d in range(k):
-        p = _monomial01(d)
-        for b in gs:
-            p = p - _inner(p, b) * b
-        gs.append(p / math.sqrt(_inner(p, p)))
-    b = tuple((1.0 if (k - 1 - j) % 2 == 0 else -1.0) * gs[k - 1 - j] for j in range(k))
-    a = tuple(Legendre.cast(
-        Polynomial([math.comb(k - j - 1, i) * (-1.0) ** i / math.factorial(k - j - 1)
-                    for i in range(k - j)]), domain=[0.0, 1.0])
-        for j in range(k))
-    gamma = np.array([[_inner(a[j], b[i]) for i in range(k)] for j in range(k)])
-    return BasisPack(k, a, b, gamma)
-
-
-# -- endpoint data ----------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class EndpointData:
-    """Endpoint jets plus their scaled-difference form.
-
-    ``z[j]`` is the integral constraint value forced on the top-derivative
-    curve by the right endpoint; ``w`` is the same data expressed against the
-    orthonormal basis, z = gamma @ w.
-    """
-
-    q1jet: JetPoint
-    q2jet: JetPoint
-    h: float
-    z: np.ndarray
-    w: np.ndarray
-
-
-def endpoints_to_w(q1jet: JetPoint, q2jet: JetPoint, h: float) -> EndpointData:
-    """Scaled endpoint-difference data for the regularized principle.
-
-    z[j] = (q2^(j) - sum_{i<k-j} h^i/i! q1^(j+i)) / h^(k-j); the limit h = 0
-    degenerates (every z would need the same constant curve) and is rejected.
+    The limit h = 0 degenerates (every z would need the same constant curve)
+    and is rejected.
     """
     if not h > 0.0:
         raise ValueError(f"h must be positive, got {h}")
     if q1jet.order != q2jet.order or q1jet.dim != q2jet.dim:
         raise ValueError("endpoint jets must share order and dimension")
-    k = q1jet.order + 1
-    pack = basis_gamma(k)
-    z = np.empty((k, q1jet.dim))
-    for j in range(k):
-        acc = np.zeros(q1jet.dim)
-        for i in range(k - j):
-            acc += h**i / math.factorial(i) * q1jet.deriv(j + i)
-        z[j] = (q2jet.deriv(j) - acc) / h ** (k - j)
-    w = np.linalg.solve(pack.gamma, z)
-    return EndpointData(q1jet, q2jet, float(h), z, w)
+    v1 = q1jet.deriv(1)
+    z = np.array([(q2jet.q - (q1jet.q + h * v1)) / h**2,
+                  (q2jet.deriv(1) - v1) / h])
+    return np.linalg.solve(GAMMA, z)
 
 
-def endpoint_from_w(q1jet: JetPoint, w, h: float) -> JetPoint:
-    """Inverse of :func:`endpoints_to_w`: recover the right endpoint jet."""
-    k = q1jet.order + 1
-    pack = basis_gamma(k)
-    z = pack.gamma @ np.asarray(w, dtype=float)
-    out = []
-    for j in range(k):
-        acc = np.zeros(q1jet.dim)
-        for i in range(k - j):
-            acc += h**i / math.factorial(i) * q1jet.deriv(j + i)
-        out.append(acc + h ** (k - j) * z[j])
-    return JetPoint(out[0], tuple(out[1:]))
+@lru_cache(maxsize=None)
+def _basis_tables(degree: int, count: int):
+    """``count`` Gauss nodes ``u`` and weights ``wq`` on [0, 1] with the
+    values ``B0`` and the first two antiderivatives from 0, ``B1`` and
+    ``B2``, of the basis at the nodes (rows: nodes, columns: functions).
 
-
-# -- polynomial curves -------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class VectorPolynomial:
-    """An n-vector of polynomials on [0, 1]."""
-
-    comps: tuple
-
-    def __call__(self, u):
-        u = np.asarray(u, dtype=float)
-        vals = np.stack([np.asarray(c(u), dtype=float) for c in self.comps], axis=-1)
-        return vals
-
-    def deriv(self, m: int = 1) -> "VectorPolynomial":
-        return VectorPolynomial(tuple(c.deriv(m) for c in self.comps))
-
-    @property
-    def n(self) -> int:
-        return len(self.comps)
-
-
-@dataclass(frozen=True, eq=False)
-class PolyCurve:
-    """Top-derivative curve in coefficient form against the extended basis.
-
-    ``coeffs[i]`` is the n-vector coefficient of basis element i; the first k
-    elements are the constraint basis, the rest orthonormal shifted Legendre
-    polynomials, so the whole family is orthonormal on [0, 1].
+    The basis is sqrt(3)(1 - 2s), 1, then the shifted Legendre polynomials
+    of degree 2..``degree`` scaled to unit norm; it is orthonormal on [0, 1].
     """
-
-    coeffs: np.ndarray
-    funcs: tuple
-    k: int
-
-    def __post_init__(self):
-        c = np.array(self.coeffs, dtype=float)
-        if c.ndim == 1:
-            c = c[:, None]
-        if c.shape[0] != len(self.funcs):
-            raise ValueError("coefficient rows must match the basis size")
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
-        object.__setattr__(self, "funcs", tuple(self.funcs))
-
-    @property
-    def degree(self) -> int:
-        return len(self.funcs) - 1
-
-    @property
-    def n(self) -> int:
-        return self.coeffs.shape[1]
-
-    def __call__(self, u):
-        u = np.asarray(u, dtype=float)
-        B = np.stack([np.asarray(f(u), dtype=float) for f in self.funcs], axis=-1)
-        return B @ self.coeffs
-
-    def component(self, a: int) -> Legendre:
-        out = self.coeffs[0, a] * self.funcs[0]
-        for i in range(1, len(self.funcs)):
-            out = out + self.coeffs[i, a] * self.funcs[i]
-        return out
-
-
-def reconstruct(Qk: PolyCurve, q1jet: JetPoint, h: float, j: int) -> VectorPolynomial:
-    """Order-j curve recovered from the top derivative by iterated integration.
-
-    Q^(j)(u) = sum_{i<k-j} h^i u^i / i! q1^(j+i) + h^(k-j) * (k-j)-fold
-    antiderivative of Q^(k) from 0, evaluated exactly on polynomials.
-    """
-    k = q1jet.order + 1
-    if not 0 <= j <= k - 1:
-        raise ValueError(f"j must lie in [0, {k - 1}]")
-    comps = []
-    for a in range(q1jet.dim):
-        taylor = Polynomial([h**i / math.factorial(i) * q1jet.deriv(j + i)[a]
-                             for i in range(k - j)])
-        poly = Legendre.cast(taylor, domain=[0.0, 1.0])
-        poly = poly + h ** (k - j) * Qk.component(a).integ(k - j, lbnd=0.0)
-        comps.append(poly)
-    return VectorPolynomial(tuple(comps))
-
-
-def project_tangent(gvec: np.ndarray, k: int = 2) -> np.ndarray:
-    """Orthogonal projection onto the constraint tangent space.
-
-    In orthonormal coefficients this zeroes the components along the first k
-    basis elements; it is idempotent and leaves higher rows untouched.
-    """
-    out = np.array(gvec, dtype=float)
-    out[:k] = 0.0
-    return out
-
-
-# -- quadrature-discretized action -------------------------------------------------
-
-_TABLES = {}
-
-
-def _basis_tables(funcs, count):
-    """Gauss nodes and weights on [0, 1] with the basis values and first two
-    antiderivatives from 0 at the nodes; memoized per basis and node count."""
-    key = (tuple((f.coef.tobytes(), f.domain.tobytes(), f.window.tobytes())
-                 for f in funcs), count)
-    if key not in _TABLES:
-        u, wq = gauss_legendre_01(count)
-        B0 = np.array([[f(x) for f in funcs] for x in u])
-        B1 = np.array([[f.integ(1, lbnd=0.0)(x) for f in funcs] for x in u])
-        B2 = np.array([[f.integ(2, lbnd=0.0)(x) for f in funcs] for x in u])
-        for arr in (u, wq, B0, B1, B2):
-            arr.setflags(write=False)
-        _TABLES[key] = (u, wq, B0, B1, B2)
-    return _TABLES[key]
+    x, w = leg.leggauss(count)
+    u, wq = (x + 1.0) / 2.0, w / 2.0
+    # one column of Legendre coefficients in x = 2s - 1 per basis function
+    C = np.zeros((degree + 1, degree + 1))
+    C[1, 0] = -math.sqrt(3.0)
+    C[0, 1] = 1.0
+    for d in range(2, degree + 1):
+        C[d, d] = math.sqrt(2 * d + 1)
+    B0, B1, B2 = (leg.legval(x, leg.legint(C, m, lbnd=-1.0, scl=0.5)).T
+                  for m in (0, 1, 2))
+    for arr in (u, wq, B0, B1, B2):
+        arr.setflags(write=False)
+    return u, wq, B0, B1, B2
 
 
 class _ActionAssembler:
     """Action, gradient, and Hessian of the reparameterized one-step action
-    as functions of the top-derivative coefficients (second-order case)."""
+    as functions of the acceleration coefficients (rows: basis functions)."""
 
-    def __init__(self, L: LagrangianModel, funcs, q1jet: JetPoint, h: float):
+    def __init__(self, L: LagrangianModel, degree: int, q1jet: JetPoint, h: float):
         self.L = L
         self.h = float(h)
         self.q1 = q1jet.q
         self.v1 = q1jet.deriv(1)
-        m = len(funcs) - 1
         pdeg = L.poly_degree if L.poly_degree is not None else 4
-        count = math.ceil((2 * m + pdeg) / 2) + 4
-        self.u, self.wq, self.B0, self.B1, self.B2 = _basis_tables(funcs, count)
+        count = math.ceil((2 * degree + pdeg) / 2) + 4
+        self.u, self.wq, self.B0, self.B1, self.B2 = _basis_tables(degree, count)
 
     def curves(self, coeffs):
         h = self.h
@@ -324,18 +132,6 @@ class _ActionAssembler:
         return H
 
 
-def action_gradient(L: LagrangianModel, Qk: PolyCurve, q1jet: JetPoint,
-                    h: float) -> np.ndarray:
-    """Coefficient-space gradient of the reparameterized action at Qk.
-
-    Returns one n-vector per basis element, matching the layout of
-    ``Qk.coeffs``; it equals the finite-difference gradient of the quadrature
-    action to quadrature accuracy.
-    """
-    asm = _ActionAssembler(L, Qk.funcs, q1jet, h)
-    return asm.gradient(Qk.coeffs)
-
-
 def _hermite_coeffs(a: JetPoint, b: JetPoint, T: float):
     """(c2, c3) of the cubic q(t) = q_a + t v_a + t^2 c2 + t^3 c3 that meets
     the jet ``b`` at t = T."""
@@ -344,32 +140,6 @@ def _hermite_coeffs(a: JetPoint, b: JetPoint, T: float):
     c2 = (3.0 * (q1 - q0) - T * (2.0 * v0 + v1)) / T**2
     c3 = (-2.0 * (q1 - q0) + T * (v0 + v1)) / T**3
     return c2, c3
-
-
-def _solve_regularized(L, q1jet, q2jet, h, degree, max_iter):
-    if q1jet.order != 1:
-        raise ValueError("the regularized solver handles second-order models (order-1 jets)")
-    k = 2
-    if degree < k:
-        raise ValueError(f"degree must be >= {k}")
-    funcs = tuple(basis_gamma(k).extended(degree))
-    ed = endpoints_to_w(q1jet, q2jet, h)
-    n = L.n
-    asm = _ActionAssembler(L, funcs, q1jet, h)
-
-    def coeffs_of(z):
-        # the first k coefficients are pinned to the endpoint data
-        return np.vstack([ed.w, z.reshape(degree + 1 - k, n)])
-
-    def residual(z):
-        return asm.gradient(coeffs_of(z))[k:].reshape(-1)
-
-    def jacobian(z, r):
-        return asm.hessian(coeffs_of(z))[k * n:, k * n:]
-
-    z, _ = newton(residual, jacobian, np.zeros((degree + 1 - k) * n), 1e-12,
-                  1e-12, max_iter, SingularHessian, "regularized Newton")
-    return PolyCurve(coeffs_of(z), funcs, k), asm
 
 
 #: Largest step accepted by the connecting-trajectory solvers.  Local
@@ -386,17 +156,36 @@ def _check_h(h):
 
 
 def solve_regularized(L: LagrangianModel, q1jet: JetPoint, q2jet: JetPoint, h: float,
-                      degree: int = 8, max_iter: int = 50) -> PolyCurve:
-    """Top-derivative curve of the connecting trajectory by projected Newton.
+                      degree: int = 8, max_iter: int = 50) -> np.ndarray:
+    """Acceleration coefficients of the connecting trajectory by projected Newton.
 
-    The first k coefficients are pinned to the endpoint data w; Newton (damped
-    by a halving line search, warm-started from the connecting cubic, i.e.
-    zero free coefficients) drives the remaining gradient components below
-    1e-12.
+    Returns the ``(degree + 1, n)`` coefficients along the basis of
+    :func:`_basis_tables`.  The first two rows are pinned to the endpoint
+    data w; Newton (damped by a halving line search, warm-started from the
+    connecting cubic, i.e. zero free rows) drives the remaining rows of the
+    action gradient below 1e-12.
     """
     _check_h(h)
-    curve, _ = _solve_regularized(L, q1jet, q2jet, h, degree, max_iter)
-    return curve
+    if q1jet.order != 1:
+        raise ValueError("the regularized solver handles second-order models (order-1 jets)")
+    if degree < 2:
+        raise ValueError("degree must be >= 2")
+    w = endpoints_to_w(q1jet, q2jet, h)
+    n = L.n
+    asm = _ActionAssembler(L, degree, q1jet, h)
+
+    def coeffs_of(z):
+        return np.vstack([w, z.reshape(degree - 1, n)])
+
+    def residual(z):
+        return asm.gradient(coeffs_of(z))[2:].reshape(-1)
+
+    def jacobian(z, r):
+        return asm.hessian(coeffs_of(z))[2 * n:, 2 * n:]
+
+    z, _ = newton(residual, jacobian, np.zeros((degree - 1) * n), 1e-12,
+                  1e-12, max_iter, SingularHessian, "regularized Newton")
+    return coeffs_of(z)
 
 
 # -- shooting ---------------------------------------------------------------------
@@ -508,10 +297,9 @@ def exact_Ld(L: LagrangianModel, q1jet: JetPoint, q2jet: JetPoint, h: float,
     along the flow of the solved initial jet.  The two agree to solver
     tolerance and cross-validate each other.
     """
-    _check_h(h)
     if method == "regularized":
-        curve, asm = _solve_regularized(L, q1jet, q2jet, h, degree, 50)
-        return h * asm.action(curve.coeffs)
+        coeffs = solve_regularized(L, q1jet, q2jet, h, degree)
+        return h * _ActionAssembler(L, degree, q1jet, h).action(coeffs)
     if method == "shooting":
         jet, S = shooting_bvp(L, q1jet, q2jet, h, return_substeps=True)
         _, action = integrate_el(L, jet, h, S, with_action=True)

@@ -114,8 +114,8 @@ def check_oracles(rng):
     L = spline_lagrangian(1)
     herm = 0.0
     for q1jet, q2jet, h in _nearby_pairs(rng, 5, h=0.5):
-        curve = solve_regularized(L, q1jet, q2jet, h, degree=6)
-        herm = max(herm, float(np.max(np.abs(curve.coeffs[2:]))))
+        coeffs = solve_regularized(L, q1jet, q2jet, h, degree=6)
+        herm = max(herm, float(np.max(np.abs(coeffs[2:]))))
     ok = ok_agree and herm <= 1e-12
     return ok, (f"action agreement {worst:.3e} (tol 1e-08), "
                 f"cubic recovery {herm:.3e} (tol 1e-12)")

@@ -113,7 +113,8 @@ class ScenarioConfig:
         _require(all(c.isalnum() or c in "-_" for c in name),
                  "name may contain only alphanumerics, '-' and '_'")
         scheme = obj.get("scheme", "taylor")
-        _require(scheme in SCHEMES, f"scheme must be one of {tuple(SCHEMES)}")
+        _require(isinstance(scheme, str) and scheme in SCHEMES,
+                 f"scheme must be one of {tuple(SCHEMES)}")
         if "grid" in obj:
             g = obj["grid"]
             _check_keys(g, {"t0", "T", "N"}, "grid")
@@ -141,6 +142,7 @@ def _lagrangian_of(cfg: ScenarioConfig):
     entry = cfg.raw.get("lagrangian")
     _require(isinstance(entry, dict), "custom-lagrangian requires a 'lagrangian' object")
     _check_keys(entry, {"name", "n"}, "lagrangian")
+    _require(isinstance(entry.get("name"), str), "lagrangian.name must be a string")
     try:
         return named_lagrangian(entry["name"],
                                 _dimension(entry.get("n", 1), "lagrangian.n"))
@@ -176,13 +178,16 @@ def _summary(cfg, path, cost=None, timings=None):
     return out
 
 
-def run_scenario(cfg: ScenarioConfig, command: str, outdir: Path) -> dict:
-    """Execute one validated scenario and write its output files.
+def run_scenario(cfg: ScenarioConfig, command: str, outdir: Path):
+    """Execute one validated scenario; returns its summary and a function
+    that writes its output files.
 
-    Outputs are held in memory and written only after the solve succeeds, so
-    failures leave no partial files.
+    Outputs are held in memory until every scenario of a run has succeeded,
+    so failures leave no partial files.
     """
     t_start = time.perf_counter()
+    _require(command == "bvp" or "tolerances" not in cfg.raw,
+             f"tolerances.path applies only to bvp, not {command}")
     if command == "order":
         return _run_order(cfg, outdir)
 
@@ -196,6 +201,8 @@ def run_scenario(cfg: ScenarioConfig, command: str, outdir: Path) -> dict:
             init = cfg.raw.get("initial")
             _require(isinstance(init, dict), "simulate requires 'initial'")
             _check_keys(init, {"q0", "v0", "q1", "v1", "ddq0", "d3q0"}, "initial")
+            missing = [k for k in ("q0", "v0") if k not in init]
+            _require(not missing, f"initial is missing {missing}")
             q0 = _vector(init["q0"], "initial.q0", L.n)
             v0 = _vector(init["v0"], "initial.v0", L.n)
             if "q1" in init:
@@ -233,14 +240,18 @@ def run_scenario(cfg: ScenarioConfig, command: str, outdir: Path) -> dict:
     else:
         raise ConfigError(f"unknown command {command!r}")
 
-    outdir.mkdir(parents=True, exist_ok=True)
     csv_path = outdir / f"{cfg.name}_trajectory.csv"
-    write_csv(csv_path, header, rows)
-    summary["outputs"] = [str(csv_path)]
     json_path = outdir / f"{cfg.name}_summary.json"
-    json_path.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    summary["outputs"] = [str(csv_path)]
+    text = json.dumps(summary, sort_keys=True, indent=2) + "\n"
     summary["outputs"].append(str(json_path))
-    return summary
+
+    def write():
+        outdir.mkdir(parents=True, exist_ok=True)
+        write_csv(csv_path, header, rows)
+        json_path.write_text(text)
+
+    return summary, write
 
 
 def _ocp_problem_of(cfg: ScenarioConfig):
@@ -281,7 +292,7 @@ def _ocp_problem_of(cfg: ScenarioConfig):
     return problem, forces, labels
 
 
-def _run_order(cfg: ScenarioConfig, outdir: Path) -> dict:
+def _run_order(cfg: ScenarioConfig, outdir: Path):
     _require(cfg.kind in ("spline", "custom-lagrangian"),
              "order expects a spline or custom-lagrangian scenario")
     L = _lagrangian_of(cfg)
@@ -304,15 +315,17 @@ def _run_order(cfg: ScenarioConfig, outdir: Path) -> dict:
     boundary = cubic_trajectory(coeffs.reshape(4, L.n))
     t0 = time.perf_counter()
     report = estimate_order(Ld, L, boundary, h_values, scheme_name=cfg.scheme)
-    outdir.mkdir(parents=True, exist_ok=True)
-    csv_path = outdir / f"{cfg.name}_order.csv"
-    csv_path.write_text(report.to_csv())
     doc = report.to_dict()
     doc.update({"name": cfg.name,
                 "timings": {"solve_s": time.perf_counter() - t0}})
-    json_path = outdir / f"{cfg.name}_order.json"
-    json_path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-    return doc
+
+    def write():
+        outdir.mkdir(parents=True, exist_ok=True)
+        (outdir / f"{cfg.name}_order.csv").write_text(report.to_csv())
+        (outdir / f"{cfg.name}_order.json").write_text(
+            json.dumps(doc, sort_keys=True, indent=2) + "\n")
+
+    return doc, write
 
 
 def load_scenarios(config_path: str):
@@ -381,10 +394,14 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(_error_json(exc))
         return 2
-    except VarintError as exc:
+    except (VarintError, ArithmeticError) as exc:
+        # ArithmeticError: float overflow or division by zero in a solve
+        # whose numbers are out of range (a huge grid.T, say)
         print(_error_json(exc))
         return 1
-    for res in results:
+    for _, write in results:
+        write()
+    for res, _ in results:
         print(json.dumps({"name": res.get("name"), "status": "ok"}, sort_keys=True))
     return 0
 

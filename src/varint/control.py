@@ -250,7 +250,7 @@ def fd_accelerations(path: DiscretePath) -> np.ndarray:
 
 
 def solution_table(P: OCProblem, result: OCPResult, forces=None):
-    """(header, rows) for trajectory output: t, q, v, and reconstructed u.
+    """(header, rows) for trajectory output: t, q, v, and the recovered controls u.
 
     Controls are re-evaluated from the path with difference-completed
     accelerations; ``forces(jet) -> u`` overrides the generic evaluation.

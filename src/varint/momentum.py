@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .bvp import _shoot_once, integrate_el, shooting_bvp
 from .discretization import DiscreteLagrangian
 from .errors import SingularWd
 from .jets import JetPoint, PairState
@@ -28,6 +29,12 @@ def fminus(Ld: DiscreteLagrangian, s: PairState) -> MomentaState:
     """Momenta (-D1, -D2) attached at the earlier point of the pair."""
     D1, D2, _, _ = Ld.partials(s)
     return MomentaState(s.left.q, s.left.deriv(1), -D1, -D2)
+
+
+def Wd_matrix(Ld: DiscreteLagrangian, s: PairState) -> np.ndarray:
+    """Cross-derivative block matrix [[D13, D14], [D23, D24]] at the pair."""
+    n = s.n
+    return Ld.second_partials(s)[:2 * n, 2 * n:]
 
 
 def _floors(Ld, s0, target):
@@ -66,8 +73,7 @@ def fminus_inverse(Ld: DiscreteLagrangian, m: MomentaState, h: float,
         return np.concatenate([-D1, -D2]) - target
 
     def jacobian(z, r):
-        DD = Ld.second_partials(pair(z))
-        return -DD[:2 * n, 2 * n:]
+        return -Wd_matrix(Ld, pair(z))
 
     z, _ = newton(residual, jacobian, z0, *_floors(Ld, pair(z0), target),
                   50, SingularWd, "minus-map inversion")
@@ -145,8 +151,6 @@ def legendre_match_errors(L: LagrangianModel, q1jet: JetPoint, q2jet: JetPoint,
     The difference step (2e-5) sits well above the jitter of the inner
     solves, which are themselves driven to near machine accuracy.
     """
-    from .bvp import integrate_el, shooting_bvp
-
     n = L.n
     jet0, S = shooting_bvp(L, q1jet, q2jet, h, return_substeps=True)
     jeth = integrate_el(L, jet0, h, S)
@@ -174,8 +178,6 @@ def _shoot_action(L, q1jet, q2jet, h, substeps, x_warm):
     The Newton tolerance is near machine level so that the returned action is
     a smooth function of the endpoint data, fit for outer differencing.
     """
-    from .bvp import _shoot_once, integrate_el
-
     x = _shoot_once(L, q1jet, q2jet, h, substeps, x_warm.copy(), 5e-14, 60)
     n = L.n
     jet = JetPoint(q1jet.q, (q1jet.deriv(1), x[:n], x[n:]))

@@ -142,8 +142,8 @@ def test_criterion_05_oracle_agreement(spline1, spline_potential, rng):
 
     herm = 0.0
     for a, b, h in nearby_pairs(rng, 20, h=0.5):
-        curve = vi.solve_regularized(spline1, a, b, h, degree=6)
-        herm = max(herm, float(np.max(np.abs(curve.coeffs[2:]))))
+        coeffs = vi.solve_regularized(spline1, a, b, h, degree=6)
+        herm = max(herm, float(np.max(np.abs(coeffs[2:]))))
     assert herm <= 1e-12
     print(f"\nPASS criterion 5: spectral/shooting agreement {worst:.2e} "
           f"(tol 1e-8); connecting-cubic recovery {herm:.2e} (tol 1e-12)")

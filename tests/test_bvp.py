@@ -3,13 +3,11 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
-from hypothesis import given, settings
-from hypothesis import strategies as st
+import scipy.special
 
-from varint import (JetPoint, PolyCurve, action_gradient, basis_gamma,
-                    endpoint_from_w, endpoints_to_w, exact_Ld, integrate_el,
-                    project_tangent, reconstruct, shooting_bvp,
-                    solve_regularized)
+from varint import (JetPoint, endpoints_to_w, exact_Ld, integrate_el,
+                    shooting_bvp, solve_regularized)
+from varint.bvp import GAMMA, _ActionAssembler, _basis_tables
 
 
 def jet1(q, v):
@@ -17,188 +15,158 @@ def jet1(q, v):
     return JetPoint(to(q), (to(v),))
 
 
-def quad_inner(f, g):
-    """Independent quadrature oracle for inner products on [0, 1]."""
-    val, _ = scipy.integrate.quad(lambda s: f(s) * g(s), 0.0, 1.0,
-                                  epsabs=1e-13, epsrel=1e-13, limit=200)
+def quad(f, a, b):
+    """Independent adaptive quadrature oracle on [a, b]."""
+    val, _ = scipy.integrate.quad(f, a, b, epsabs=1e-13, epsrel=1e-13, limit=200)
     return val
+
+
+def basis_oracle(i, s):
+    """Closed form of basis function i: sqrt(3)(1 - 2s), 1, then the shifted
+    Legendre polynomials scaled to unit norm on [0, 1]."""
+    if i == 0:
+        return math.sqrt(3.0) * (1.0 - 2.0 * s)
+    if i == 1:
+        return 1.0
+    return math.sqrt(2 * i + 1) * float(scipy.special.eval_sh_legendre(i, s))
 
 
 class TestBasis:
     def test_k2_change_matrix(self):
-        pack = basis_gamma(2)
         ref = np.array([[1.0 / (2.0 * math.sqrt(3.0)), 0.5], [0.0, 1.0]])
-        assert np.allclose(pack.gamma, ref, atol=1e-14)
+        assert np.allclose(GAMMA, ref, atol=1e-14)
         # the b-basis is the documented one
-        s = np.linspace(0.0, 1.0, 7)
-        assert np.allclose([pack.b[0](x) for x in s], math.sqrt(3.0) * (1 - 2 * s))
-        assert np.allclose([pack.b[1](x) for x in s], 1.0)
+        u, _, B0, _, _ = _basis_tables(4, 7)
+        assert np.allclose(B0[:, 0], math.sqrt(3.0) * (1 - 2 * u))
+        assert np.allclose(B0[:, 1], 1.0)
 
-    def test_k1_trivial(self):
-        pack = basis_gamma(1)
-        assert np.allclose(pack.gamma, [[1.0]], atol=1e-14)
-        assert pack.b[0](0.37) == pytest.approx(1.0)
-        assert pack.a[0](0.37) == pytest.approx(1.0)
+    def test_gamma_reproduces_constraints(self):
+        # GAMMA expands the constraint polynomials (1 - s, 1) in (b0, b1)
+        u, _, B0, _, _ = _basis_tables(2, 11)
+        combo = B0[:, :2] @ GAMMA.T
+        assert np.allclose(combo[:, 0], 1.0 - u, atol=1e-12)
+        assert np.allclose(combo[:, 1], 1.0, atol=1e-12)
 
-    @pytest.mark.parametrize("k", [2, 3])
-    def test_orthonormality_quadrature(self, k):
-        pack = basis_gamma(k)
-        for i in range(k):
-            for j in range(k):
-                ref = quad_inner(pack.b[i], pack.b[j])
-                assert ref == pytest.approx(float(i == j), abs=1e-12)
+    def test_tables_match_closed_forms(self):
+        # values and first two antiderivatives from 0 at the nodes against the
+        # closed forms integrated by adaptive quadrature; the closed forms are
+        # orthonormal under the same oracle
+        degree = 6
+        u, _, B0, B1, B2 = _basis_tables(degree, 9)
+        for i in range(degree + 1):
+            f = lambda x, i=i: basis_oracle(i, x)
+            for g, s in enumerate(u):
+                assert B0[g, i] == pytest.approx(f(s), abs=1e-12)
+                assert B1[g, i] == pytest.approx(quad(f, 0.0, s), abs=1e-12)
+                # Cauchy's formula for the repeated integral
+                assert B2[g, i] == pytest.approx(
+                    quad(lambda x: (s - x) * f(x), 0.0, s), abs=1e-12)
+            for j in range(degree + 1):
+                ref = quad(lambda x: f(x) * basis_oracle(j, x), 0.0, 1.0)
+                assert ref == pytest.approx(float(i == j), abs=1e-11)
 
-    @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_gamma_reproduces_constraints(self, k):
-        pack = basis_gamma(k)
-        s = np.linspace(0.0, 1.0, 11)
-        for j in range(k):
-            combo = sum(pack.gamma[j, i] * np.array([pack.b[i](x) for x in s])
-                        for i in range(k))
-            ref = np.array([pack.a[j](x) for x in s])
-            assert np.allclose(combo, ref, atol=1e-12)
-
-    def test_extended_basis_orthonormal(self):
-        pack = basis_gamma(2)
-        funcs = pack.extended(6)
-        G = np.array([[quad_inner(f, g) for g in funcs] for f in funcs])
-        assert np.allclose(G, np.eye(7), atol=1e-11)
+    def test_extended_basis_orthonormal(self, spline1):
+        # orthonormal under the Gauss rule the action assembler integrates with
+        asm = _ActionAssembler(spline1, 6, jet1(0.0, 0.0), 0.5)
+        G = asm.B0.T @ (asm.wq[:, None] * asm.B0)
+        assert np.allclose(G, np.eye(7), atol=1e-12)
 
 
 class TestEndpointData:
     def test_straight_line(self):
-        ed = endpoints_to_w(jet1(0, 1), jet1(0.5, 1), 0.5)
-        assert np.allclose(ed.z, 0.0, atol=1e-14)
-        assert np.allclose(ed.w, 0.0, atol=1e-14)
+        w = endpoints_to_w(jet1(0, 1), jet1(0.5, 1), 0.5)
+        assert np.allclose(w, 0.0, atol=1e-14)
 
     def test_unit_displacement(self):
-        ed = endpoints_to_w(jet1(0, 0), jet1(1, 0), 1.0)
-        assert ed.z[0, 0] == pytest.approx(1.0)
-        assert ed.z[1, 0] == pytest.approx(0.0)
-        assert ed.w[0, 0] == pytest.approx(2.0 * math.sqrt(3.0))
-        assert ed.w[1, 0] == pytest.approx(0.0)
+        w = endpoints_to_w(jet1(0, 0), jet1(1, 0), 1.0)
+        z = GAMMA @ w
+        assert z[0, 0] == pytest.approx(1.0)
+        assert z[1, 0] == pytest.approx(0.0)
+        assert w[0, 0] == pytest.approx(2.0 * math.sqrt(3.0))
+        assert w[1, 0] == pytest.approx(0.0)
 
     def test_roundtrip(self, rng):
+        # the right endpoint is recovered from w: q2 = q1 + h v1 + h^2 z0,
+        # v2 = v1 + h z1 with z = GAMMA @ w
         for _ in range(20):
             a = jet1(rng.normal(), rng.normal())
             b = jet1(rng.normal(), rng.normal())
             h = float(rng.uniform(0.05, 2.0))
-            ed = endpoints_to_w(a, b, h)
-            back = endpoint_from_w(a, ed.w, h)
-            assert np.allclose(back.as_array(), b.as_array(), atol=1e-12)
+            z = GAMMA @ endpoints_to_w(a, b, h)
+            q2 = a.q + h * a.deriv(1) + h * h * z[0]
+            v2 = a.deriv(1) + h * z[1]
+            assert np.allclose(np.concatenate([q2, v2]), b.as_array(), atol=1e-12)
 
     def test_zero_step_rejected(self):
         with pytest.raises(ValueError):
             endpoints_to_w(jet1(0, 0), jet1(1, 0), 0.0)
 
+    def test_mismatched_jets_rejected(self):
+        with pytest.raises(ValueError):
+            endpoints_to_w(jet1(0, 0), jet1([1, 2], [0, 0]), 0.5)
+
 
 class TestReconstruct:
-    def curve(self, coeffs, k=2, degree=3):
-        pack = basis_gamma(k)
-        funcs = tuple(pack.extended(degree))
-        return PolyCurve(np.asarray(coeffs, dtype=float)[:, None], funcs, k)
+    """Velocity and position curves recovered from the acceleration
+    coefficients by :meth:`_ActionAssembler.curves`."""
 
-    def test_free_drift(self):
-        Qk = self.curve([0.0, 0.0, 0.0, 0.0])
-        out = reconstruct(Qk, jet1(0.3, 0.7), 0.5, 0)
-        u = np.linspace(0, 1, 5)
-        assert np.allclose(out(u)[:, 0], 0.3 + 0.5 * u * 0.7, atol=1e-14)
+    def curves(self, L, coeffs, q1jet, h):
+        asm = _ActionAssembler(L, len(coeffs) - 1, q1jet, h)
+        Q0, Q1, Q2 = asm.curves(np.asarray(coeffs, dtype=float)[:, None])
+        return asm.u, Q0[:, 0], Q1[:, 0], Q2[:, 0]
 
-    def test_constant_curve_single_integral(self):
+    def test_free_drift(self, spline1):
+        u, Q0, Q1, Q2 = self.curves(spline1, [0.0, 0.0, 0.0, 0.0], jet1(0.3, 0.7), 0.5)
+        assert np.allclose(Q0, 0.3 + 0.5 * u * 0.7, atol=1e-14)
+        assert np.allclose(Q1, 0.7, atol=1e-14)
+        assert np.allclose(Q2, 0.0, atol=1e-14)
+
+    def test_constant_curve_single_integral(self, spline1):
         # constant curve c: coefficient on the constant basis element (index 1)
         c = 1.7
-        Qk = self.curve([0.0, c, 0.0, 0.0])
-        out = reconstruct(Qk, jet1(0.3, 0.7), 0.5, 1)
-        u = np.linspace(0, 1, 5)
-        assert np.allclose(out(u)[:, 0], 0.7 + 0.5 * c * u, atol=1e-13)
+        u, _, Q1, _ = self.curves(spline1, [0.0, c, 0.0, 0.0], jet1(0.3, 0.7), 0.5)
+        assert np.allclose(Q1, 0.7 + 0.5 * c * u, atol=1e-13)
 
-    def test_constant_curve_double_integral(self):
+    def test_constant_curve_double_integral(self, spline1):
         c = 1.7
-        Qk = self.curve([0.0, c, 0.0, 0.0])
-        out = reconstruct(Qk, jet1(0.3, 0.7), 0.5, 0)
-        u = np.linspace(0, 1, 5)
+        u, Q0, _, _ = self.curves(spline1, [0.0, c, 0.0, 0.0], jet1(0.3, 0.7), 0.5)
         ref = 0.3 + 0.5 * u * 0.7 + 0.25 * c * u * u / 2.0
-        assert np.allclose(out(u)[:, 0], ref, atol=1e-13)
-
-    def test_out_of_range_rejected(self):
-        Qk = self.curve([0.0, 0.0, 0.0, 0.0])
-        with pytest.raises(ValueError):
-            reconstruct(Qk, jet1(0, 0), 0.5, 2)
+        assert np.allclose(Q0, ref, atol=1e-13)
 
 
 class TestActionGradient:
-    def to_curve(self, coeffs):
-        pack = basis_gamma(2)
-        funcs = tuple(pack.extended(len(coeffs) - 1))
-        return PolyCurve(np.asarray(coeffs, dtype=float)[:, None], funcs, 2)
-
     def test_pure_acceleration_identity(self, spline1, rng):
         # for L = |qddot|^2/2 the gradient is the coefficient vector itself
         coeffs = rng.normal(size=6)
-        g = action_gradient(spline1, self.to_curve(coeffs), jet1(0.4, -0.2), 0.7)
+        asm = _ActionAssembler(spline1, 5, jet1(0.4, -0.2), 0.7)
+        g = asm.gradient(coeffs[:, None])
         assert np.allclose(g[:, 0], coeffs, atol=1e-12)
 
     def test_matches_fd_of_action(self, spline_potential, rng):
-        from varint.bvp import _ActionAssembler
-        coeffs = rng.normal(size=5)
-        curve = self.to_curve(coeffs)
-        q1 = jet1(0.1, 0.3)
-        h = 0.6
-        asm = _ActionAssembler(spline_potential, curve.funcs, q1, h)
-        g = action_gradient(spline_potential, curve, q1, h)
+        coeffs = rng.normal(size=(5, 1))
+        asm = _ActionAssembler(spline_potential, 4, jet1(0.1, 0.3), 0.6)
+        g = asm.gradient(coeffs)
         step = 1e-6
         for i in range(coeffs.size):
-            cp = curve.coeffs.copy(); cp[i, 0] += step
-            cm = curve.coeffs.copy(); cm[i, 0] -= step
+            cp = coeffs.copy(); cp[i, 0] += step
+            cm = coeffs.copy(); cm[i, 0] -= step
             ref = (asm.action(cp) - asm.action(cm)) / (2 * step)
             assert g[i, 0] == pytest.approx(ref, abs=1e-6)
 
+    def test_hessian_matches_fd_of_gradient(self, spline_potential, rng):
+        coeffs = rng.normal(size=(5, 1))
+        asm = _ActionAssembler(spline_potential, 4, jet1(0.1, 0.3), 0.6)
+        H = asm.hessian(coeffs)
+        step = 1e-6
+        for i in range(coeffs.size):
+            cp = coeffs.copy(); cp[i, 0] += step
+            cm = coeffs.copy(); cm[i, 0] -= step
+            ref = (asm.gradient(cp) - asm.gradient(cm))[:, 0] / (2 * step)
+            assert np.allclose(H[:, i], ref, atol=1e-6)
+
     def test_stationary_at_zero(self, spline1):
-        g = action_gradient(spline1, self.to_curve(np.zeros(5)), jet1(0.2, 0.9), 0.3)
-        assert np.allclose(g, 0.0, atol=1e-14)
-
-
-class TestProjectTangent:
-    def test_constraint_rows_zeroed(self):
-        v = np.zeros((5, 1)); v[0] = 1.0; v[1] = -2.0
-        assert np.allclose(project_tangent(v, 2), 0.0)
-
-    def test_free_rows_unchanged(self, rng):
-        v = np.zeros((5, 2)); v[2:] = rng.normal(size=(3, 2))
-        assert np.array_equal(project_tangent(v, 2), v)
-
-    @given(st.integers(0, 10**6))
-    @settings(max_examples=20, deadline=None)
-    def test_idempotent(self, seed):
-        v = np.random.default_rng(seed).normal(size=(6, 2))
-        P1 = project_tangent(v, 2)
-        assert np.array_equal(project_tangent(P1, 2), P1)
-        # complement lives entirely in the first rows
-        assert np.array_equal((v - P1)[2:], np.zeros((4, 2)))
-
-    def test_projection_in_function_space(self, rng):
-        # the projected curve is orthogonal to every constraint polynomial
-        # under the actual integral inner product, and the complement lies in
-        # their span; checked by quadrature, independent of the coefficients
-        pack = basis_gamma(2)
-        funcs = pack.extended(5)
-        coeffs = rng.normal(size=(6, 1))
-        proj = project_tangent(coeffs, 2)
-        for j in range(2):
-            def projected(u):
-                return sum(proj[i, 0] * funcs[i](u) for i in range(6))
-            assert quad_inner(projected, pack.b[j]) == pytest.approx(0.0, abs=1e-12)
-        residue = coeffs - proj
-
-        def leftover(u):
-            return sum(residue[i, 0] * funcs[i](u) for i in range(6))
-
-        # leftover is reproduced exactly by its projections onto b0, b1
-        c0 = quad_inner(leftover, pack.b[0])
-        c1 = quad_inner(leftover, pack.b[1])
-        for u in np.linspace(0.0, 1.0, 7):
-            assert leftover(u) == pytest.approx(
-                c0 * pack.b[0](u) + c1 * pack.b[1](u), abs=1e-11)
+        asm = _ActionAssembler(spline1, 4, jet1(0.2, 0.9), 0.3)
+        assert np.allclose(asm.gradient(np.zeros((5, 1))), 0.0, atol=1e-14)
 
 
 class TestSolveRegularized:
@@ -207,20 +175,26 @@ class TestSolveRegularized:
             a = jet1(rng.normal(), rng.normal())
             b = jet1(rng.normal(), rng.normal())
             h = float(rng.uniform(0.2, 1.5))
-            curve = solve_regularized(spline1, a, b, h, degree=5)
+            coeffs = solve_regularized(spline1, a, b, h, degree=5)
+            assert coeffs.shape == (6, 1)
             # free coefficients vanish: the solution is the connecting cubic
-            assert np.max(np.abs(curve.coeffs[2:])) <= 1e-12
+            assert np.max(np.abs(coeffs[2:])) <= 1e-12
             c2 = (3 * (b.q - a.q) - h * (2 * a.deriv(1) + b.deriv(1))) / h**2
             c3 = (-2 * (b.q - a.q) + h * (a.deriv(1) + b.deriv(1))) / h**3
-            u = np.linspace(0, 1, 7)
-            ref = 2 * c2[0] + 6 * c3[0] * (h * u)
-            assert np.allclose(curve(u)[:, 0], ref, atol=1e-11)
+            asm = _ActionAssembler(spline1, 5, a, h)
+            Q0, Q1, Q2 = (Q[:, 0] for Q in asm.curves(coeffs))
+            t = h * asm.u
+            assert np.allclose(Q2, 2 * c2[0] + 6 * c3[0] * t, atol=1e-11)
+            assert np.allclose(Q1, a.deriv(1)[0] + 2 * c2[0] * t + 3 * c3[0] * t**2,
+                               atol=1e-11)
+            assert np.allclose(Q0, a.q[0] + a.deriv(1)[0] * t + c2[0] * t**2
+                               + c3[0] * t**3, atol=1e-11)
 
     def test_coincident_endpoints(self, spline1):
         a = jet1(0.4, 0.0)
-        curve = solve_regularized(spline1, a, a, 0.05, degree=4)
-        u = np.linspace(0, 1, 9)
-        assert np.max(np.abs(curve(u))) <= 1e-12
+        coeffs = solve_regularized(spline1, a, a, 0.05, degree=4)
+        _, _, Q2 = _ActionAssembler(spline1, 4, a, 0.05).curves(coeffs)
+        assert np.max(np.abs(Q2)) <= 1e-12
 
     def test_spectral_exactness(self, spline1):
         a, b = jet1(0.1, -0.4), jet1(0.7, 0.2)
@@ -230,10 +204,18 @@ class TestSolveRegularized:
     def test_converged_last_iteration_accepted(self, spline_potential):
         # one Newton step reaches the tolerance, so the last permitted
         # iteration ends a converged solve rather than a failed one
-        curve = solve_regularized(spline_potential, jet1(0.0, 0.3),
-                                  jet1(1.0, -0.2), 0.5, max_iter=1)
-        gradient = action_gradient(spline_potential, curve, jet1(0.0, 0.3), 0.5)
+        a, b = jet1(0.0, 0.3), jet1(1.0, -0.2)
+        coeffs = solve_regularized(spline_potential, a, b, 0.5, max_iter=1)
+        gradient = _ActionAssembler(spline_potential, 8, a, 0.5).gradient(coeffs)
         assert np.max(np.abs(gradient[2:])) <= 1e-12
+
+    def test_bad_degree_or_order_rejected(self, spline1):
+        a = jet1(0.0, 0.3)
+        with pytest.raises(ValueError):
+            solve_regularized(spline1, a, a, 0.5, degree=1)
+        jet3 = JetPoint(np.zeros(1), (np.zeros(1), np.zeros(1), np.zeros(1)))
+        with pytest.raises(ValueError):
+            solve_regularized(spline1, jet3, jet3, 0.5)
 
 
 class TestShooting:

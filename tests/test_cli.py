@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from varint.cli import main
 
@@ -101,6 +106,16 @@ CUSTOM_ORDER_CFG = dict(ORDER_CFG, kind="custom-lagrangian",
 del CUSTOM_ORDER_CFG["n"]
 
 
+SIM_CFG = {
+    "kind": "spline",
+    "name": "sim",
+    "scheme": "spline-exact",
+    "n": 1,
+    "grid": {"t0": 0.0, "T": 1.0, "N": 4},
+    "initial": {"q0": [0.0], "v0": [0.0], "ddq0": [6.0], "d3q0": [-12.0]},
+}
+
+
 DROP = object()
 
 
@@ -143,6 +158,13 @@ def _edit(base, path, value):
     ("order", _edit(ORDER_CFG, ["h_values"], [8.0, 0.32, 0.16, 0.08])),
     ("bvp", _edit(BVP_CFG, ["seed"], 3)),
     ("bvp", _edit(BVP_CFG, ["tolerances"], {"newton": 1e-6})),
+    ("simulate", _edit(SIM_CFG, ["tolerances"], {"path": 1e-3})),
+    ("ocp", _edit(OCP_CFG, ["tolerances"], {"path": 1e-3})),
+    ("order", _edit(ORDER_CFG, ["tolerances"], {"path": 1e-3})),
+    ("bvp", {"scenarios": [BVP_CFG, _edit(BVP_CFG, ["boundary", "vN"], DROP)]}),
+    ("bvp", _edit(BVP_CFG, ["scheme"], [])),
+    ("order", _edit(CUSTOM_ORDER_CFG, ["lagrangian", "name"], [])),
+    ("simulate", _edit(SIM_CFG, ["initial", "v0"], DROP)),
 ], ids=["T-not-number", "bvp-boundary-missing", "ocp-boundary-missing",
         "tolerances-not-object", "tolerance-not-number", "bvp-N-1",
         "nan-boundary", "inf-boundary", "ocp-inf-boundary",
@@ -150,7 +172,10 @@ def _edit(base, path, value):
         "lagrangian-n-zero", "model-n-not-integer", "model-n-zero",
         "order-coeffs-missing", "order-coeffs-3-rows", "h-values-duplicate",
         "h-values-zero", "h-values-above-h-max", "seed-field",
-        "newton-tolerance-field"])
+        "newton-tolerance-field", "simulate-path-tolerance",
+        "ocp-path-tolerance", "order-path-tolerance", "batch-second-invalid",
+        "scheme-not-string", "lagrangian-name-not-string",
+        "initial-v0-missing"])
 def test_config_errors_exit_2(tmp_path, capsys, command, cfg):
     out = tmp_path / "out"
     out.mkdir()
@@ -160,6 +185,110 @@ def test_config_errors_exit_2(tmp_path, capsys, command, cfg):
     assert len(lines) == 1
     assert json.loads(lines[0])["error"]["type"] == "config"
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command, cfg", [
+    ("simulate", _edit(SIM_CFG, ["grid", "T"], 1e300)),
+    ("bvp", _edit(BVP_CFG, ["grid", "T"], 1e300)),
+], ids=["simulate", "bvp"])
+def test_overflowing_grid_exits_1(tmp_path, capsys, command, cfg):
+    out = tmp_path / "out"
+    out.mkdir()
+    rc = main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 1
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["type"] == "solver"
+    assert list(out.iterdir()) == []
+
+
+# leaf values a mutated config field may take
+_JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 4),
+    st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=4),
+    st.lists(st.floats(-2.0, 2.0), max_size=3),
+    st.lists(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=2), max_size=4),
+    st.dictionaries(st.sampled_from(["path", "q0", "name", "n", "x"]),
+                    st.floats(-2.0, 2.0), max_size=2),
+)
+
+_BASES = [("bvp", BVP_CFG), ("simulate", SIM_CFG), ("ocp", OCP_CFG),
+          ("order", ORDER_CFG), ("order", CUSTOM_ORDER_CFG)]
+
+
+def _field_paths(obj, prefix=()):
+    """Every path to a field of a config, nested objects included."""
+    out = []
+    for k, v in obj.items():
+        out.append(prefix + (k,))
+        if isinstance(v, dict):
+            out.extend(_field_paths(v, prefix + (k,)))
+    return out
+
+
+@st.composite
+def _fuzzed_config(draw):
+    """(command, config file text): a shipped-style config with a few
+    fields dropped, replaced or added, sometimes batched, sometimes not JSON."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from(["simulate", "bvp", "ocp", "order"])), \
+            draw(st.text(max_size=20))
+    command, base = draw(st.sampled_from(_BASES))
+    if draw(st.integers(0, 9)) == 0:
+        command = draw(st.sampled_from(["simulate", "bvp", "ocp", "order"]))
+    scenarios = []
+    for i in range(draw(st.integers(1, 2))):
+        cfg = json.loads(json.dumps(base))
+        cfg["name"] = f"{cfg['name']}{i}"
+        if "grid" in cfg:
+            # at most 4 steps, so every run is cheap
+            cfg["grid"]["N"] = draw(st.integers(2, 4))
+        for _ in range(draw(st.integers(0, 3))):
+            paths = _field_paths(cfg) + [("tolerances",), ("kind",), ("extra",)]
+            path = draw(st.sampled_from(paths))
+            if path == ("kind",):
+                value = draw(st.sampled_from(["spline", "custom-lagrangian",
+                                              "ocp-custom", "nope"]))
+            elif path == ("tolerances",):
+                value = {"path": draw(_JUNK)}
+            else:
+                value = draw(st.one_of(st.just(DROP), _JUNK))
+            try:
+                cfg = _edit(cfg, list(path), value)
+            except (KeyError, TypeError):
+                pass
+        scenarios.append(cfg)
+    doc = scenarios[0] if len(scenarios) == 1 else {"scenarios": scenarios}
+    return command, json.dumps(doc)
+
+
+# junk numbers may overflow inside a solve; only the exit contract is checked
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@given(_fuzzed_config())
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_fuzzed_configs_keep_cli_contract(case):
+    # any config ends in exit 0, 1 or 2; a failure prints exactly one JSON
+    # error line and writes no file
+    command, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = Path(tmp) / "cfg.json"
+        cfg_path.write_text(text)
+        out = Path(tmp) / "out"
+        out.mkdir()
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            rc = main([command, "--config", str(cfg_path), "--out", str(out)])
+        lines = buf.getvalue().splitlines()
+        assert rc in (0, 1, 2)
+        if rc == 0:
+            assert lines and all(json.loads(x)["status"] == "ok" for x in lines)
+        else:
+            assert len(lines) == 1
+            err = json.loads(lines[0])["error"]
+            assert err["type"] == ("config" if rc == 2 else "solver")
+            assert list(out.iterdir()) == []
 
 
 class TestBvpCommand:
