@@ -8,7 +8,9 @@ tangent-space endpoints over a step h:
   coefficients, and Newton drives the remaining action gradient to zero;
 * a shooting solver: Newton on the unknown initial acceleration and jerk,
   integrating the explicit fourth-order equation of motion with classical
-  Runge-Kutta substeps.
+  Runge-Kutta substeps.  The integration advances a stack of states, one
+  member per row, so the finite-difference Jacobian columns of a solve, and
+  independent solves posed together, each take one stacked integration.
 
 Each serves as an oracle for the other.  The reparameterized curves live on
 u in [0, 1]; velocity and position are recovered from the acceleration by
@@ -26,7 +28,7 @@ from numpy.polynomial import legendre as leg
 from .errors import SingularHessian
 from .jets import JetPoint
 from .lagrangian import FD_STEP, LagrangianModel, fourth_order_rhs_raw
-from .newton import newton
+from .newton import newton, newton_one, solve_rows
 
 
 # -- the spectral solver ------------------------------------------------------------
@@ -183,84 +185,107 @@ def solve_regularized(L: LagrangianModel, q1jet: JetPoint, q2jet: JetPoint, h: f
     def jacobian(z, r):
         return asm.hessian(coeffs_of(z))[2 * n:, 2 * n:]
 
-    z, _ = newton(residual, jacobian, np.zeros((degree - 1) * n), 1e-12,
-                  1e-12, max_iter, SingularHessian, "regularized Newton")
+    z, _ = newton_one(residual, jacobian, np.zeros((degree - 1) * n), 1e-12,
+                      1e-12, max_iter, SingularHessian, "regularized Newton")
     return coeffs_of(z)
 
 
 # -- shooting ---------------------------------------------------------------------
 
+def _rk4(L: LagrangianModel, Y, h: float, substeps: int, with_action: bool = False):
+    """Classical fourth-order Runge-Kutta with fixed substeps over [0, h] on
+    an (M, 4n) stack of states (q, qdot, qddot, q3), one member per row.
+
+    Every member sees the same elementwise arithmetic as it would alone, so
+    its end state and action do not depend on the rest of the stack.
+    Returns the end states and the (M,) running actions (None without).
+    """
+    n = L.n
+    dt = h / substeps
+    action = np.zeros(len(Y)) if with_action else None
+
+    def rhs(Yv):
+        return np.concatenate([Yv[:, n:], fourth_order_rhs_raw(L, Yv)], axis=1)
+
+    for _ in range(substeps):
+        k1 = rhs(Y)
+        Y2 = Y + 0.5 * dt * k1
+        k2 = rhs(Y2)
+        Y3 = Y + 0.5 * dt * k2
+        k3 = rhs(Y3)
+        Y4 = Y + dt * k3
+        k4 = rhs(Y4)
+        if with_action:
+            a1, a2, a3, a4 = L.value_stack(
+                np.concatenate([Y, Y2, Y3, Y4])[:, :3 * n]).reshape(4, -1)
+            action += dt / 6.0 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+        Y = Y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return Y, action
+
+
 def integrate_el(L: LagrangianModel, jet3: JetPoint, h: float, substeps: int,
                  with_action: bool = False):
     """Integrate the explicit fourth-order equation of motion over [0, h].
 
-    Classical fourth-order Runge-Kutta with fixed substeps on the stacked
-    state (q, qdot, qddot, q3) and optionally the running action.
-    Returns the order-3 jet at t = h (and the action when requested).
+    The one-member stack of :func:`_rk4`: classical fourth-order Runge-Kutta
+    with fixed substeps on the state (q, qdot, qddot, q3) and optionally the
+    running action.  Returns the order-3 jet at t = h (and the action when
+    requested).
     """
-    n = L.n
-    y = jet3.as_array()
-    action = 0.0
-    dt = h / substeps
-
-    def rhs(yv):
-        q, dq, ddq, d3q = yv[:n], yv[n:2 * n], yv[2 * n:3 * n], yv[3 * n:]
-        return np.concatenate([dq, ddq, d3q, fourth_order_rhs_raw(L, q, dq, ddq, d3q)])
-
-    def lag(yv):
-        return L.value_at(yv[:n], yv[n:2 * n], yv[2 * n:3 * n])
-
-    for _ in range(substeps):
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * dt * k1)
-        k3 = rhs(y + 0.5 * dt * k2)
-        k4 = rhs(y + dt * k3)
-        if with_action:
-            a1 = lag(y)
-            a2 = lag(y + 0.5 * dt * k1)
-            a3 = lag(y + 0.5 * dt * k2)
-            a4 = lag(y + dt * k3)
-            action += dt / 6.0 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-        y = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-    out = JetPoint.from_array(y, 3, n)
-    return (out, action) if with_action else out
+    Y, action = _rk4(L, jet3.as_array()[None], h, substeps, with_action)
+    out = JetPoint.from_array(Y[0], 3, L.n)
+    return (out, float(action[0])) if with_action else out
 
 
-def _shoot_once(L, q1jet, q2jet, h, substeps, x0, tol, max_iter):
-    """Newton on the initial (qddot, q3) so the flow hits the right endpoint."""
-    n = L.n
-    target = np.concatenate([q2jet.q, q2jet.deriv(1)])
-    scale = 1.0 + np.max(np.abs(target))
+def _shoot(L, left, target, h, substeps, X0, tol, max_iter):
+    """Newton on the initial (qddot, q3) of each member of a stack so that
+    its flow from ``left`` hits ``target`` at t = h.
 
-    def endpoint(x):
-        jet = JetPoint(q1jet.q, (q1jet.deriv(1), x[:n], x[n:]))
-        out = integrate_el(L, jet, h, substeps)
-        return np.concatenate([out.q, out.deriv(1)]) - target
+    ``left`` and ``target`` hold one member's (q, qdot) per row and ``X0``
+    its start; one stacked RK4 serves every endpoint evaluation, and one
+    more the 2n finite-difference Jacobian columns of every active member.
+    Returns the (M, 2n) solutions; a failed member raises its error (the
+    first such member's).
+    """
+    k = left.shape[1]
+    scale = 1.0 + np.max(np.abs(target), axis=1)
 
-    def jacobian(x, r):
-        J = np.empty((2 * n, 2 * n))
-        for i in range(2 * n):
-            d = FD_STEP * (1.0 + abs(x[i]))
-            xp = x.copy(); xp[i] += d
-            J[:, i] = (endpoint(xp) - r) / d
-        return J
+    def endpoint(X, rows):
+        Y, _ = _rk4(L, np.hstack([left[rows], X]), h, substeps)
+        return Y[:, :k] - target[rows]
 
-    def polish(x, r):
-        # one extra undamped update after convergence contracts the iterate
+    def jacobian(X, R, rows):
+        # column i of member j: (endpoint(x_j + d_ji e_i) - r_j) / d_ji
+        d = FD_STEP * (1.0 + np.abs(X))
+        XP = np.repeat(X[:, None, :], k, axis=1)
+        XP[:, np.arange(k), np.arange(k)] += d
+        F = endpoint(XP.reshape(-1, k), np.repeat(rows, k)).reshape(len(rows), k, k)
+        return ((F - R[:, None, :]) / d[:, :, None]).transpose(0, 2, 1)
+
+    def polish(X, R):
+        # one extra undamped update after convergence contracts each iterate
         # from the stopping ball onto the root, so the solve is a smooth
         # function of its data (fit for outer differencing)
-        try:
-            xt = x + np.linalg.solve(jacobian(x, r), -r)
-        except np.linalg.LinAlgError:
-            return x
-        return xt if np.max(np.abs(endpoint(xt))) <= np.max(np.abs(r)) else x
+        rows = np.arange(len(X))
+        delta, errors = solve_rows(jacobian(X, R, rows), -R)
+        ok = rows if errors is None else rows[[e is None for e in errors]]
+        if ok.size == 0:
+            return X
+        XT = X[ok] + delta[ok]
+        better = (np.max(np.abs(endpoint(XT, ok)), axis=1)
+                  <= np.max(np.abs(R[ok]), axis=1))
+        X[ok[better]] = XT[better]
+        return X
 
     # the endpoint map carries integration roundoff; accept a stall there
     floor = 64.0 * np.finfo(float).eps * scale * math.sqrt(substeps)
-    x, r = newton(endpoint, jacobian, x0, tol * scale, max(tol * scale, floor),
-                  max_iter, SingularHessian, "shooting Newton")
-    return polish(x, r)
+    X, R, failures = newton(endpoint, jacobian, X0, tol * scale,
+                            np.maximum(tol * scale, floor), max_iter,
+                            SingularHessian, "shooting Newton")
+    for exc in failures:
+        if exc is not None:
+            raise exc
+    return polish(X, R)
 
 
 def shooting_bvp(L: LagrangianModel, q1jet: JetPoint, q2jet: JetPoint, h: float,
@@ -274,17 +299,19 @@ def shooting_bvp(L: LagrangianModel, q1jet: JetPoint, q2jet: JetPoint, h: float,
     """
     _check_h(h)
     c2, c3 = _hermite_coeffs(q1jet, q2jet, h)
-    x = _shoot_once(L, q1jet, q2jet, h, 16, np.concatenate([2.0 * c2, 6.0 * c3]),
-                    1e-11, 50)
+    left = np.concatenate([q1jet.q, q1jet.deriv(1)])[None]
+    target = np.concatenate([q2jet.q, q2jet.deriv(1)])[None]
+    x = _shoot(L, left, target, h, 16, np.concatenate([2.0 * c2, 6.0 * c3])[None],
+               1e-11, 50)
     S = 16
     while True:
-        x2 = _shoot_once(L, q1jet, q2jet, h, 2 * S, x, 1e-11, 50)
+        x2 = _shoot(L, left, target, h, 2 * S, x, 1e-11, 50)
         close = np.max(np.abs(x2 - x)) <= 1e-11 * (1.0 + np.max(np.abs(x2)))
         x, S = x2, 2 * S
         if close or S >= 1024:
             break
     n = L.n
-    jet = JetPoint(q1jet.q, (q1jet.deriv(1), x[:n], x[n:]))
+    jet = JetPoint(q1jet.q, (q1jet.deriv(1), x[0, :n], x[0, n:]))
     return (jet, S) if return_substeps else jet
 
 

@@ -179,8 +179,8 @@ def _summary(cfg, path, cost=None, timings=None):
 
 
 def run_scenario(cfg: ScenarioConfig, command: str, outdir: Path):
-    """Execute one validated scenario; returns its summary and a function
-    that writes its output files.
+    """Execute one validated scenario; returns its summary and its output
+    files, a list of (path, function writing that path).
 
     Outputs are held in memory until every scenario of a run has succeeded,
     so failures leave no partial files.
@@ -246,12 +246,8 @@ def run_scenario(cfg: ScenarioConfig, command: str, outdir: Path):
     text = json.dumps(summary, sort_keys=True, indent=2) + "\n"
     summary["outputs"].append(str(json_path))
 
-    def write():
-        outdir.mkdir(parents=True, exist_ok=True)
-        write_csv(csv_path, header, rows)
-        json_path.write_text(text)
-
-    return summary, write
+    return summary, [(csv_path, lambda p: write_csv(p, header, rows)),
+                     (json_path, lambda p: p.write_text(text))]
 
 
 def _ocp_problem_of(cfg: ScenarioConfig):
@@ -319,13 +315,10 @@ def _run_order(cfg: ScenarioConfig, outdir: Path):
     doc.update({"name": cfg.name,
                 "timings": {"solve_s": time.perf_counter() - t0}})
 
-    def write():
-        outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / f"{cfg.name}_order.csv").write_text(report.to_csv())
-        (outdir / f"{cfg.name}_order.json").write_text(
-            json.dumps(doc, sort_keys=True, indent=2) + "\n")
-
-    return doc, write
+    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    csv_text = report.to_csv()
+    return doc, [(outdir / f"{cfg.name}_order.csv", lambda p: p.write_text(csv_text)),
+                 (outdir / f"{cfg.name}_order.json", lambda p: p.write_text(text))]
 
 
 def load_scenarios(config_path: str):
@@ -346,7 +339,8 @@ def load_scenarios(config_path: str):
 
 
 def _error_json(exc) -> str:
-    kind = "config" if isinstance(exc, ConfigError) else "solver"
+    kind = ("config" if isinstance(exc, ConfigError)
+            else "output" if isinstance(exc, OSError) else "solver")
     return json.dumps({"error": {"type": kind, "message": str(exc)}},
                       sort_keys=True)
 
@@ -382,6 +376,9 @@ def main(argv=None) -> int:
         return 2
 
     outdir = Path(args.out)
+    if any(p.exists() and not p.is_dir() for p in (outdir, *outdir.parents)):
+        print(_error_json(ConfigError(f"--out {args.out}: not a directory")))
+        return 2
     try:
         if args.workers > 1 and len(scenarios) > 1:
             with concurrent.futures.ThreadPoolExecutor(args.workers) as pool:
@@ -399,8 +396,20 @@ def main(argv=None) -> int:
         # whose numbers are out of range (a huge grid.T, say)
         print(_error_json(exc))
         return 1
-    for _, write in results:
-        write()
+    opened = []
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        for _, files in results:
+            for path, write in files:
+                opened.append(path)
+                write(path)
+    except OSError as exc:
+        # leave no partial output: remove every file this run opened, also
+        # one that overwrote an earlier run's file of the same name
+        for path in opened:
+            path.unlink(missing_ok=True)
+        print(_error_json(exc))
+        return 1
     for res, _ in results:
         print(json.dumps({"name": res.get("name"), "status": "ok"}, sort_keys=True))
     return 0

@@ -35,13 +35,14 @@ class DiscreteLagrangian:
 
     def partials(self, s: PairState):
         n = s.n
-        g = _central_diff(lambda x: self.value(unpack(x, 2, n, s.h)), pack(s))
+        g = _central_diff(lambda X: [self.value(unpack(x, 2, n, s.h)) for x in X],
+                          pack(s))
         return g[:n], g[n:2 * n], g[2 * n:3 * n], g[3 * n:]
 
     def second_partials(self, s: PairState) -> np.ndarray:
         n = s.n
-        J = _central_diff(
-            lambda x: np.concatenate(self.partials(unpack(x, 2, n, s.h))), pack(s))
+        J = _central_diff(lambda X: [np.concatenate(self.partials(unpack(x, 2, n, s.h)))
+                                     for x in X], pack(s))
         return 0.5 * (J + J.T)
 
     def residual_scale(self, s: PairState) -> float:

@@ -11,14 +11,24 @@ and the model is flagged as FD-backed.
 Total time derivatives are always expanded by the chain rule on the supplied
 partials, never by differencing along a trajectory, so identities involving
 the momentum maps hold pointwise.
+
+The value, the Hessian and the equation-of-motion residual also evaluate on
+stacks of jets, one per row, with the pointwise results bit for bit; the
+explicit fourth-order right-hand side takes such stacks.
 """
 
 from __future__ import annotations
 
+import ast
+import functools
+import inspect
+import operator
+import types
 from dataclasses import dataclass
 
 import numpy as np
 import sympy as sp
+from sympy.printing.numpy import NumPyPrinter
 
 from .errors import SingularHessian
 from .jets import JetPoint
@@ -41,16 +51,18 @@ def _central_diff(f, x, step=FD_STEP):
     """Central differences of f at flat point x, one row per coordinate of x:
     the gradient of a scalar f, the transposed Jacobian of a vector f.
 
-    Coordinate i moves by ``step * (1 + |x_i|)``.
+    ``f`` maps a stack of points (rows) to the stack of its values and is
+    called once, on x + d_i e_i and x - d_i e_i for every coordinate i in
+    turn, where d_i = ``step * (1 + |x_i|)``.
     """
     x = np.asarray(x, dtype=float)
-    rows = []
-    for i in range(x.size):
-        d = step * (1.0 + abs(x[i]))
-        xp = x.copy(); xp[i] += d
-        xm = x.copy(); xm[i] -= d
-        rows.append((np.asarray(f(xp)) - np.asarray(f(xm))) / (2.0 * d))
-    return np.array(rows)
+    d = step * (1.0 + np.abs(x))
+    i = np.arange(x.size)
+    X = np.repeat(x[None], 2 * x.size, axis=0)
+    X[2 * i, i] += d
+    X[2 * i + 1, i] -= d
+    F = np.asarray(f(X), dtype=float)
+    return (F[0::2] - F[1::2]) / (2.0 * d).reshape((-1,) + (1,) * (F.ndim - 1))
 
 
 def _fd_hess(f, x):
@@ -75,19 +87,97 @@ def _fd_hess(f, x):
     return H
 
 
-def _lambdify_scalar(args, expr):
-    f = sp.lambdify(args, expr, modules="numpy", cse=True)
-    return lambda flat: float(f(*flat))
+class _PowPrinter(NumPyPrinter):
+    """NumPy code that spells every power but a square root ``_pow(b, e)``.
+
+    numpy squares a float array exactly but takes ``x ** 2`` of a float64
+    scalar with the C ``pow``, and the two differ in the last bit now and
+    then.  With the power named, one generated function runs on scalar
+    arguments (``_pow`` is ``operator.pow``) and on argument columns
+    (``_pow`` is the scalar power per element) with equal results.
+    """
+
+    def _hprint_Pow(self, expr, rational=False, sqrt="numpy.sqrt"):
+        if not rational and (expr.exp == sp.S.Half or expr.is_commutative and (
+                -expr.exp is sp.S.Half or expr.exp is sp.S.NegativeOne)):
+            return super()._hprint_Pow(expr, rational=rational, sqrt=sqrt)
+        return f"_pow({self._print(expr.base)}, {self._print(expr.exp)})"
 
 
-def _lambdify_vector(args, exprs):
-    f = sp.lambdify(args, sp.Matrix(exprs), modules="numpy", cse=True)
-    return lambda flat: np.asarray(f(*flat), dtype=float).reshape(-1)
+def _lambdify(args, expr):
+    printer = _PowPrinter({"fully_qualified_modules": False, "inline": True,
+                           "allow_unknown_functions": True})
+    return sp.lambdify(args, expr, modules=[{"_pow": operator.pow}, "numpy"],
+                       printer=printer, cse=True)
 
 
-def _lambdify_matrix(args, mat):
-    f = sp.lambdify(args, mat, modules="numpy", cse=True)
-    return lambda flat: np.asarray(f(*flat), dtype=float)
+def _column_pow(b, e):
+    # numpy scalars, so overflow and domain errors behave as in scalar code
+    pairs = np.broadcast(b, e)
+    return np.array([x ** y for x, y in pairs], dtype=float).reshape(pairs.shape)
+
+
+class _Columns:
+    """Stacked twin of the lambdified ``f``: an (M, m) stack of flat points
+    in, the (M, *shape) stack of f's values out, each row equal to f at that
+    row bit for bit.
+
+    f's generated code runs once on the argument columns, with ``array``
+    handing back the nested entries and ``_pow`` taking the scalar power per
+    element.  Entries that do not depend on the arguments come back as
+    numbers; the first call keeps them in a template that fills each output
+    in one broadcast, so only the varying entries are copied one by one, and
+    a constant f is not run again: its output is a read-only broadcast.
+    """
+
+    def __init__(self, f, shape=()):
+        self._f, self.shape = f, shape
+        self._template = self._varying = None
+        self._constant = {}          # output of a constant f per stack size
+
+    @functools.cached_property
+    def min_rows(self):
+        # Below this many rows a loop of pointwise calls is faster.  On
+        # columns each generated operation pays numpy's fixed cost once per
+        # call, on rows a scalar cost once per row.  The measured crossover
+        # grows like the logarithm of the operation count (operators and
+        # calls in the generated source): 2-3 rows for the spline family's
+        # values (3-15 operations), 3-5 for 18-39 operations, 10 and 11
+        # for the lifted two-link Hessian and el4 (306 and 461), and one
+        # row for a constant f (one operation).  1 + floor(log2(ops))
+        # follows that within the timing noise.
+        tree = ast.parse(inspect.getsource(self._f))
+        ops = sum(isinstance(node, (ast.BinOp, ast.UnaryOp, ast.Call))
+                  for node in ast.walk(tree))
+        return ops.bit_length()
+
+    @functools.cached_property
+    def _g(self):
+        f = self._f
+        names = {k: f.__globals__[k] for k in f.__code__.co_names if k in f.__globals__}
+        return types.FunctionType(f.__code__, dict(names, array=lambda rows: rows,
+                                                   _pow=_column_pow))
+
+    def __call__(self, X):
+        if self._varying == []:
+            out = self._constant.get(len(X))
+            if out is None:
+                out = self._constant[len(X)] = np.broadcast_to(
+                    self._template.reshape(self.shape), (len(X),) + self.shape)
+            return out
+        vals = self._g(*X.T)
+        rows = vals if self.shape else [[vals]]
+        if self._varying is None:
+            entries = [(i, j, e) for i, row in enumerate(rows) for j, e in enumerate(row)]
+            self._template = np.array([0.0 if isinstance(e, np.ndarray) else e
+                                       for _, _, e in entries], dtype=float)
+            self._varying = [(k, i, j) for k, (i, j, e) in enumerate(entries)
+                             if isinstance(e, np.ndarray)]
+        out = np.empty((len(X), self._template.size))
+        out[:] = self._template
+        for k, i, j in self._varying:
+            out[:, k] = rows[i][j]
+        return out.reshape((len(X),) + self.shape)
 
 
 def _from_sympy(cls, n, expr, blocks, **kw):
@@ -100,13 +190,17 @@ def _from_sympy(cls, n, expr, blocks, **kw):
     args = [s for b in blocks for s in b]
     grads = [sp.diff(expr, s) for s in args]
     hess_mat = sp.Matrix([[sp.diff(g, s) for s in args] for g in grads])
-    f_val = _lambdify_scalar(args, expr)
-    f_grad = _lambdify_vector(args, grads)
-    f_hess = _lambdify_matrix(args, hess_mat)
+    f_val = _lambdify(args, expr)
+    f_grad = _lambdify(args, sp.Matrix(grads))
+    f_hess = _lambdify(args, hess_mat)
 
-    model = cls(n, lambda *x: f_val(np.concatenate(x)),
-                grad=lambda *x: f_grad(np.concatenate(x)).reshape(len(blocks), n),
-                hess=lambda *x: f_hess(np.concatenate(x)), **kw)
+    model = cls(n, lambda *x: float(f_val(*np.concatenate(x))),
+                grad=lambda *x: np.asarray(f_grad(*np.concatenate(x)),
+                                           dtype=float).reshape(len(blocks), n),
+                hess=lambda *x: np.asarray(f_hess(*np.concatenate(x)), dtype=float),
+                **kw)
+    model._value_rows = _Columns(f_val)
+    model._hess_rows = _Columns(f_hess, hess_mat.shape)
     model.sympy_data = (expr, *blocks)
     return model
 
@@ -144,10 +238,11 @@ class LagrangianModel:
         self.analytic_grad = grad is not None
         self.analytic_hess = hess is not None
         self.sympy_data = None
+        # stacked evaluators of the lambdified value, Hessian and el4
+        self._value_rows = self._hess_rows = self._el4_rows = None
 
     def _blocks(self, flat):
-        n = self.n
-        return tuple(flat[i * n:(i + 1) * n] for i in range(self.order + 1))
+        return tuple(flat.reshape(-1, self.n))
 
     def value_at(self, *x) -> float:
         return float(self._value(*x))
@@ -157,16 +252,15 @@ class LagrangianModel:
         if self._grad is not None:
             g = self._grad(*x)
             return tuple(_as_vec(g[i], n, "grad block") for i in range(self.order + 1))
-        return self._blocks(_central_diff(
-            lambda y: self._value(*self._blocks(y)), np.concatenate(x)))
+        return self._blocks(_central_diff(self.value_stack, np.concatenate(x)))
 
     def hess_at(self, *x) -> np.ndarray:
         if self._hess is not None:
             return self._hess(*x)
         flat = np.concatenate(x)
         if self._grad is not None:
-            J = _central_diff(lambda y: np.concatenate(self.grad_at(*self._blocks(y))),
-                              flat)
+            J = _central_diff(lambda Y: [np.concatenate(self.grad_at(*self._blocks(y)))
+                                         for y in Y], flat)
             return 0.5 * (J + J.T)
         return _fd_hess(lambda y: self._value(*self._blocks(y)), flat)
 
@@ -174,6 +268,30 @@ class LagrangianModel:
         if self._el4 is None:
             return None
         return _as_vec(self._el4(q, dq, ddq, d3q, d4q), self.n, "el4")
+
+    # The same calls on stacks, one flat jet per row, with the same results
+    # bit for bit.  Models built from sympy run their lambdified code once
+    # on the columns of a stack of at least ``min_rows`` rows; other models
+    # and shorter stacks loop over the rows.
+
+    def _stacked(self, columns, pointwise, X):
+        if columns is not None and len(X) >= columns.min_rows:
+            return columns(X)
+        return np.array([pointwise(*x.reshape(-1, self.n)) for x in X])
+
+    def value_stack(self, X) -> np.ndarray:
+        """``value_at`` of each row of an (M, (order + 1) n) stack."""
+        return self._stacked(self._value_rows, self.value_at, X)
+
+    def hess_stack(self, X) -> np.ndarray:
+        """``hess_at`` of each row of an (M, (order + 1) n) stack."""
+        return self._stacked(self._hess_rows, self.hess_at, X)
+
+    def el4_stack(self, X):
+        """``el4_at`` of each row of an (M, 5n) stack; None without el4."""
+        if self._el4 is None:
+            return None
+        return self._stacked(self._el4_rows, self.el4_at, X)
 
     @classmethod
     def from_sympy(cls, n, expr, q, dq, ddq, poly_degree=None, name=None):
@@ -195,10 +313,12 @@ class LagrangianModel:
         el_exprs = [sp.diff(expr, q[i]) - dt(sp.diff(expr, dq[i]))
                     + dt(dt(sp.diff(expr, ddq[i])), include_d4=True)
                     for i in range(n)]
-        f_el = _lambdify_vector(q + dq + ddq + d3q + d4q, el_exprs)
-        return _from_sympy(cls, n, expr, (q, dq, ddq),
-                           el4=lambda *x: f_el(np.concatenate(x)),
-                           poly_degree=poly_degree, name=name)
+        f_el = _lambdify(q + dq + ddq + d3q + d4q, sp.Matrix(el_exprs))
+        model = _from_sympy(cls, n, expr, (q, dq, ddq),
+                            el4=lambda *x: f_el(*np.concatenate(x)),
+                            poly_degree=poly_degree, name=name)
+        model._el4_rows = _Columns(f_el, (n,))
+        return model
 
     def with_position_term(self, f, df, d2f, name=None):
         """New model whose value gains a configuration-only term f(q).
@@ -319,13 +439,15 @@ def el_residual(L: LagrangianModel, jet: JetPoint) -> np.ndarray:
     return el_residual_raw(L, *(jet.deriv(j) for j in range(5)))
 
 
-def _acceleration_hessian(L: LagrangianModel, q, dq, ddq):
-    """Symmetrized W = d^2 L / dqddot dqddot and whether it is regular,
-    by the scale-aware test |det W| > 1e-10 * max|W|**n."""
+def _acceleration_hessian(L: LagrangianModel, X):
+    """Symmetrized W = d^2 L / dqddot dqddot at each row of an (M, 3n) stack
+    of (q, dq, ddq), and whether each is regular, by the scale-aware test
+    |det W| > 1e-10 * max|W|**n."""
     n = L.n
-    W = L.hess_at(q, dq, ddq)[2 * n:, 2 * n:]
-    W = 0.5 * (W + W.T)
-    return W, bool(abs(np.linalg.det(W)) > 1e-10 * np.max(np.abs(W)) ** n)
+    W = L.hess_stack(X)[:, 2 * n:, 2 * n:]
+    W = 0.5 * (W + W.transpose(0, 2, 1))
+    scale = np.abs(W).reshape(len(W), -1).max(axis=1)
+    return W, np.abs(np.linalg.det(W)) > 1e-10 * scale ** n
 
 
 def hessian_W(L: LagrangianModel, jet: JetPoint):
@@ -333,16 +455,23 @@ def hessian_W(L: LagrangianModel, jet: JetPoint):
 
     The flag uses a scale-aware threshold: |det W| > 1e-10 * max|W|**n.
     """
-    return _acceleration_hessian(L, *(jet.deriv(j) for j in range(3)))
+    W, regular = _acceleration_hessian(L, jet.as_array()[None, :3 * L.n])
+    return W[0], bool(regular[0])
 
 
-def fourth_order_rhs_raw(L: LagrangianModel, q, dq, ddq, d3q) -> np.ndarray:
-    """Array-argument form of :func:`fourth_order_rhs`."""
-    W, regular = _acceleration_hessian(L, q, dq, ddq)
-    if not regular:
+def fourth_order_rhs_raw(L: LagrangianModel, Y) -> np.ndarray:
+    """Stacked form of :func:`fourth_order_rhs`: the q4 of each row of an
+    (M, 4n) stack of (q, dq, ddq, d3q), by one stacked determinant and one
+    stacked solve."""
+    n = L.n
+    W, regular = _acceleration_hessian(L, Y[:, :3 * n])
+    if not regular.all():
         raise SingularHessian(f"acceleration Hessian of {L.name} is singular at this jet")
-    R = el_residual_raw(L, q, dq, ddq, d3q, np.zeros(L.n))
-    return np.linalg.solve(W, -R)
+    Z = np.concatenate([Y, np.zeros((len(Y), n))], axis=1)
+    R = L.el4_stack(Z)
+    if R is None:
+        R = np.array([el_residual_raw(L, *z.reshape(5, n)) for z in Z])
+    return np.linalg.solve(W, -R[:, :, None])[:, :, 0]
 
 
 def fourth_order_rhs(L: LagrangianModel, jet: JetPoint) -> np.ndarray:
@@ -353,7 +482,7 @@ def fourth_order_rhs(L: LagrangianModel, jet: JetPoint) -> np.ndarray:
     """
     if jet.order < 3:
         raise ValueError("fourth_order_rhs needs a jet of order 3")
-    return fourth_order_rhs_raw(L, *(jet.deriv(j) for j in range(4)))
+    return fourth_order_rhs_raw(L, jet.as_array()[None, :4 * L.n])[0]
 
 
 def legendre(L: LagrangianModel, jet: JetPoint) -> MomentaState:

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bvp import _shoot_once, integrate_el, shooting_bvp
+from .bvp import _rk4, _shoot, integrate_el, shooting_bvp
 from .discretization import DiscreteLagrangian
 from .errors import SingularWd
 from .jets import JetPoint, PairState
 from .lagrangian import LagrangianModel, MomentaState, _central_diff, legendre
-from .newton import newton
+from .newton import newton_one
 
 
 def fplus(Ld: DiscreteLagrangian, s: PairState) -> MomentaState:
@@ -75,8 +75,8 @@ def fminus_inverse(Ld: DiscreteLagrangian, m: MomentaState, h: float,
     def jacobian(z, r):
         return -Wd_matrix(Ld, pair(z))
 
-    z, _ = newton(residual, jacobian, z0, *_floors(Ld, pair(z0), target),
-                  50, SingularWd, "minus-map inversion")
+    z, _ = newton_one(residual, jacobian, z0, *_floors(Ld, pair(z0), target),
+                      50, SingularWd, "minus-map inversion")
     return pair(z)
 
 
@@ -102,8 +102,8 @@ def fplus_inverse(Ld: DiscreteLagrangian, m: MomentaState, h: float) -> PairStat
         DD = Ld.second_partials(pair(z))
         return DD[2 * n:, :2 * n]
 
-    z, _ = newton(residual, jacobian, z0, *_floors(Ld, pair(z0), target),
-                  50, SingularWd, "plus-map inversion")
+    z, _ = newton_one(residual, jacobian, z0, *_floors(Ld, pair(z0), target),
+                      50, SingularWd, "plus-map inversion")
     return pair(z)
 
 
@@ -128,9 +128,9 @@ def symplectic_defect(Ld: DiscreteLagrangian, m: MomentaState, h: float) -> floa
     """
     n = m.n
     base_pair = fminus_inverse(Ld, m, h)
-    J = _central_diff(lambda x: hamiltonian_step(
-        Ld, MomentaState.from_array(x, n), h, guess=base_pair.right).as_array(),
-        m.as_array(), 1e-6).T
+    J = _central_diff(lambda X: [hamiltonian_step(
+        Ld, MomentaState.from_array(x, n), h, guess=base_pair.right).as_array()
+        for x in X], m.as_array(), 1e-6).T
     I = np.eye(2 * n)
     Z = np.zeros((2 * n, 2 * n))
     Omega = np.block([[Z, I], [-I, Z]])
@@ -144,42 +144,31 @@ def legendre_match_errors(L: LagrangianModel, q1jet: JetPoint, q2jet: JetPoint,
     The minus map of the exact action should equal the continuous momentum
     map at the initial jet of the connecting flow, and the plus map should
     equal it at the final jet.  This differentiates the shooting-computed
-    action in its four endpoint arguments by central differences (substep
-    count frozen at the base solve, warm-started) and compares both sides.
-    Returns (left_err, right_err) in max norm.
+    action in its four endpoint arguments by central differences and
+    compares both sides.  Returns (left_err, right_err) in max norm.
 
-    The difference step (2e-5) sits well above the jitter of the inner
-    solves, which are themselves driven to near machine accuracy.
+    The 8n differenced actions are one stack: one stacked shooting solve
+    (substep count frozen at the base solve, warm-started from it, Newton
+    tolerance near machine level so that each action is a smooth function
+    of its endpoint data) and one stacked integration of the actions.  The
+    difference step (2e-5) sits well above the jitter of those solves.
     """
     n = L.n
     jet0, S = shooting_bvp(L, q1jet, q2jet, h, return_substeps=True)
     jeth = integrate_el(L, jet0, h, S)
     cont0 = legendre(L, jet0)
     conth = legendre(L, jeth)
+    warm = np.concatenate([jet0.deriv(2), jet0.deriv(3)])
 
-    x0 = np.concatenate([jet0.q, jet0.deriv(1), jet0.deriv(2), jet0.deriv(3)])
-
-    def action(args):
-        q1 = JetPoint(args[:n], (args[n:2 * n],))
-        q2 = JetPoint(args[2 * n:3 * n], (args[3 * n:],))
-        return _shoot_action(L, q1, q2, h, S, x0[2 * n:])
+    def actions(E):
+        # one row of endpoint data (q1, v1, q2, v2) per differenced action
+        left = E[:, :2 * n]
+        X = _shoot(L, left, E[:, 2 * n:], h, S, np.tile(warm, (len(E), 1)), 5e-14, 60)
+        return _rk4(L, np.hstack([left, X]), h, S, with_action=True)[1]
 
     base = np.concatenate([q1jet.q, q1jet.deriv(1), q2jet.q, q2jet.deriv(1)])
-    D = _central_diff(action, base, 2e-5)
+    D = _central_diff(actions, base, 2e-5)
     D1, D2, D3, D4 = D[:n], D[n:2 * n], D[2 * n:3 * n], D[3 * n:]
     left_err = max(np.max(np.abs(-D1 - cont0.p)), np.max(np.abs(-D2 - cont0.pt)))
     right_err = max(np.max(np.abs(D3 - conth.p)), np.max(np.abs(D4 - conth.pt)))
     return float(left_err), float(right_err)
-
-
-def _shoot_action(L, q1jet, q2jet, h, substeps, x_warm):
-    """One fixed-resolution shooting solve returning the action.
-
-    The Newton tolerance is near machine level so that the returned action is
-    a smooth function of the endpoint data, fit for outer differencing.
-    """
-    x = _shoot_once(L, q1jet, q2jet, h, substeps, x_warm.copy(), 5e-14, 60)
-    n = L.n
-    jet = JetPoint(q1jet.q, (q1jet.deriv(1), x[:n], x[n:]))
-    _, action = integrate_el(L, jet, h, substeps, with_action=True)
-    return action

@@ -7,7 +7,7 @@ import scipy.special
 
 from varint import (JetPoint, endpoints_to_w, exact_Ld, integrate_el,
                     shooting_bvp, solve_regularized)
-from varint.bvp import GAMMA, _ActionAssembler, _basis_tables
+from varint.bvp import GAMMA, _ActionAssembler, _basis_tables, _rk4
 
 
 def jet1(q, v):
@@ -241,6 +241,50 @@ class TestShooting:
             out = integrate_el(spline_potential, jet, h, 64)
             err = max(abs(out.q[0] - b.q[0]), abs(out.deriv(1)[0] - b.deriv(1)[0]))
             assert err <= 1e-10
+
+
+def scalar_rk4(L, y, h, S):
+    """Classical RK4 on one state through the pointwise model calls
+    (``hess_at``, ``el4_at``, ``value_at``), with the running action
+    accumulated in Python floats."""
+    n, dt, action = L.n, h / S, 0.0
+
+    def rhs(yv):
+        q, dq, ddq, d3q = yv.reshape(4, n)
+        W = L.hess_at(q, dq, ddq)[2 * n:, 2 * n:]
+        q4 = np.linalg.solve(0.5 * (W + W.T), -L.el4_at(q, dq, ddq, d3q, np.zeros(n)))
+        return np.concatenate([yv[n:], q4])
+
+    def lag(yv):
+        return L.value_at(yv[:n], yv[n:2 * n], yv[2 * n:3 * n])
+
+    for _ in range(S):
+        k1 = rhs(y)
+        k2 = rhs(y + 0.5 * dt * k1)
+        k3 = rhs(y + 0.5 * dt * k2)
+        k4 = rhs(y + dt * k3)
+        action += dt / 6.0 * (lag(y) + 2.0 * lag(y + 0.5 * dt * k1)
+                              + 2.0 * lag(y + 0.5 * dt * k2) + lag(y + dt * k3))
+        y = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return y, action
+
+
+class TestStackedIntegration:
+    @pytest.mark.parametrize("model", ["spline1", "spline2", "spline_potential"])
+    def test_stack_equals_single_integrations(self, model, rng, request):
+        L = request.getfixturevalue(model)
+        n, M, h, S = L.n, 12, 0.3, 24
+        Y0 = rng.normal(size=(M, 4 * n)) * 10.0 ** rng.integers(-2, 3, size=(M, 4 * n))
+        Y, actions = _rk4(L, Y0, h, S, with_action=True)
+        Y_plain, no_action = _rk4(L, Y0, h, S)
+        assert no_action is None and np.array_equal(Y, Y_plain)
+        for y0, y, a in zip(Y0, Y, actions):
+            jet, action = integrate_el(L, JetPoint.from_array(y0, 3, n), h, S,
+                                       with_action=True)
+            assert np.array_equal(jet.as_array(), y)
+            assert action == a
+            y_ref, action_ref = scalar_rk4(L, y0, h, S)
+            assert np.array_equal(y_ref, y) and action_ref == a
 
 
 class TestExactAction:

@@ -203,6 +203,53 @@ def test_overflowing_grid_exits_1(tmp_path, capsys, command, cfg):
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("below", [(), ("sub",)], ids=["file", "under-file"])
+def test_out_naming_a_file_exits_2_before_solving(tmp_path, capsys, monkeypatch, below):
+    import varint.cli
+
+    def no_solve(*args):
+        raise AssertionError("the solve ran")
+
+    monkeypatch.setattr(varint.cli, "run_scenario", no_solve)
+    blocker = tmp_path / "taken"
+    blocker.write_text("keep")
+    rc = main(["bvp", "--config", str(CONFIGS / "spline_bvp_figure.json"),
+               "--out", str(blocker.joinpath(*below))])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 2
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["type"] == "config"
+    assert blocker.read_text() == "keep"
+
+
+@pytest.mark.parametrize("rerun", [False, True], ids=["fresh", "rerun"])
+def test_write_error_exits_1_and_leaves_no_files(tmp_path, capsys, monkeypatch, rerun):
+    # the trajectory CSV is written, then the summary JSON fails; on a rerun
+    # into the same directory the CSV overwrites the earlier run's
+    config = write_config(tmp_path, BVP_CFG)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "kept.txt").write_text("an earlier file")
+    if rerun:
+        assert main(["bvp", "--config", config, "--out", str(out)]) == 0
+        capsys.readouterr()
+    write_text = Path.write_text
+
+    def full_disk(self, *args, **kwargs):
+        if self.suffix == ".json":
+            raise OSError(28, "No space left on device")
+        return write_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", full_disk)
+    rc = main(["bvp", "--config", config, "--out", str(out)])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 1
+    assert len(lines) == 1
+    err = json.loads(lines[0])["error"]
+    assert err["type"] == "output" and "No space left" in err["message"]
+    assert [p.name for p in out.iterdir()] == ["kept.txt"]
+
+
 # leaf values a mutated config field may take
 _JUNK = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 4),

@@ -224,3 +224,58 @@ class TestDerivativeConsistency:
                 assert np.array_equal(H_fd, H_fd.T)
                 worst = max(worst, rel(np.concatenate(blocks_fd), g), rel(H_fd, H))
         assert worst <= 1e-5
+
+
+@pytest.fixture(scope="module")
+def stacked_models(spline1, spline_potential):
+    """(name, model): the stacked calls run lambdified code on columns for
+    models built from sympy and loop over rows for the others."""
+    from varint import lift_cost, two_link_problem
+    fd_value_only = LagrangianModel(
+        2, lambda q, dq, ddq: 0.5 * float(ddq @ ddq) + float(np.sin(q[0]) * dq[1] ** 2))
+    return [
+        ("spline1", spline1),     # a constant Hessian
+        ("from-sympy", model_from_expr(
+            2, "cos(q0)*ddq0**2/2 + ddq1**2/2 + dq0*dq1*q1 + q0**3 + sqrt(1 + dq1**2)")),
+        ("fd-value-only", fd_value_only),
+        ("with-position-term", spline_potential.with_position_term(
+            lambda q: float(q[0] ** 4), lambda q: 4 * q ** 3,
+            lambda q: np.diag(12 * q ** 2))),
+        ("lifted-two-link", lift_cost(two_link_problem(N=4))),
+    ]
+
+
+class TestStackedCalls:
+    def test_stacks_equal_pointwise_calls(self, stacked_models, rng):
+        for name, L in stacked_models:
+            n, M = L.n, 40 if name == "fd-value-only" else 400
+            # magnitudes from 1e-3 to 1e3, where a float64 square and the C
+            # pow of a float64 scalar can differ in the last bit
+            X = rng.normal(size=(M, 5 * n)) * 10.0 ** rng.integers(-3, 4, size=(M, 5 * n))
+            jets = X[:, :3 * n]
+            assert np.array_equal(L.value_stack(jets),
+                                  [L.value_at(*x.reshape(3, n)) for x in jets]), name
+            assert np.array_equal(L.hess_stack(jets),
+                                  [L.hess_at(*x.reshape(3, n)) for x in jets]), name
+            el4 = L.el4_stack(X)
+            if L.el4_at(*X[0].reshape(5, n)) is None:
+                assert el4 is None, name
+            else:
+                assert np.array_equal(el4, [L.el4_at(*x.reshape(5, n)) for x in X]), name
+
+    def test_one_row_stack(self, stacked_models, rng):
+        for name, L in stacked_models:
+            x = rng.normal(size=(1, 3 * L.n))
+            assert L.value_stack(x).shape == (1,)
+            assert L.hess_stack(x).shape == (1, 3 * L.n, 3 * L.n)
+            assert L.value_stack(x)[0] == L.value_at(*x[0].reshape(3, L.n)), name
+
+    def test_columns_from_the_crossover(self, stacked_models):
+        # a constant Hessian runs on columns from one row; the lifted
+        # two-link Hessian and el4 loop over the rows of a shooting
+        # Jacobian's 2n-member stack, where that is measurably faster
+        models = dict(stacked_models)
+        assert models["spline1"]._hess_rows.min_rows == 1
+        lifted = models["lifted-two-link"]
+        assert lifted._hess_rows.min_rows > 2 * lifted.n
+        assert lifted._el4_rows.min_rows > 2 * lifted.n
