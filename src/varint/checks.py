@@ -12,6 +12,7 @@ import numpy as np
 
 from .bvp import exact_Ld, solve_regularized
 from .discretization import midpoint_difference, spline_exact, taylor_average
+from .errors import ConfigError
 from .flow import run
 from .jets import JetPoint, PairState, uniform_grid
 from .lagrangian import named_lagrangian, spline_lagrangian
@@ -148,12 +149,14 @@ SUITES = {
 
 
 def run_suites(names=None, seed: int = 0) -> int:
-    """Run the named suites (all by default); print one line per suite."""
+    """Run the named suites (all by default); print one line per suite.
+
+    Unknown names raise :class:`ConfigError` before any suite runs.
+    """
     names = list(names) if names else sorted(SUITES)
     unknown = [n for n in names if n not in SUITES]
     if unknown:
-        print(f"unknown suites: {unknown}; available: {sorted(SUITES)}")
-        return 2
+        raise ConfigError(f"unknown suites: {unknown}; available: {sorted(SUITES)}")
     failures = 0
     for name in names:
         rng = np.random.default_rng(seed)

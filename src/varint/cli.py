@@ -157,7 +157,10 @@ def _path_outputs(path):
                                     path.velocities()])
 
 
-def _summary(cfg, path, cost=None, timings=None):
+def _summary(cfg, path, cost=None, timings=None, newton_iterations=None):
+    """Summary document of a solved path.  ``newton_iterations`` holds the
+    path Newton iterations of each continuation level, one list per solve
+    (penalty stage)."""
     phi = phi_values(path)
     out = {
         "name": cfg.name,
@@ -175,6 +178,8 @@ def _summary(cfg, path, cost=None, timings=None):
     }
     if cost is not None:
         out["cost"] = float(cost)
+    if newton_iterations is not None:
+        out["newton_iterations"] = newton_iterations
     return out
 
 
@@ -217,15 +222,18 @@ def run_scenario(cfg: ScenarioConfig, command: str, outdir: Path):
                                     _vector(init["d3q0"], "initial.d3q0", L.n)))
                 x0, x1 = initial_pair(L, jet, grid.h)
             path = run_flow(Ld, x0, x1, grid)
+            newton = None
         else:
             _require(grid.N >= 2, "bvp requires grid.N >= 2")
             q0, v0, qN, vN = _boundary(cfg, "bvp", L.n)
             x0, xN = JetPoint(q0, (v0,)), JetPoint(qN, (vN,))
             tol = float(cfg.raw.get("tolerances", {}).get("path", 1e-10))
             path = solve_boundary_path(Ld, x0, xN, grid, tol=tol)
+            newton = [path.diagnostics["newton_iterations"]]
         header, rows = _path_outputs(path)
         summary = _summary(cfg, path,
-                           timings={"solve_s": time.perf_counter() - t_start})
+                           timings={"solve_s": time.perf_counter() - t_start},
+                           newton_iterations=newton)
     elif command == "ocp":
         _require(cfg.kind in ("ocp-twolink", "ocp-custom"),
                  "ocp expects an ocp-twolink or ocp-custom scenario")
@@ -236,7 +244,8 @@ def run_scenario(cfg: ScenarioConfig, command: str, outdir: Path):
             header = labels
         path = result.path
         summary = _summary(cfg, path, cost=result.cost,
-                           timings={"solve_s": time.perf_counter() - t_start})
+                           timings={"solve_s": time.perf_counter() - t_start},
+                           newton_iterations=result.newton_iterations)
     else:
         raise ConfigError(f"unknown command {command!r}")
 
@@ -366,10 +375,9 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
 
-    if args.command == "check":
-        return checks.run_suites(args.suites or None, seed=args.seed)
-
     try:
+        if args.command == "check":
+            return checks.run_suites(args.suites or None, seed=args.seed)
         scenarios = load_scenarios(args.config)
     except ConfigError as exc:
         print(_error_json(exc))

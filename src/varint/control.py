@@ -21,7 +21,7 @@ import numpy as np
 import sympy as sp
 
 from .discretization import DiscreteLagrangian, make_scheme
-from .flow import _path_action, solve_boundary_path
+from .flow import _pairs, _path_action, solve_boundary_path
 from .jets import DiscretePath, JetPoint, uniform_grid
 from .lagrangian import LagrangianModel, MechanicalModel, controlled_forces
 
@@ -179,12 +179,15 @@ def lift_cost(P: OCProblem) -> LagrangianModel:
 
 @dataclass(frozen=True, eq=False)
 class OCPResult:
-    """Solved path, its discrete action, and the models used to produce it."""
+    """Solved path, its discrete action, the models used to produce it, and
+    the Newton iterations of each continuation level, one list per penalty
+    stage."""
 
     path: DiscretePath
     cost: float
     lifted: LagrangianModel
     scheme: DiscreteLagrangian
+    newton_iterations: list
 
 
 def _width_ladder(width: float):
@@ -218,9 +221,10 @@ def solve_ocp(P: OCProblem, scheme: str = "taylor-midpoint",
         lifted = lift_cost(P)
         Ld = make_scheme(scheme, lifted)
         path = solve_boundary_path(Ld, x0, xN, grid, tol=1e-10, max_iter=max_iter)
+        stages = [path.diagnostics["newton_iterations"]]
     else:
         base = lift_cost(dataclasses.replace(P, penalty=None))
-        guess = None
+        guess, stages = None, []
         widths = _width_ladder(P.penalty.width)
         for i, width in enumerate(widths):
             pen = dataclasses.replace(P.penalty, width=width)
@@ -230,11 +234,12 @@ def solve_ocp(P: OCProblem, scheme: str = "taylor-midpoint",
             stage_tol = 1e-10 if i == len(widths) - 1 else 1e-6
             path = solve_boundary_path(Ld, x0, xN, grid, guess=guess,
                                        tol=stage_tol, max_iter=max_iter)
+            stages.append(path.diagnostics["newton_iterations"])
             guess = np.column_stack([path.positions()[1:-1],
                                      path.velocities()[1:-1]])
 
-    cost = _path_action(Ld, path.states, grid.h)
-    return OCPResult(path, cost, lifted, Ld)
+    cost = _path_action(Ld, _pairs(path.states, grid.h))
+    return OCPResult(path, cost, lifted, Ld, stages)
 
 
 def fd_accelerations(path: DiscretePath) -> np.ndarray:

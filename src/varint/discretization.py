@@ -176,6 +176,8 @@ class _SplineExact(DiscreteLagrangian):
 
     def __init__(self, n=None):
         super().__init__(n, "spline-exact")
+        self._cache_h = None
+        self._cache = None
 
     def value(self, s: PairState) -> float:
         h = s.h
@@ -196,16 +198,18 @@ class _SplineExact(DiscreteLagrangian):
         return D1, D2, D3, D4
 
     def second_partials(self, s: PairState) -> np.ndarray:
+        """The constant matrix of step h, read-only (it is shared)."""
         h, n = s.h, s.n
-        I = np.eye(n)
-        c = {"qq": 12.0 / h**3, "qv": 6.0 / h**2, "vv2": 4.0 / h, "vv1": 2.0 / h}
-        blocks = [
-            [c["qq"] * I, c["qv"] * I, -c["qq"] * I, c["qv"] * I],
-            [c["qv"] * I, c["vv2"] * I, -c["qv"] * I, c["vv1"] * I],
-            [-c["qq"] * I, -c["qv"] * I, c["qq"] * I, -c["qv"] * I],
-            [c["qv"] * I, c["vv1"] * I, -c["qv"] * I, c["vv2"] * I],
-        ]
-        return np.block(blocks)
+        if self._cache_h != (h, n):
+            qq, qv, vv2, vv1 = 12.0 / h**3, 6.0 / h**2, 4.0 / h, 2.0 / h
+            C = np.array([[qq, qv, -qq, qv],
+                          [qv, vv2, -qv, vv1],
+                          [-qq, -qv, qq, -qv],
+                          [qv, vv1, -qv, vv2]])
+            self._cache = np.kron(C, np.eye(n))
+            self._cache.setflags(write=False)
+            self._cache_h = (h, n)
+        return self._cache
 
     def _fd_noise_scale(self, s: PairState) -> float:
         return 0.0

@@ -10,6 +10,8 @@ where the step recursion would amplify errors exponentially.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla
@@ -33,7 +35,7 @@ def del_residual(Ld: DiscreteLagrangian, prev: JetPoint, cur: JetPoint,
     Zero iff (D3 + D1, D4 + D2) vanish across the two adjacent pairs, which
     is the condition for the summed action to be stationary at ``cur``.
     """
-    return _path_residual(Ld, [prev, cur, nxt], h)[0]
+    return _path_residual(Ld, _pairs([prev, cur, nxt], h))[0]
 
 
 def step(Ld: DiscreteLagrangian, prev: JetPoint, cur: JetPoint, h: float) -> JetPoint:
@@ -105,53 +107,62 @@ def _hermite_path(x0: JetPoint, xN: JetPoint, grid: Grid) -> np.ndarray:
     return out
 
 
-def _path_residual(Ld, states, h):
-    n = states[0].dim
-    N = len(states) - 1
-    parts = [Ld.partials(PairState(states[k], states[k + 1], h)) for k in range(N)]
-    R = np.empty((N - 1, 2 * n))
-    for k in range(1, N):
-        D1b, D2b, _, _ = parts[k]
-        _, _, D3a, D4a = parts[k - 1]
-        R[k - 1] = np.concatenate([D3a + D1b, D4a + D2b])
-    return R
+def _pairs(states, h):
+    """The pair states of consecutive nodes."""
+    return [PairState(a, b, h) for a, b in zip(states[:-1], states[1:])]
 
 
-def _path_scale(Ld, states, h):
-    return max(Ld.residual_scale(PairState(states[k], states[k + 1], h))
-               for k in range(len(states) - 1))
+def _path_residual(Ld, pairs):
+    D = np.array([np.concatenate(Ld.partials(p)) for p in pairs])
+    m = 2 * pairs[0].n
+    return D[:-1, m:] + D[1:, :m]
 
 
-def _path_jacobian(Ld, states, h):
-    n = states[0].dim
-    N = len(states) - 1
-    DD = [Ld.second_partials(PairState(states[k], states[k + 1], h)) for k in range(N)]
-    rows, cols, vals = [], [], []
+def _path_scale(Ld, pairs):
+    return max(Ld.residual_scale(p) for p in pairs)
 
-    def put(i, j, block):
-        r0, c0 = i * 2 * n, j * 2 * n
-        br, bc = np.nonzero(np.ones_like(block))
-        rows.append(r0 + br)
-        cols.append(c0 + bc)
-        vals.append(block.reshape(-1))
 
-    for k in range(1, N):
-        A, B = DD[k - 1], DD[k]
-        diag = A[2 * n:, 2 * n:] + B[:2 * n, :2 * n]
-        put(k - 1, k - 1, diag)
-        if k > 1:
-            put(k - 1, k - 2, A[2 * n:, :2 * n])
-        if k < N - 1:
-            put(k - 1, k, B[:2 * n, 2 * n:])
-    size = (N - 1) * 2 * n
-    return sps.csr_matrix((np.concatenate(vals),
-                           (np.concatenate(rows), np.concatenate(cols))),
+@functools.lru_cache(maxsize=32)
+def _jacobian_pattern(N, n):
+    """CSR pattern of the path Jacobian of N pairs of dimension n.
+
+    Block row r holds the blocks (r, r - 1), (r, r) and (r, r + 1) that
+    exist, every entry stored, zeros included.  Returns the flat positions of
+    the stored entries in an (N - 1, 2n, 3, 2n) array of (lower, diagonal,
+    upper) blocks per block row, and the CSR column indices and row pointers.
+    """
+    m = 2 * n
+    r = np.arange(N - 1)[:, None, None, None]
+    b = np.arange(3)[None, None, :, None]
+    shape = (N - 1, m, 3, m)
+    col = np.broadcast_to((r + b - 1) * m + np.arange(m), shape)
+    stored = np.broadcast_to((r + b >= 1) & (r + b <= N - 1), shape)
+    take = np.flatnonzero(stored)
+    indices = col.reshape(-1)[take].astype(np.int32)
+    indptr = np.concatenate([[0], np.cumsum(stored.sum(axis=(2, 3)).reshape(-1))])
+    indptr = indptr.astype(np.int32)
+    for a in (take, indices, indptr):
+        a.setflags(write=False)     # shared by every Jacobian of this shape
+    return take, indices, indptr
+
+
+def _path_jacobian(Ld, pairs):
+    """Block-tridiagonal Hessian of the summed action in the interior states."""
+    N, n = len(pairs), pairs[0].n
+    m = 2 * n
+    DD = np.array([Ld.second_partials(p) for p in pairs])
+    blocks = np.zeros((N - 1, m, 3, m))
+    blocks[1:, :, 0] = DD[1:-1, m:, :m]
+    blocks[:, :, 1] = DD[:-1, m:, m:] + DD[1:, :m, :m]
+    blocks[:-1, :, 2] = DD[1:-1, :m, m:]
+    take, indices, indptr = _jacobian_pattern(N, n)
+    size = (N - 1) * m
+    return sps.csr_matrix((blocks.reshape(-1)[take], indices, indptr),
                           shape=(size, size))
 
 
-def _path_action(Ld, states, h):
-    return float(sum(Ld.value(PairState(states[k], states[k + 1], h))
-                     for k in range(len(states) - 1)))
+def _path_action(Ld, pairs):
+    return float(sum(Ld.value(p) for p in pairs))
 
 
 def _newton_path(Ld, x0, xN, grid, interior, tol, max_iter):
@@ -162,34 +173,32 @@ def _newton_path(Ld, x0, xN, grid, interior, tol, max_iter):
     steps when they halve the residual without raising the action, otherwise
     an Armijo search on the action along the Newton direction, Levenberg-
     regularized when the plain direction is not a descent direction.  A
-    failed search ends the solve, accepted only at the loose floor.
+    failed search ends the solve, accepted only at the loose floor.  Every
+    point's pair states are built once and serve all its sweeps, and a trial
+    point's residual is evaluated only once its action has passed.
     """
     n = x0.dim
     N = grid.N
     h = grid.h
     eps = np.finfo(float).eps
 
-    def to_states(U):
-        states = [x0]
-        for k in range(N - 1):
-            states.append(_state(U[k, :n], U[k, n:]))
-        states.append(xN)
-        return states
+    def pairs_of(U):
+        return _pairs([x0] + [_state(u[:n], u[n:]) for u in U] + [xN], h)
 
     U = interior.copy()
-    st = to_states(U)
-    scale0 = _path_scale(Ld, st, h)
+    P = pairs_of(U)
+    scale0 = _path_scale(Ld, P)
     tight = max(tol, 2.0 * eps * scale0)
     loose = max(tol, 64.0 * eps * scale0)
-    R = _path_residual(Ld, st, h).reshape(-1)
+    R = _path_residual(Ld, P).reshape(-1)
     rnorm = np.max(np.abs(R))
-    A = _path_action(Ld, st, h)
+    A = _path_action(Ld, P)
     lam = 0.0
     eye = sps.identity((N - 1) * 2 * n, format="csr")
     for it in range(max_iter):
         if rnorm <= tight:
             return U, rnorm, it
-        J = _path_jacobian(Ld, to_states(U), h)
+        J = _path_jacobian(Ld, P)
         # fast path: an undamped step that halves the residual is always taken,
         # restoring quadratic convergence near the solution
         try:
@@ -198,17 +207,18 @@ def _newton_path(Ld, x0, xN, grid, interior, tol, max_iter):
             newton = None
         if newton is not None and np.all(np.isfinite(newton)):
             Ut = U + newton.reshape(N - 1, 2 * n)
-            stt = to_states(Ut)
-            Rt = _path_residual(Ld, stt, h).reshape(-1)
-            At = _path_action(Ld, stt, h)
-            # residual must halve and the action must not climb, so the fast
-            # path cannot hop to a worse stationary branch mid-globalization
-            if (np.linalg.norm(Rt) <= 0.5 * np.linalg.norm(R)
-                    and At <= A + 1e-10 * (1.0 + abs(A))):
-                U, R, A = Ut, Rt, At
-                rnorm = np.max(np.abs(R))
-                lam = lam / 4.0
-                continue
+            Pt = pairs_of(Ut)
+            At = _path_action(Ld, Pt)
+            # the action must not climb and the residual must halve, so the
+            # fast path cannot hop to a worse stationary branch
+            # mid-globalization
+            if At <= A + 1e-10 * (1.0 + abs(A)):
+                Rt = _path_residual(Ld, Pt).reshape(-1)
+                if np.linalg.norm(Rt) <= 0.5 * np.linalg.norm(R):
+                    U, P, R, A = Ut, Pt, Rt, At
+                    rnorm = np.max(np.abs(R))
+                    lam = lam / 4.0
+                    continue
         delta, lam_try = None, lam
         for _ in range(60):
             M = J + lam_try * eye if lam_try > 0.0 else J
@@ -226,24 +236,24 @@ def _newton_path(Ld, x0, xN, grid, interior, tol, max_iter):
         alpha = 1.0
         for _ in range(50):
             Ut = U + alpha * delta.reshape(N - 1, 2 * n)
-            stt = to_states(Ut)
-            At = _path_action(Ld, stt, h)
+            Pt = pairs_of(Ut)
+            At = _path_action(Ld, Pt)
             if At <= A + 1e-4 * alpha * slope:
-                Rt = _path_residual(Ld, stt, h).reshape(-1)
-                U, R, A = Ut, Rt, At
+                Rt = _path_residual(Ld, Pt).reshape(-1)
+                U, P, R, A = Ut, Pt, Rt, At
                 rnorm = np.max(np.abs(R))
                 break
             alpha *= 0.5
         else:
             # the sensitivity scale moves with the iterate (penalty bands in
             # particular), so refresh the floor before giving up
-            loose = max(loose, 64.0 * eps * _path_scale(Ld, to_states(U), h))
+            loose = max(loose, 64.0 * eps * _path_scale(Ld, P))
             if rnorm <= loose:
                 return U, rnorm, it
             raise NoConvergence("path Newton stalled", iterations=it,
                                 residual_norm=rnorm)
         lam = lam_try / 3.0 if alpha >= 0.5 else min(max(lam_try, 1e-6) * 2.0, 1e8)
-    loose = max(loose, 64.0 * eps * _path_scale(Ld, to_states(U), h))
+    loose = max(loose, 64.0 * eps * _path_scale(Ld, P))
     if rnorm <= loose:
         return U, rnorm, max_iter
     raise NoConvergence("path Newton did not reach tolerance",
@@ -277,29 +287,35 @@ def solve_boundary_path(Ld: DiscreteLagrangian, x0: JetPoint, xN: JetPoint,
     sparse).  The initial guess is the cubic interpolant of the boundary
     data.  Fine grids are reached by solving a coarsened grid first and
     refining by interpolation, which keeps the expensive levels warm-started.
+    The path's diagnostics list the Newton iterations of each level
+    (``newton_iterations``), coarsest first.
     """
     N = grid.N
     if N < 2:
         raise ValueError("boundary solve needs at least N = 2 steps")
+    iterations = []
     if guess is not None:
-        U, _, _ = _newton_path(Ld, x0, xN, grid, np.asarray(guess, dtype=float),
-                               tol, max_iter)
+        U, _, it = _newton_path(Ld, x0, xN, grid, np.asarray(guess, dtype=float),
+                                tol, max_iter)
+        iterations.append(it)
     else:
         U, prev = None, None
         for Nc in _continuation_levels(N):
             g = grid if Nc == N else Grid(grid.t0, grid.h * N / Nc, Nc)
             start = (_hermite_path(x0, xN, g) if U is None
                      else _refine_interior(U, x0, xN, prev, g))
-            U, _, _ = _newton_path(Ld, x0, xN, g, start, tol, max_iter)
+            U, _, it = _newton_path(Ld, x0, xN, g, start, tol, max_iter)
+            iterations.append(it)
             prev = g
 
     states = [x0] + [_state(u[:x0.dim], u[x0.dim:]) for u in U] + [xN]
-    return _with_diagnostics(Ld, grid, states)
+    return _with_diagnostics(Ld, grid, states, newton_iterations=iterations)
 
 
-def _with_diagnostics(Ld, grid, states):
-    """The path with its per-node DEL residual norms and phi samples."""
+def _with_diagnostics(Ld, grid, states, **extra):
+    """The path with its per-node DEL residual norms, phi samples and
+    ``extra`` diagnostics."""
     path = DiscretePath(grid, tuple(states))
-    per_node = np.max(np.abs(_path_residual(Ld, states, grid.h)), axis=1)
-    diags = {"del_residual": per_node, "phi": phi_values(path)}
+    per_node = np.max(np.abs(_path_residual(Ld, _pairs(states, grid.h))), axis=1)
+    diags = {"del_residual": per_node, "phi": phi_values(path), **extra}
     return DiscretePath(grid, tuple(states), diags)

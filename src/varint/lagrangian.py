@@ -205,6 +205,45 @@ def _from_sympy(cls, n, expr, blocks, **kw):
     return model
 
 
+class _SympyEl4:
+    """The analytic ``el4`` of a second-order sympy model, derived and
+    lambdified on its first call.
+
+    Most models never evaluate it (path solves do not), and its derivation
+    costs about as much as all the rest of the model's code.
+    """
+
+    def __init__(self, n, expr, q, dq, ddq):
+        self.n = n
+        self._sympy = (expr, q, dq, ddq)
+
+    @functools.cached_property
+    def f(self):
+        expr, q, dq, ddq = self._sympy
+        n = self.n
+        d3q = list(sp.symbols(f"_d3q0:{n}", real=True))
+        d4q = list(sp.symbols(f"_d4q0:{n}", real=True))
+
+        def dt(e, include_d4=False):
+            out = sum(sp.diff(e, q[i]) * dq[i] + sp.diff(e, dq[i]) * ddq[i]
+                      + sp.diff(e, ddq[i]) * d3q[i] for i in range(n))
+            if include_d4:
+                out += sum(sp.diff(e, d3q[i]) * d4q[i] for i in range(n))
+            return out
+
+        el_exprs = [sp.diff(expr, q[i]) - dt(sp.diff(expr, dq[i]))
+                    + dt(dt(sp.diff(expr, ddq[i])), include_d4=True)
+                    for i in range(n)]
+        return _lambdify(q + dq + ddq + d3q + d4q, sp.Matrix(el_exprs))
+
+    @functools.cached_property
+    def rows(self):
+        return _Columns(self.f, (self.n,))
+
+    def __call__(self, *x):
+        return self.f(*np.concatenate(x))
+
+
 class LagrangianModel:
     """A Lagrangian on jets (q, qdot, ..., q^(order)), all n-vectors.
 
@@ -238,8 +277,8 @@ class LagrangianModel:
         self.analytic_grad = grad is not None
         self.analytic_hess = hess is not None
         self.sympy_data = None
-        # stacked evaluators of the lambdified value, Hessian and el4
-        self._value_rows = self._hess_rows = self._el4_rows = None
+        # stacked evaluators of the lambdified value and Hessian
+        self._value_rows = self._hess_rows = None
 
     def _blocks(self, flat):
         return tuple(flat.reshape(-1, self.n))
@@ -293,32 +332,22 @@ class LagrangianModel:
             return None
         return self._stacked(self._el4_rows, self.el4_at, X)
 
+    @property
+    def _el4_rows(self):
+        # stacked evaluator of a sympy model's el4, generated with it
+        return self._el4.rows if isinstance(self._el4, _SympyEl4) else None
+
     @classmethod
     def from_sympy(cls, n, expr, q, dq, ddq, poly_degree=None, name=None):
         """Build a fully analytic second-order model from a sympy expression.
 
-        ``q``, ``dq``, ``ddq`` are sequences of n symbols each.
+        ``q``, ``dq``, ``ddq`` are sequences of n symbols each.  The
+        equation-of-motion residual ``el4`` is generated on its first use.
         """
         q, dq, ddq = list(q), list(dq), list(ddq)
-        d3q = list(sp.symbols(f"_d3q0:{n}", real=True))
-        d4q = list(sp.symbols(f"_d4q0:{n}", real=True))
-
-        def dt(e, include_d4=False):
-            out = sum(sp.diff(e, q[i]) * dq[i] + sp.diff(e, dq[i]) * ddq[i]
-                      + sp.diff(e, ddq[i]) * d3q[i] for i in range(n))
-            if include_d4:
-                out += sum(sp.diff(e, d3q[i]) * d4q[i] for i in range(n))
-            return out
-
-        el_exprs = [sp.diff(expr, q[i]) - dt(sp.diff(expr, dq[i]))
-                    + dt(dt(sp.diff(expr, ddq[i])), include_d4=True)
-                    for i in range(n)]
-        f_el = _lambdify(q + dq + ddq + d3q + d4q, sp.Matrix(el_exprs))
-        model = _from_sympy(cls, n, expr, (q, dq, ddq),
-                            el4=lambda *x: f_el(*np.concatenate(x)),
-                            poly_degree=poly_degree, name=name)
-        model._el4_rows = _Columns(f_el, (n,))
-        return model
+        return _from_sympy(cls, n, expr, (q, dq, ddq),
+                           el4=_SympyEl4(n, expr, q, dq, ddq),
+                           poly_degree=poly_degree, name=name)
 
     def with_position_term(self, f, df, d2f, name=None):
         """New model whose value gains a configuration-only term f(q).

@@ -285,6 +285,8 @@ def test_criterion_10_two_link_swing_up():
     # the benchmark's verified costs: another stationary path fails here
     assert res.cost == pytest.approx(1.7164151686393838, rel=1e-8)
     assert elapsed < 60.0
+    # path Newton iterations of the continuation levels N = 25, 50, 100, 200
+    assert res.newton_iterations == [[66, 54, 134, 56]]
 
     pstart = time.perf_counter()
     pen = vi.JointLimitPenalty(n=2)
@@ -295,9 +297,12 @@ def test_criterion_10_two_link_swing_up():
     eps_hi = max(0.0, float(th2.max()) - math.radians(170.0))
     assert max(eps_lo, eps_hi) <= 0.02
     assert resp.cost == pytest.approx(2.7300769043819693, rel=1e-6)
+    assert len(resp.newton_iterations) == 8             # penalty stages
     print(f"\nPASS criterion 10: N=200 solve {elapsed:.1f}s (limit 60s), "
           f"endpoints {end_err:.1e} (tol 1e-9), residual {resid:.1e} (tol 1e-8), "
-          f"cost {res.cost:.4f}; limited variant {pelapsed:.1f}s keeps the elbow "
+          f"cost {res.cost:.4f}, Newton iterations {res.newton_iterations[0]}; "
+          f"limited variant {pelapsed:.1f}s, {len(resp.newton_iterations)} "
+          f"stages, keeps the elbow "
           f"within [{-eps_lo:.2e}, 170deg+{eps_hi:.2e}] rad (tol 0.02)")
 
 

@@ -355,6 +355,9 @@ class TestBvpCommand:
         assert np.max(np.abs(rows[:, 1:] - ref)) <= 1e-9
         summary = json.loads((out / "figure-bvp_summary.json").read_text())
         assert summary["residuals"]["del_max"] <= 1e-9
+        # one solve of one continuation level (N = 21)
+        its = summary["newton_iterations"]
+        assert len(its) == 1 and len(its[0]) == 1 and its[0][0] >= 1
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
         cfg = write_config(tmp_path, BVP_CFG)
@@ -425,6 +428,8 @@ class TestOcpCommand:
         assert np.max(np.abs(rows[:, 1] - (3 * t**2 - 2 * t**3))) <= 1e-9
         summary = json.loads((out / "free_summary.json").read_text())
         assert summary["cost"] == pytest.approx(6.0, rel=1e-6)
+        # the cubic initial guess already solves the exact spline action
+        assert summary["newton_iterations"] == [[0]]
 
     def test_two_link_small(self, tmp_path, capsys):
         cfg = {
@@ -459,6 +464,10 @@ class TestOrderCommand:
 class TestCheckCommand:
     def test_unknown_suite(self, capsys):
         assert main(["check", "not-a-suite"]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])["error"]
+        assert err["type"] == "config" and "not-a-suite" in err["message"]
 
     def test_order_suite_passes(self, capsys):
         assert main(["check", "order", "--seed", "3"]) == 0

@@ -112,6 +112,23 @@ class TestSplineExact:
                                      vals[3][a], h)) for a in range(3))
         assert Ld.value(s) == pytest.approx(per_comp, rel=1e-13)
 
+    def test_second_partials_blocks(self, rng):
+        Ld = spline_exact()
+        for n, h in ((1, 0.1), (3, 0.1), (3, 0.37), (1, 0.1)):
+            vals = rng.normal(size=(4, n))
+            s = PairState(JetPoint(vals[0], (vals[1],)), JetPoint(vals[2], (vals[3],)), h)
+            H = Ld.second_partials(s)
+            I = np.eye(n)
+            qq, qv, vv2, vv1 = 12.0 / h**3, 6.0 / h**2, 4.0 / h, 2.0 / h
+            ref = np.block([[qq * I, qv * I, -qq * I, qv * I],
+                            [qv * I, vv2 * I, -qv * I, vv1 * I],
+                            [-qq * I, -qv * I, qq * I, -qv * I],
+                            [qv * I, vv1 * I, -qv * I, vv2 * I]])
+            assert H.tobytes() == ref.tobytes()      # signed zeros included
+            # shared between calls of one step size, so no caller may write
+            with pytest.raises(ValueError):
+                H[0, 0] = 0.0
+
 
 class TestBlockPartials:
     def test_spline_exact_values(self):

@@ -4,8 +4,13 @@ import pytest
 from varint import (JetPoint, PairState, Wd_matrix, del_residual, initial_pair,
                     phi_values, run, solve_boundary_path, spline_exact, step,
                     taylor_average, uniform_grid)
+from varint.discretization import DiscreteLagrangian
 from varint.errors import SingularWd
+from varint.flow import (_hermite_path, _newton_path, _pairs, _path_jacobian,
+                         _path_residual)
 from varint.order import cubic_trajectory
+
+from conftest import model_from_expr
 
 
 def jet1(q, v):
@@ -197,6 +202,118 @@ class TestBoundaryPath:
         Ld = taylor_average(spline1)
         with pytest.raises(ValueError):
             solve_boundary_path(Ld, jet1(0, 0), jet1(1, 0), uniform_grid(0, 1, 1))
+
+
+def _dense_path_jacobian(Ld, pairs):
+    """The path Jacobian assembled densely, block by block, from the
+    second partials of every pair."""
+    N, m = len(pairs), 2 * pairs[0].n
+    DD = [Ld.second_partials(p) for p in pairs]
+    J = np.zeros(((N - 1) * m, (N - 1) * m))
+    for k in range(1, N):
+        rows = slice((k - 1) * m, k * m)
+        J[rows, rows] = DD[k - 1][m:, m:] + DD[k][:m, :m]
+        if k > 1:
+            J[rows, (k - 2) * m:(k - 1) * m] = DD[k - 1][m:, :m]
+        if k < N - 1:
+            J[rows, k * m:(k + 1) * m] = DD[k][:m, m:]
+    return J
+
+
+class TestPathAssembly:
+    EXPR = {1: "cos(q0)*ddq0**2/2 + q0**2*dq0 + sin(dq0)*ddq0",
+            2: "cos(q0)*ddq0**2/2 + ddq1**2/2 + dq0*dq1*q1 + q0**3*ddq1"}
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("N", [2, 3, 21])
+    def test_jacobian_matches_dense_blocks(self, n, N, rng):
+        Ld = taylor_average(model_from_expr(n, self.EXPR[n]))
+        states = [JetPoint(rng.normal(size=n), (rng.normal(size=n),))
+                  for _ in range(N + 1)]
+        pairs = _pairs(states, 0.3)
+        J = _path_jacobian(Ld, pairs)
+        # every entry of the block pattern is stored, zeros included
+        assert J.nnz == (3 * (N - 1) - 2) * (2 * n) ** 2
+        assert J.has_canonical_format
+        assert J.toarray().tobytes() == _dense_path_jacobian(Ld, pairs).tobytes()
+
+    def test_residual_stacks_node_conditions(self, rng):
+        Ld = taylor_average(model_from_expr(2, self.EXPR[2]))
+        states = [JetPoint(rng.normal(size=2), (rng.normal(size=2),))
+                  for _ in range(6)]
+        pairs = _pairs(states, 0.3)
+        R = _path_residual(Ld, pairs)
+        for k in range(1, 5):
+            D1b, D2b, _, _ = Ld.partials(pairs[k])
+            _, _, D3a, D4a = Ld.partials(pairs[k - 1])
+            ref = np.concatenate([D3a + D1b, D4a + D2b])
+            assert R[k - 1].tobytes() == ref.tobytes()
+
+
+class _Logged(DiscreteLagrangian):
+    """A scheme that logs its per-pair calls: (kind, pair, value)."""
+
+    def __init__(self, inner):
+        super().__init__(inner.n, inner.name)
+        self.inner, self.log = inner, []
+
+    def value(self, s):
+        v = self.inner.value(s)
+        self.log.append(("value", s, v))
+        return v
+
+    def partials(self, s):
+        self.log.append(("partials", s, None))
+        return self.inner.partials(s)
+
+    def second_partials(self, s):
+        self.log.append(("second_partials", s, None))
+        return self.inner.second_partials(s)
+
+    def residual_scale(self, s):
+        return self.inner.residual_scale(s)
+
+
+class TestPathNewton:
+    def test_climbing_fast_trial_evaluates_no_residual(self):
+        Ld = _Logged(taylor_average(model_from_expr(1, "ddq0**2/2 + 20*cos(q0)")))
+        x0, xN = jet1(0.0, 0.0), jet1(3.0, 0.0)
+        grid = uniform_grid(0.0, 4.0, 10)
+        _newton_path(Ld, x0, xN, grid, _hermite_path(x0, xN, grid), 1e-10, 80)
+        # one sweep per (kind, trial point); every point's pairs start at x0
+        sweeps = []
+        for kind, s, v in Ld.log:
+            if s.left is x0:
+                sweeps.append([kind, s, 0.0])
+            if v is not None:
+                sweeps[-1][2] += v
+        action = {id(s): a for kind, s, a in sweeps if kind == "value"}
+        residual_at = {id(s) for kind, s, _ in sweeps if kind == "partials"}
+        climbs = 0
+        for (k0, s0, _), (k1, s1, a1) in zip(sweeps, sweeps[1:]):
+            # the Newton trial right after the iterate's Jacobian
+            if k0 == "second_partials" and k1 == "value":
+                A = action[id(s0)]
+                if a1 > A + 1e-10 * (1.0 + abs(A)):
+                    climbs += 1
+                    assert id(s1) not in residual_at
+        assert climbs >= 1
+        # the iterate's own pairs serve its residual, action and Jacobian
+        assert sweeps[0][0] == "partials"
+        assert [k for k, s, _ in sweeps if s is sweeps[0][1]] == [
+            "partials", "value", "second_partials"]
+
+    def test_newton_iterations_per_level(self, spline2):
+        Ld = taylor_average(spline2)
+        x0 = JetPoint([0.0, 0.0], ([10.0, 10.0],))
+        xN = JetPoint([10.0, 0.0], ([10.0, 20.0],))
+        path = solve_boundary_path(Ld, x0, xN, uniform_grid(0.0, 1.0, 64))
+        its = path.diagnostics["newton_iterations"]
+        assert len(its) == 2 and all(isinstance(i, int) and i >= 1 for i in its)
+        guess = np.column_stack([path.positions()[1:-1], path.velocities()[1:-1]])
+        again = solve_boundary_path(Ld, x0, xN, uniform_grid(0.0, 1.0, 64),
+                                    guess=guess)
+        assert again.diagnostics["newton_iterations"] == [0]
 
 
 class TestPhiValues:

@@ -279,3 +279,70 @@ class TestStackedCalls:
         lifted = models["lifted-two-link"]
         assert lifted._hess_rows.min_rows > 2 * lifted.n
         assert lifted._el4_rows.min_rows > 2 * lifted.n
+
+
+_EL4_EXPR = "cos(q0)*ddq0**2/2 + ddq1**2/2 + dq0*dq1*q1 + q0**3 + sqrt(1 + dq1**2)"
+# el4 of _EL4_EXPR at the rows of _el4_points(), from the model that derived
+# and lambdified its el4 inside from_sympy
+_EL4_EAGER = [["0x1.78202ece96e4ep+2", "-0x1.25f5e2f342299p+0"],
+              ["0x1.946cd9b12c184p-1", "0x1.c11b58bf06a8bp-2"],
+              ["-0x1.c29de5d74cb26p+1", "0x1.0eb4400235ebep-2"]]
+
+
+def _el4_points():
+    return np.linspace(-1.3, 1.7, 30).reshape(3, 10)
+
+
+class TestLazyEl4:
+    @pytest.fixture
+    def lambdified(self, monkeypatch):
+        """Shapes of every expression the model code lambdifies."""
+        import varint.lagrangian as lag
+        shapes, real = [], lag._lambdify
+
+        def counted(args, expr):
+            shapes.append(getattr(expr, "shape", ()))
+            return real(args, expr)
+
+        monkeypatch.setattr(lag, "_lambdify", counted)
+        return shapes
+
+    def test_built_on_first_use(self, lambdified):
+        L = model_from_expr(2, _EL4_EXPR)
+        assert lambdified == [(), (6, 1), (6, 6)]      # value, gradient, Hessian
+        L.value_stack(_el4_points()[:, :6])
+        L.hess_stack(_el4_points()[:, :6])
+        assert len(lambdified) == 3
+        x = _el4_points()[0].reshape(5, 2)
+        first = L.el4_at(*x)
+        assert lambdified[3:] == [(2, 1)]
+        assert np.array_equal(L.el4_at(*x), first)
+        L.el4_stack(np.repeat(_el4_points(), 4, axis=0))
+        assert len(lambdified) == 4                      # generated once
+
+    def test_values_equal_eager_model(self):
+        ref = np.array([[float.fromhex(v) for v in row] for row in _EL4_EAGER])
+        X = _el4_points()
+        on_rows = model_from_expr(2, _EL4_EXPR)
+        got = np.array([on_rows.el4_at(*x.reshape(5, 2)) for x in X])
+        assert got.tobytes() == ref.tobytes()
+        on_columns = model_from_expr(2, _EL4_EXPR)
+        stack = np.repeat(X, 4, axis=0)
+        got = on_columns.el4_stack(stack)[::4]
+        assert len(stack) >= on_columns._el4_rows.min_rows
+        assert got.tobytes() == ref.tobytes()
+
+    def test_position_term_keeps_el4(self):
+        L = model_from_expr(2, _EL4_EXPR)
+        Lp = L.with_position_term(lambda q: float(q[0] ** 4), lambda q: 4 * q ** 3,
+                                  lambda q: np.diag(12 * q ** 2))
+        x = _el4_points()[1].reshape(5, 2)
+        assert np.array_equal(Lp.el4_at(*x), L.el4_at(*x) + 4 * x[0] ** 3)
+        assert Lp.el4_stack(_el4_points()) is not None
+
+    def test_models_without_el4(self):
+        L = LagrangianModel(1, lambda q, dq, ddq: 0.5 * float(ddq @ ddq))
+        assert L.el4_at(*np.ones((5, 1))) is None
+        assert L.el4_stack(np.ones((3, 5))) is None
+        Lp = L.with_position_term(lambda q: 0.0, lambda q: 0 * q, lambda q: np.zeros((1, 1)))
+        assert Lp.el4_at(*np.ones((5, 1))) is None
