@@ -101,32 +101,30 @@ class _ActionAssembler:
         Q0 = self.q1[None, :] + h * self.u[:, None] * self.v1[None, :] + h * h * (self.B2 @ coeffs)
         return Q0, Q1, Q2
 
+    def jets(self, coeffs):
+        """The flat jets (q, qdot, qddot) at the nodes, one per row."""
+        return np.hstack(self.curves(coeffs))
+
     def action(self, coeffs) -> float:
-        Q0, Q1, Q2 = self.curves(coeffs)
-        return float(sum(w * self.L.value_at(Q0[g], Q1[g], Q2[g])
-                         for g, w in enumerate(self.wq)))
+        f = self.L.value
+        return float(sum(w * f(y) for w, y in zip(self.wq, self.jets(coeffs))))
 
     def gradient(self, coeffs) -> np.ndarray:
         h = self.h
-        Q0, Q1, Q2 = self.curves(coeffs)
         n = self.L.n
-        G0 = np.empty((self.u.size, n)); G1 = np.empty_like(G0); G2 = np.empty_like(G0)
-        for g in range(self.u.size):
-            Lq, Ldq, Lddq = self.L.grad_at(Q0[g], Q1[g], Q2[g])
-            G0[g], G1[g], G2[g] = Lq, Ldq, Lddq
+        G = np.array([self.L.grad(y) for y in self.jets(coeffs)])
         W = self.wq[:, None]
-        return (h * h * self.B2.T @ (W * G0) + h * self.B1.T @ (W * G1)
-                + self.B0.T @ (W * G2))
+        return (h * h * self.B2.T @ (W * G[:, :n]) + h * self.B1.T @ (W * G[:, n:2 * n])
+                + self.B0.T @ (W * G[:, 2 * n:]))
 
     def hessian(self, coeffs) -> np.ndarray:
         h = self.h
-        Q0, Q1, Q2 = self.curves(coeffs)
         n = self.L.n
         m1 = self.B0.shape[1]
         H = np.zeros((m1 * n, m1 * n))
         I = np.eye(n)
-        for g, w in enumerate(self.wq):
-            Hf = self.L.hess_at(Q0[g], Q1[g], Q2[g])
+        for g, (w, y) in enumerate(zip(self.wq, self.jets(coeffs))):
+            Hf = self.L.hess(y)
             Bg = np.vstack([h * h * np.kron(self.B2[g], I),
                             h * np.kron(self.B1[g], I),
                             np.kron(self.B0[g], I)])

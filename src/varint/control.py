@@ -21,7 +21,7 @@ import numpy as np
 import sympy as sp
 
 from .discretization import DiscreteLagrangian, make_scheme
-from .flow import _pairs, _path_action, solve_boundary_path
+from .flow import solve_boundary_path
 from .jets import DiscretePath, JetPoint, uniform_grid
 from .lagrangian import LagrangianModel, MechanicalModel, controlled_forces
 
@@ -238,8 +238,7 @@ def solve_ocp(P: OCProblem, scheme: str = "taylor-midpoint",
             guess = np.column_stack([path.positions()[1:-1],
                                      path.velocities()[1:-1]])
 
-    cost = _path_action(Ld, _pairs(path.states, grid.h))
-    return OCPResult(path, cost, lifted, Ld, stages)
+    return OCPResult(path, path.diagnostics["action"], lifted, Ld, stages)
 
 
 def fd_accelerations(path: DiscretePath) -> np.ndarray:

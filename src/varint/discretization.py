@@ -65,7 +65,8 @@ class _AffineJetScheme(DiscreteLagrangian):
     """Weighted sum of L evaluated at affine images of the pair state.
 
     ``terms(h)`` yields (weight, C) with C a (3, 4) coefficient matrix; the
-    evaluation jet is kron(C, I_n) @ (q0, v0, q1, v1).
+    evaluation jet is kron(C, I_n) @ (q0, v0, q1, v1), passed to the model's
+    flat-jet calls as it is.
     """
 
     def __init__(self, L: LagrangianModel, terms, name):
@@ -81,29 +82,25 @@ class _AffineJetScheme(DiscreteLagrangian):
             self._cache_h = (h, n)
         return self._cache
 
-    def _points(self, s: PairState):
-        n = s.n
-        x = pack(s)
-        for w, P in self._maps(s.h, n):
-            y = P @ x
-            yield w, P, y[:n], y[n:2 * n], y[2 * n:]
-
     def value(self, s: PairState) -> float:
-        return float(sum(w * self.L.value_at(q, dq, ddq)
-                         for w, _, q, dq, ddq in self._points(s)))
+        x, f = pack(s), self.L.value
+        v = 0
+        for w, P in self._maps(s.h, s.n):
+            v += w * f(P @ x)
+        return float(v)
 
     def partials(self, s: PairState):
-        n = s.n
+        n, x, f = s.n, pack(s), self.L.grad
         g = np.zeros(4 * n)
-        for w, P, q, dq, ddq in self._points(s):
-            g += w * (P.T @ np.concatenate(self.L.grad_at(q, dq, ddq)))
+        for w, P in self._maps(s.h, n):
+            g += w * (P.T @ f(P @ x))
         return g[:n], g[n:2 * n], g[2 * n:3 * n], g[3 * n:]
 
     def second_partials(self, s: PairState) -> np.ndarray:
-        n = s.n
+        n, x, f = s.n, pack(s), self.L.hess
         H = np.zeros((4 * n, 4 * n))
-        for w, P, q, dq, ddq in self._points(s):
-            H += w * (P.T @ self.L.hess_at(q, dq, ddq) @ P)
+        for w, P in self._maps(s.h, n):
+            H += w * (P.T @ f(P @ x) @ P)
         return H
 
     def _fd_noise_scale(self, s: PairState) -> float:

@@ -79,7 +79,7 @@ def run(Ld: DiscreteLagrangian, x0: JetPoint, x1: JetPoint,
         except NoConvergence as exc:
             exc.step_index = k
             raise
-    return _with_diagnostics(Ld, grid, states)
+    return _with_diagnostics(grid, states, _path_residual(Ld, _pairs(states, h)))
 
 
 def initial_pair(L: LagrangianModel, jet3: JetPoint, h: float):
@@ -175,7 +175,9 @@ def _newton_path(Ld, x0, xN, grid, interior, tol, max_iter):
     regularized when the plain direction is not a descent direction.  A
     failed search ends the solve, accepted only at the loose floor.  Every
     point's pair states are built once and serve all its sweeps, and a trial
-    point's residual is evaluated only once its action has passed.
+    point's residual is evaluated only once its action has passed.  Returns
+    the interior states, the residual (one row per interior node) and the
+    action there, and the iteration count.
     """
     n = x0.dim
     N = grid.N
@@ -197,8 +199,9 @@ def _newton_path(Ld, x0, xN, grid, interior, tol, max_iter):
     eye = sps.identity((N - 1) * 2 * n, format="csr")
     for it in range(max_iter):
         if rnorm <= tight:
-            return U, rnorm, it
+            return U, R.reshape(N - 1, 2 * n), A, it
         J = _path_jacobian(Ld, P)
+        trial = None
         # fast path: an undamped step that halves the residual is always taken,
         # restoring quadratic convergence near the solution
         try:
@@ -209,6 +212,7 @@ def _newton_path(Ld, x0, xN, grid, interior, tol, max_iter):
             Ut = U + newton.reshape(N - 1, 2 * n)
             Pt = pairs_of(Ut)
             At = _path_action(Ld, Pt)
+            Rt = None
             # the action must not climb and the residual must halve, so the
             # fast path cannot hop to a worse stationary branch
             # mid-globalization
@@ -219,6 +223,8 @@ def _newton_path(Ld, x0, xN, grid, interior, tol, max_iter):
                     rnorm = np.max(np.abs(R))
                     lam = lam / 4.0
                     continue
+            # the line search's first point when its direction is this step
+            trial = Ut, Pt, At, Rt
         delta, lam_try = None, lam
         for _ in range(60):
             M = J + lam_try * eye if lam_try > 0.0 else J
@@ -234,12 +240,19 @@ def _newton_path(Ld, x0, xN, grid, interior, tol, max_iter):
             raise SingularKKT("stacked Newton system is singular")
         slope = float(delta @ R)
         alpha = 1.0
+        if delta is not newton:
+            trial = None
         for _ in range(50):
-            Ut = U + alpha * delta.reshape(N - 1, 2 * n)
-            Pt = pairs_of(Ut)
-            At = _path_action(Ld, Pt)
+            if trial is not None:
+                Ut, Pt, At, Rt = trial
+                trial = None
+            else:
+                Ut = U + alpha * delta.reshape(N - 1, 2 * n)
+                Pt = pairs_of(Ut)
+                At, Rt = _path_action(Ld, Pt), None
             if At <= A + 1e-4 * alpha * slope:
-                Rt = _path_residual(Ld, Pt).reshape(-1)
+                if Rt is None:
+                    Rt = _path_residual(Ld, Pt).reshape(-1)
                 U, P, R, A = Ut, Pt, Rt, At
                 rnorm = np.max(np.abs(R))
                 break
@@ -249,13 +262,13 @@ def _newton_path(Ld, x0, xN, grid, interior, tol, max_iter):
             # particular), so refresh the floor before giving up
             loose = max(loose, 64.0 * eps * _path_scale(Ld, P))
             if rnorm <= loose:
-                return U, rnorm, it
+                return U, R.reshape(N - 1, 2 * n), A, it
             raise NoConvergence("path Newton stalled", iterations=it,
                                 residual_norm=rnorm)
         lam = lam_try / 3.0 if alpha >= 0.5 else min(max(lam_try, 1e-6) * 2.0, 1e8)
     loose = max(loose, 64.0 * eps * _path_scale(Ld, P))
     if rnorm <= loose:
-        return U, rnorm, max_iter
+        return U, R.reshape(N - 1, 2 * n), A, max_iter
     raise NoConvergence("path Newton did not reach tolerance",
                         iterations=max_iter, residual_norm=rnorm)
 
@@ -288,15 +301,16 @@ def solve_boundary_path(Ld: DiscreteLagrangian, x0: JetPoint, xN: JetPoint,
     data.  Fine grids are reached by solving a coarsened grid first and
     refining by interpolation, which keeps the expensive levels warm-started.
     The path's diagnostics list the Newton iterations of each level
-    (``newton_iterations``), coarsest first.
+    (``newton_iterations``), coarsest first, and hold the summed discrete
+    action of the solved path (``action``).
     """
     N = grid.N
     if N < 2:
         raise ValueError("boundary solve needs at least N = 2 steps")
     iterations = []
     if guess is not None:
-        U, _, it = _newton_path(Ld, x0, xN, grid, np.asarray(guess, dtype=float),
-                                tol, max_iter)
+        U, R, A, it = _newton_path(Ld, x0, xN, grid, np.asarray(guess, dtype=float),
+                                   tol, max_iter)
         iterations.append(it)
     else:
         U, prev = None, None
@@ -304,18 +318,19 @@ def solve_boundary_path(Ld: DiscreteLagrangian, x0: JetPoint, xN: JetPoint,
             g = grid if Nc == N else Grid(grid.t0, grid.h * N / Nc, Nc)
             start = (_hermite_path(x0, xN, g) if U is None
                      else _refine_interior(U, x0, xN, prev, g))
-            U, _, it = _newton_path(Ld, x0, xN, g, start, tol, max_iter)
+            U, R, A, it = _newton_path(Ld, x0, xN, g, start, tol, max_iter)
             iterations.append(it)
             prev = g
 
     states = [x0] + [_state(u[:x0.dim], u[x0.dim:]) for u in U] + [xN]
-    return _with_diagnostics(Ld, grid, states, newton_iterations=iterations)
+    return _with_diagnostics(grid, states, R, newton_iterations=iterations,
+                             action=A)
 
 
-def _with_diagnostics(Ld, grid, states, **extra):
-    """The path with its per-node DEL residual norms, phi samples and
-    ``extra`` diagnostics."""
+def _with_diagnostics(grid, states, residual, **extra):
+    """The path with its per-node DEL residual norms (from the (N - 1, 2n)
+    ``residual``), phi samples and ``extra`` diagnostics."""
     path = DiscretePath(grid, tuple(states))
-    per_node = np.max(np.abs(_path_residual(Ld, _pairs(states, grid.h))), axis=1)
+    per_node = np.max(np.abs(residual), axis=1)
     diags = {"del_residual": per_node, "phi": phi_values(path), **extra}
     return DiscretePath(grid, tuple(states), diags)

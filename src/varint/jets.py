@@ -175,9 +175,17 @@ def uniform_grid(t0: float, T: float, N: int) -> Grid:
 
 
 def pack(state: PairState) -> np.ndarray:
-    """Flatten a pair state to a 2kn vector: (left.q, left.derivs..., right...)."""
-    left, right = state.left, state.right
-    return np.concatenate([left.q, *left.derivs, right.q, *right.derivs])
+    """Flatten a pair state to a 2kn vector: (left.q, left.derivs..., right...).
+
+    The vector is computed once per state and is read-only.
+    """
+    x = state.__dict__.get("_packed")
+    if x is None:
+        left, right = state.left, state.right
+        x = np.concatenate([left.q, *left.derivs, right.q, *right.derivs])
+        x.setflags(write=False)
+        object.__setattr__(state, "_packed", x)
+    return x
 
 
 def unpack(v, k: int, n: int, h: float = 1.0) -> PairState:

@@ -12,9 +12,11 @@ Total time derivatives are always expanded by the chain rule on the supplied
 partials, never by differencing along a trajectory, so identities involving
 the momentum maps hold pointwise.
 
-The value, the Hessian and the equation-of-motion residual also evaluate on
-stacks of jets, one per row, with the pointwise results bit for bit; the
-explicit fourth-order right-hand side takes such stacks.
+Internally every call takes one flat jet (the blocks concatenated); the
+block-argument ``*_at`` methods are thin wrappers for callers at the API
+edge.  The value, the Hessian and the equation-of-motion residual also
+evaluate on stacks of jets, one per row, with the pointwise results bit for
+bit; the explicit fourth-order right-hand side takes such stacks.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import ast
 import functools
 import inspect
+import math
 import operator
 import types
 from dataclasses import dataclass
@@ -117,6 +120,48 @@ def _column_pow(b, e):
     return np.array([x ** y for x, y in pairs], dtype=float).reshape(pairs.shape)
 
 
+def _rebound(f, **names):
+    """f's generated code with some of its global names bound anew."""
+    own = {k: f.__globals__[k] for k in f.__code__.co_names if k in f.__globals__}
+    return types.FunctionType(f.__code__, dict(own, **names))
+
+
+#: Python-float twins of the numpy functions in generated code, for those
+#: that agree with numpy on float64 scalars bit for bit (checked from 1e-3 to
+#: 1e3; exp, log, tan, arctan, tanh and cosh do not, so they stay numpy's).
+_SCALAR_MATH = {"sin": math.sin, "cos": math.cos, "sqrt": math.sqrt, "_pow": math.pow}
+
+
+def _pointwise(f, out):
+    """The lambdified ``f`` as a call on one flat jet ``y``, result through
+    ``out``, equal to ``f(*y)`` on numpy scalars bit for bit.
+
+    The generated code runs on ``y.tolist()`` with the ``_SCALAR_MATH``
+    functions, which skips numpy's per-scalar overhead.  Where Python floats
+    raise instead (a math domain error, ``math.pow`` overflow or a non-real
+    power, division by zero), the point is evaluated again on numpy scalars,
+    so its nan, inf and warnings are numpy's.
+    """
+    g = _rebound(f, **_SCALAR_MATH)
+
+    def call(y):
+        try:
+            r = g(*y.tolist())
+        except (ArithmeticError, ValueError):
+            r = f(*y)
+        return out(r)
+
+    return call
+
+
+def _vector(r):
+    return np.asarray(r, dtype=float).reshape(-1)
+
+
+def _matrix(r):
+    return np.asarray(r, dtype=float)
+
+
 class _Columns:
     """Stacked twin of the lambdified ``f``: an (M, m) stack of flat points
     in, the (M, *shape) stack of f's values out, each row equal to f at that
@@ -139,13 +184,19 @@ class _Columns:
     def min_rows(self):
         # Below this many rows a loop of pointwise calls is faster.  On
         # columns each generated operation pays numpy's fixed cost once per
-        # call, on rows a scalar cost once per row.  The measured crossover
-        # grows like the logarithm of the operation count (operators and
-        # calls in the generated source): 2-3 rows for the spline family's
-        # values (3-15 operations), 3-5 for 18-39 operations, 10 and 11
-        # for the lifted two-link Hessian and el4 (306 and 461), and one
-        # row for a constant f (one operation).  1 + floor(log2(ops))
-        # follows that within the timing noise.
+        # call (about 1 us), on rows a Python-float cost once per row.
+        # Measured crossovers by operation count (operators and calls in
+        # the generated source): one row for a constant f (one operation),
+        # 2-3 for the spline family's el4 (1-4), 5-6 and 12-15 for a
+        # 21-operation Hessian and a 37-operation el4, 27-37 for the lifted
+        # two-link Hessian and el4 (306 and 461).  Values cross at 9 rows
+        # or never: a power on columns runs element by element, about
+        # 0.4 us per row, as much as a whole pointwise value.  The rule
+        # 1 + floor(log2(ops)) fits the short code and sends long code and
+        # values to columns early.  It stays: shootings of the lifted model
+        # stack 1 or 2n = 4 rows, below either crossover, and of the 94k
+        # stacked calls in ``varint check`` only 1.2k (spline-family values
+        # of 4 and 32 rows, about 10 ms) fall in the gap.
         tree = ast.parse(inspect.getsource(self._f))
         ops = sum(isinstance(node, (ast.BinOp, ast.UnaryOp, ast.Call))
                   for node in ast.walk(tree))
@@ -153,10 +204,7 @@ class _Columns:
 
     @functools.cached_property
     def _g(self):
-        f = self._f
-        names = {k: f.__globals__[k] for k in f.__code__.co_names if k in f.__globals__}
-        return types.FunctionType(f.__code__, dict(names, array=lambda rows: rows,
-                                                   _pow=_column_pow))
+        return _rebound(self._f, array=lambda rows: rows, _pow=_column_pow)
 
     def __call__(self, X):
         if self._varying == []:
@@ -194,11 +242,8 @@ def _from_sympy(cls, n, expr, blocks, **kw):
     f_grad = _lambdify(args, sp.Matrix(grads))
     f_hess = _lambdify(args, hess_mat)
 
-    model = cls(n, lambda *x: float(f_val(*np.concatenate(x))),
-                grad=lambda *x: np.asarray(f_grad(*np.concatenate(x)),
-                                           dtype=float).reshape(len(blocks), n),
-                hess=lambda *x: np.asarray(f_hess(*np.concatenate(x)), dtype=float),
-                **kw)
+    model = cls._of_flat(n, _pointwise(f_val, float), grad=_pointwise(f_grad, _vector),
+                         hess=_pointwise(f_hess, _matrix), **kw)
     model._value_rows = _Columns(f_val)
     model._hess_rows = _Columns(f_hess, hess_mat.shape)
     model.sympy_data = (expr, *blocks)
@@ -240,14 +285,21 @@ class _SympyEl4:
     def rows(self):
         return _Columns(self.f, (self.n,))
 
-    def __call__(self, *x):
-        return self.f(*np.concatenate(x))
+    @functools.cached_property
+    def _point(self):
+        return _pointwise(self.f, _vector)
+
+    def __call__(self, y):
+        return self._point(y)
 
 
 class LagrangianModel:
     """A Lagrangian on jets (q, qdot, ..., q^(order)), all n-vectors.
 
-    Methods take the ``order + 1`` jet blocks as separate arguments.
+    ``value``, ``grad``, ``hess`` and ``el4`` take one flat jet, the
+    ``order + 1`` blocks concatenated (``el4`` five blocks); ``grad`` returns
+    the flat first partials.  The ``*_at`` methods take the blocks as
+    separate arguments.
 
     Parameters
     ----------
@@ -267,46 +319,66 @@ class LagrangianModel:
 
     def __init__(self, n, value, grad=None, hess=None, el4=None,
                  poly_degree=None, name=None):
-        self.n = int(n)
-        self._value = value
-        self._grad = grad
-        self._hess = hess
-        self._el4 = el4
-        self.poly_degree = poly_degree
-        self.name = name or "lagrangian"
+        n, k = int(n), self.order + 1
+
+        def flat_grad(y):
+            g = grad(*y.reshape(k, n))
+            return np.concatenate([_as_vec(g[i], n, "grad block") for i in range(k)])
+
+        self._init(n, lambda y: float(value(*y.reshape(k, n))),
+                   flat_grad if grad is not None else None,
+                   None if hess is None else lambda y: hess(*y.reshape(k, n)),
+                   None if el4 is None else
+                   lambda y: _as_vec(el4(*y.reshape(5, n)), n, "el4"),
+                   poly_degree, name)
+
+    @classmethod
+    def _of_flat(cls, n, value, grad=None, hess=None, el4=None,
+                 poly_degree=None, name=None):
+        """Model from calls that already take one flat jet."""
+        model = cls.__new__(cls)
+        model._init(n, value, grad, hess, el4, poly_degree, name)
+        return model
+
+    def _init(self, n, value, grad, hess, el4, poly_degree, name):
+        self.n = n
         self.analytic_grad = grad is not None
         self.analytic_hess = hess is not None
+        self.value = value
+        self.grad = grad if grad is not None else self._fd_grad
+        if hess is None:
+            hess = self._fd_hess_of_grad if grad is not None else self._fd_hess_of_value
+        self.hess = hess
+        self.el4 = el4
+        self.poly_degree = poly_degree
+        self.name = name or "lagrangian"
         self.sympy_data = None
         # stacked evaluators of the lambdified value and Hessian
         self._value_rows = self._hess_rows = None
 
-    def _blocks(self, flat):
-        return tuple(flat.reshape(-1, self.n))
+    def _fd_grad(self, y):
+        return _central_diff(self.value_stack, y)
+
+    def _fd_hess_of_grad(self, y):
+        J = _central_diff(lambda Y: [self.grad(z) for z in Y], y)
+        return 0.5 * (J + J.T)
+
+    def _fd_hess_of_value(self, y):
+        return _fd_hess(self.value, y)
 
     def value_at(self, *x) -> float:
-        return float(self._value(*x))
+        return self.value(np.concatenate(x))
 
     def grad_at(self, *x):
-        n = self.n
-        if self._grad is not None:
-            g = self._grad(*x)
-            return tuple(_as_vec(g[i], n, "grad block") for i in range(self.order + 1))
-        return self._blocks(_central_diff(self.value_stack, np.concatenate(x)))
+        return tuple(self.grad(np.concatenate(x)).reshape(-1, self.n))
 
     def hess_at(self, *x) -> np.ndarray:
-        if self._hess is not None:
-            return self._hess(*x)
-        flat = np.concatenate(x)
-        if self._grad is not None:
-            J = _central_diff(lambda Y: [np.concatenate(self.grad_at(*self._blocks(y)))
-                                         for y in Y], flat)
-            return 0.5 * (J + J.T)
-        return _fd_hess(lambda y: self._value(*self._blocks(y)), flat)
+        return self.hess(np.concatenate(x))
 
     def el4_at(self, q, dq, ddq, d3q, d4q):
-        if self._el4 is None:
+        if self.el4 is None:
             return None
-        return _as_vec(self._el4(q, dq, ddq, d3q, d4q), self.n, "el4")
+        return self.el4(np.concatenate([q, dq, ddq, d3q, d4q]))
 
     # The same calls on stacks, one flat jet per row, with the same results
     # bit for bit.  Models built from sympy run their lambdified code once
@@ -316,26 +388,26 @@ class LagrangianModel:
     def _stacked(self, columns, pointwise, X):
         if columns is not None and len(X) >= columns.min_rows:
             return columns(X)
-        return np.array([pointwise(*x.reshape(-1, self.n)) for x in X])
+        return np.array([pointwise(x) for x in X])
 
     def value_stack(self, X) -> np.ndarray:
-        """``value_at`` of each row of an (M, (order + 1) n) stack."""
-        return self._stacked(self._value_rows, self.value_at, X)
+        """``value`` of each row of an (M, (order + 1) n) stack."""
+        return self._stacked(self._value_rows, self.value, X)
 
     def hess_stack(self, X) -> np.ndarray:
-        """``hess_at`` of each row of an (M, (order + 1) n) stack."""
-        return self._stacked(self._hess_rows, self.hess_at, X)
+        """``hess`` of each row of an (M, (order + 1) n) stack."""
+        return self._stacked(self._hess_rows, self.hess, X)
 
     def el4_stack(self, X):
-        """``el4_at`` of each row of an (M, 5n) stack; None without el4."""
-        if self._el4 is None:
+        """``el4`` of each row of an (M, 5n) stack; None without el4."""
+        if self.el4 is None:
             return None
-        return self._stacked(self._el4_rows, self.el4_at, X)
+        return self._stacked(self._el4_rows, self.el4, X)
 
     @property
     def _el4_rows(self):
         # stacked evaluator of a sympy model's el4, generated with it
-        return self._el4.rows if isinstance(self._el4, _SympyEl4) else None
+        return self.el4.rows if isinstance(self.el4, _SympyEl4) else None
 
     @classmethod
     def from_sympy(cls, n, expr, q, dq, ddq, poly_degree=None, name=None):
@@ -356,28 +428,27 @@ class LagrangianModel:
         """
         base, n = self, self.n
 
-        def value(q, *rest):
-            return base.value_at(q, *rest) + float(f(q))
+        def value(y):
+            return base.value(y) + float(f(y[:n]))
 
-        def grad(q, *rest):
-            Lq, *others = base.grad_at(q, *rest)
-            return (Lq + np.asarray(df(q), dtype=float), *others)
+        def grad(y):
+            g = np.array(base.grad(y))
+            g[:n] += np.asarray(df(y[:n]), dtype=float)
+            return g
 
-        def hess(q, *rest):
-            H = np.array(base.hess_at(q, *rest))
-            H[:n, :n] += np.asarray(d2f(q), dtype=float)
+        def hess(y):
+            H = np.array(base.hess(y))
+            H[:n, :n] += np.asarray(d2f(y[:n]), dtype=float)
             return H
 
-        el4 = None
-        if base._el4 is not None:
-            def el4(q, dq, ddq, d3q, d4q):
-                return base.el4_at(q, dq, ddq, d3q, d4q) + np.asarray(df(q), dtype=float)
+        def el4(y):
+            return base.el4(y) + np.asarray(df(y[:n]), dtype=float)
 
-        return type(self)(n, value,
-                          grad=grad if base.analytic_grad else None,
-                          hess=hess if base.analytic_hess else None,
-                          el4=el4, poly_degree=None,
-                          name=name or f"{base.name}+penalty")
+        return type(self)._of_flat(n, value,
+                                   grad=grad if base.analytic_grad else None,
+                                   hess=hess if base.analytic_hess else None,
+                                   el4=el4 if base.el4 is not None else None,
+                                   name=name or f"{base.name}+penalty")
 
 
 class MechanicalModel(LagrangianModel):

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
-from varint import (JetPoint, PairState, make_scheme, midpoint_difference,
-                    spline_exact, taylor_average, trapezoid_velocity)
+from varint import (JetPoint, LagrangianModel, PairState, lift_cost, make_scheme,
+                    midpoint_difference, pack, spline_exact, taylor_average,
+                    trapezoid_velocity, two_link_problem)
+
+from conftest import model_from_expr
 
 
 def pair(q0, v0, q1, v1, h):
@@ -201,3 +204,47 @@ class TestBaselines:
     def test_make_scheme_rejects_unknown(self, spline1):
         with pytest.raises(KeyError):
             make_scheme("does-not-exist", spline1)
+
+
+def _block_reference(Ld, s):
+    """Value, partials and second partials of an affine scheme, summed term
+    by term from the block calls at the jets kron(C, I_n) @ pack(s)."""
+    L, n = Ld.L, s.n
+    value, g, H = 0, np.zeros(4 * n), np.zeros((4 * n, 4 * n))
+    for w, C in Ld._terms(s.h):
+        P = np.kron(C, np.eye(n))
+        blocks = (P @ pack(s)).reshape(3, n)
+        value += w * L.value_at(*blocks)
+        g += w * (P.T @ np.concatenate(L.grad_at(*blocks)))
+        H += w * (P.T @ L.hess_at(*blocks) @ P)
+    return float(value), g, H
+
+
+class TestAffineSchemesOnFlatJets:
+    @pytest.fixture(scope="class")
+    def models(self, spline_potential):
+        return [
+            model_from_expr(2, "cos(q0)*ddq0**2/2 + ddq1**2/2 + dq0*dq1*q1 + q0**3"),
+            lift_cost(two_link_problem(N=4)),
+            spline_potential.with_position_term(
+                lambda q: float(q[0] ** 4), lambda q: 4 * q ** 3,
+                lambda q: np.diag(12 * q ** 2)),
+            LagrangianModel(2, lambda q, dq, ddq: 0.5 * float(ddq @ ddq)
+                            + float(np.sin(q[0]) * dq[1] ** 2)),
+        ]
+
+    @pytest.mark.parametrize("name", ["taylor", "taylor-midpoint",
+                                      "midpoint-difference", "trapezoid-velocity"])
+    def test_equal_to_block_calls(self, models, name, rng):
+        for L in models:
+            Ld = make_scheme(name, L)
+            n = L.n
+            for _ in range(4):
+                x = rng.normal(size=4 * n) * 10.0 ** rng.integers(-3, 4, size=4 * n)
+                s = PairState(JetPoint(x[:n], (x[n:2 * n],)),
+                              JetPoint(x[2 * n:3 * n], (x[3 * n:],)),
+                              float(rng.uniform(0.05, 0.5)))
+                value, g, H = _block_reference(Ld, s)
+                assert Ld.value(s) == value, (name, L.name)
+                assert np.concatenate(Ld.partials(s)).tobytes() == g.tobytes(), L.name
+                assert Ld.second_partials(s).tobytes() == H.tobytes(), L.name

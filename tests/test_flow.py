@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from varint import (JetPoint, PairState, Wd_matrix, del_residual, initial_pair,
-                    phi_values, run, solve_boundary_path, spline_exact, step,
+                    pack, phi_values, run, solve_boundary_path, spline_exact, step,
                     taylor_average, uniform_grid)
 from varint.discretization import DiscreteLagrangian
 from varint.errors import SingularWd
@@ -302,6 +302,34 @@ class TestPathNewton:
         assert sweeps[0][0] == "partials"
         assert [k for k, s, _ in sweeps if s is sweeps[0][1]] == [
             "partials", "value", "second_partials"]
+
+    def test_no_point_swept_twice(self):
+        # a line search starting at the rejected Newton trial reuses its
+        # action (and its residual, when the trial had one)
+        Ld = _Logged(taylor_average(model_from_expr(1, "ddq0**2/2 + 40*cos(q0)")))
+        x0, xN = jet1(0.0, 0.0), jet1(10.0, 0.0)
+        grid = uniform_grid(0.0, 4.0, 10)
+        _newton_path(Ld, x0, xN, grid, _hermite_path(x0, xN, grid), 1e-10, 80)
+        sweeps = {"value": [], "partials": []}
+        for kind, s, _ in Ld.log:
+            if kind in sweeps:
+                if s.left is x0:
+                    sweeps[kind].append([])
+                sweeps[kind][-1].append(pack(s))
+        for kind, points in sweeps.items():
+            points = [np.concatenate(p).tobytes() for p in points]
+            assert len(set(points)) == len(points), kind
+
+    def test_diagnostics_reuse_final_sweeps(self):
+        Ld = taylor_average(model_from_expr(2, "ddq0**2/2 + ddq1**2/2 + cos(q0)*dq1**2"))
+        x0 = JetPoint([0.0, 0.0], ([1.0, 1.0],))
+        xN = JetPoint([1.0, 0.5], ([0.0, 2.0],))
+        grid = uniform_grid(0.0, 1.0, 64)
+        path = solve_boundary_path(Ld, x0, xN, grid)
+        pairs = _pairs(path.states, grid.h)
+        assert path.diagnostics["action"] == float(sum(Ld.value(p) for p in pairs))
+        assert np.array_equal(path.diagnostics["del_residual"],
+                              np.max(np.abs(_path_residual(Ld, pairs)), axis=1))
 
     def test_newton_iterations_per_level(self, spline2):
         Ld = taylor_average(spline2)

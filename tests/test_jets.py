@@ -93,3 +93,15 @@ class TestStates:
             PairState(a, a, 0.0)
         with pytest.raises(ValueError):
             PairState(a, a, -1.0)
+
+
+class TestPackOnce:
+    def test_read_only_concatenation(self):
+        s = PairState(JetPoint([1.0, 2.0], [[3.0, 4.0]]), JetPoint([5.0, 6.0], [[7.0, 8.0]]), 0.5)
+        x = pack(s)
+        assert np.array_equal(x, np.concatenate([s.left.q, s.left.deriv(1),
+                                                 s.right.q, s.right.deriv(1)]))
+        assert not x.flags.writeable
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+        assert pack(s) is x

@@ -346,3 +346,85 @@ class TestLazyEl4:
         assert L.el4_stack(np.ones((3, 5))) is None
         Lp = L.with_position_term(lambda q: 0.0, lambda q: 0 * q, lambda q: np.zeros((1, 1)))
         assert Lp.el4_at(*np.ones((5, 1))) is None
+
+
+def _numpy_calls(L):
+    """The generated value, gradient, Hessian and el4 code of a sympy model,
+    lambdified anew and called on numpy scalars, as flat-jet calls."""
+    import sympy as sp
+    from varint.lagrangian import _lambdify
+    expr, *blocks = L.sympy_data
+    args = [s for b in blocks for s in b]
+    grads = [sp.diff(expr, s) for s in args]
+    f_val, f_grad = _lambdify(args, expr), _lambdify(args, sp.Matrix(grads))
+    f_hess = _lambdify(args, sp.Matrix([[sp.diff(g, s) for s in args] for g in grads]))
+    return (lambda y: float(f_val(*y)),
+            lambda y: np.asarray(f_grad(*y), dtype=float).reshape(-1),
+            lambda y: np.asarray(f_hess(*y), dtype=float),
+            lambda y: np.asarray(L.el4.f(*y), dtype=float).reshape(-1))
+
+
+def _log_jets(rng, M, m):
+    """M flat jets of length m, magnitudes log-uniform in [1e-3, 1e3], either sign."""
+    return rng.choice([-1.0, 1.0], size=(M, m)) * 10.0 ** rng.uniform(-3, 3, size=(M, m))
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestPointwiseKernel:
+    """Generated code on Python floats, with numpy's results bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def sympy_models(self, stacked_models, spline_potential):
+        return [(name, L) for name, L in stacked_models if L.sympy_data is not None] + [
+            ("spline-potential", spline_potential)]
+
+    def test_equals_numpy_scalars(self, sympy_models, rng):
+        names = [name for name, _ in sympy_models]
+        assert "lifted-two-link" in names and "from-sympy" in names
+        for name, L in sympy_models:
+            n = L.n
+            value, grad, hess, el4 = _numpy_calls(L)
+            for y in _log_jets(rng, 300, 5 * n):
+                x = y[:3 * n]
+                assert _same_bits(L.value(x), value(x)), name
+                assert _same_bits(L.grad(x), grad(x)), name
+                assert _same_bits(L.hess(x), hess(x)), name
+                assert _same_bits(L.el4(y), el4(y)), name
+
+    @pytest.mark.parametrize("expr,x", [
+        ("q0**3 + ddq0**2/2", [1e200, 1.0, 1.0]),          # math.pow overflows
+        ("sqrt(q0) + ddq0**2/2", [-4.0, 1.0, 1.0]),        # math domain error
+        ("1/q0 + ddq0**2/2", [0.0, 1.0, 1.0]),             # division by zero
+        ("cos(q0)*ddq0**2/2 + dq0**4", [np.inf, 2.0, 1.0]),
+        ("cos(q0)*ddq0**2/2 + dq0**4", [np.nan, 2.0, -np.inf]),
+        ("cos(q0)*ddq0**2/2 + dq0**4", [-np.inf, np.nan, 1.0]),
+    ])
+    def test_falls_back_to_numpy(self, expr, x):
+        L = model_from_expr(1, expr)
+        value, grad, hess, el4 = _numpy_calls(L)
+        x = np.array(x)
+        y = np.concatenate([x, [0.5, -0.25]])
+        with np.errstate(all="ignore"):
+            got = L.value(x), L.grad(x), L.hess(x), L.el4(y)
+            ref = value(x), grad(x), hess(x), el4(y)
+        assert not np.all(np.isfinite(np.concatenate([np.ravel(r) for r in ref])))
+        for a, b in zip(got, ref):
+            assert _same_bits(a, b)
+
+    def test_block_wrappers(self, stacked_models, rng):
+        for name, L in stacked_models:
+            n = L.n
+            y = rng.normal(size=5 * n)
+            x = y[:3 * n]
+            blocks = x.reshape(3, n)
+            assert L.value_at(*blocks) == L.value(x), name
+            assert _same_bits(np.concatenate(L.grad_at(*blocks)), L.grad(x)), name
+            assert _same_bits(L.hess_at(*blocks), L.hess(x)), name
+            if L.el4 is None:
+                assert L.el4_at(*y.reshape(5, n)) is None, name
+            else:
+                assert _same_bits(L.el4_at(*y.reshape(5, n)), L.el4(y)), name
