@@ -7,7 +7,7 @@ control of fully actuated mechanical systems.
 """
 
 from .errors import (ConfigError, NoConvergence, SingularHessian, SingularKKT,
-                     SingularWd, VarintError)
+                     SingularWd, UnsettledSubsteps, VarintError)
 from .jets import (DiscretePath, Grid, JetPoint, PairState, pack, uniform_grid,
                    unpack)
 from .lagrangian import (LagrangianModel, MechanicalModel, controlled_forces,

@@ -20,12 +20,13 @@ integrating the basis once and twice from u = 0.
 from __future__ import annotations
 
 import math
+import warnings
 from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import legendre as leg
 
-from .errors import SingularHessian
+from .errors import SingularHessian, UnsettledSubsteps
 from .jets import JetPoint
 from .lagrangian import FD_STEP, LagrangianModel, fourth_order_rhs_raw
 from .newton import newton, newton_one, solve_rows
@@ -293,7 +294,8 @@ def shooting_bvp(L: LagrangianModel, q1jet: JetPoint, q2jet: JetPoint, h: float,
     Each solve drives the endpoint miss below 1e-11 (relative to the endpoint
     scale) in at most 50 Newton steps.  The substep count starts at 16 and
     doubles until a solve with twice the resolution moves the answer by at
-    most 1e-11 (relative to the jet scale), capped at 1024.
+    most 1e-11 (relative to the jet scale), capped at 1024; a solve that
+    reaches the cap unsettled issues :class:`UnsettledSubsteps`.
     """
     _check_h(h)
     c2, c3 = _hermite_coeffs(q1jet, q2jet, h)
@@ -304,9 +306,14 @@ def shooting_bvp(L: LagrangianModel, q1jet: JetPoint, q2jet: JetPoint, h: float,
     S = 16
     while True:
         x2 = _shoot(L, left, target, h, 2 * S, x, 1e-11, 50)
-        close = np.max(np.abs(x2 - x)) <= 1e-11 * (1.0 + np.max(np.abs(x2)))
+        moved, size = np.max(np.abs(x2 - x)), 1.0 + np.max(np.abs(x2))
         x, S = x2, 2 * S
-        if close or S >= 1024:
+        if moved <= 1e-11 * size:
+            break
+        if S >= 1024:
+            warnings.warn(f"shooting accepted at the cap of S = {S} substeps, where the "
+                          f"last doubling moved the answer by {moved / size:.2e} "
+                          "(relative), above 1e-11", UnsettledSubsteps, stacklevel=2)
             break
     n = L.n
     jet = JetPoint(q1jet.q, (q1jet.deriv(1), x[0, :n], x[0, n:]))

@@ -1,4 +1,4 @@
-"""Exception types shared by the solvers and the CLI."""
+"""Exception and warning types shared by the solvers and the CLI."""
 
 
 class VarintError(Exception):
@@ -29,3 +29,8 @@ class SingularKKT(VarintError):
 
 class ConfigError(VarintError):
     """A scenario configuration failed validation."""
+
+
+class UnsettledSubsteps(RuntimeWarning):
+    """A substep-doubling solver reached its substep cap before two successive
+    resolutions agreed to its tolerance; the finest answer is returned."""

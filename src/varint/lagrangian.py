@@ -247,6 +247,12 @@ def _from_sympy(cls, n, expr, blocks, **kw):
     model._value_rows = _Columns(f_val)
     model._hess_rows = _Columns(f_hess, hess_mat.shape)
     model.sympy_data = (expr, *blocks)
+    if cls.order == 2 and not hess_mat[2 * n:, 2 * n:].free_symbols:
+        # W does not depend on the jet: find it, and invert it if regular, once
+        with np.errstate(all="ignore"):
+            W, regular = _acceleration_hessian(model, np.zeros((1, 3 * n)))
+        model._constant_W = (W[0], bool(regular[0]),
+                             np.linalg.inv(W[0]) if regular[0] else None)
     return model
 
 
@@ -355,6 +361,8 @@ class LagrangianModel:
         self.sympy_data = None
         # stacked evaluators of the lambdified value and Hessian
         self._value_rows = self._hess_rows = None
+        # (W, regular, W^-1 or None) of a model whose W is constant
+        self._constant_W = None
 
     def _fd_grad(self, y):
         return _central_diff(self.value_stack, y)
@@ -444,11 +452,13 @@ class LagrangianModel:
         def el4(y):
             return base.el4(y) + np.asarray(df(y[:n]), dtype=float)
 
-        return type(self)._of_flat(n, value,
-                                   grad=grad if base.analytic_grad else None,
-                                   hess=hess if base.analytic_hess else None,
-                                   el4=el4 if base.el4 is not None else None,
-                                   name=name or f"{base.name}+penalty")
+        model = type(self)._of_flat(n, value,
+                                    grad=grad if base.analytic_grad else None,
+                                    hess=hess if base.analytic_hess else None,
+                                    el4=el4 if base.el4 is not None else None,
+                                    name=name or f"{base.name}+penalty")
+        model._constant_W = base._constant_W    # f(q) leaves W alone
+        return model
 
 
 class MechanicalModel(LagrangianModel):
@@ -555,6 +565,9 @@ def hessian_W(L: LagrangianModel, jet: JetPoint):
 
     The flag uses a scale-aware threshold: |det W| > 1e-10 * max|W|**n.
     """
+    if L._constant_W is not None:
+        W, regular, _ = L._constant_W
+        return W.copy(), regular
     W, regular = _acceleration_hessian(L, jet.as_array()[None, :3 * L.n])
     return W[0], bool(regular[0])
 
@@ -562,15 +575,21 @@ def hessian_W(L: LagrangianModel, jet: JetPoint):
 def fourth_order_rhs_raw(L: LagrangianModel, Y) -> np.ndarray:
     """Stacked form of :func:`fourth_order_rhs`: the q4 of each row of an
     (M, 4n) stack of (q, dq, ddq, d3q), by one stacked determinant and one
-    stacked solve."""
+    stacked solve, or by the stored inverse of a constant W."""
     n = L.n
-    W, regular = _acceleration_hessian(L, Y[:, :3 * n])
-    if not regular.all():
+    if L._constant_W is None:
+        W, regular = _acceleration_hessian(L, Y[:, :3 * n])
+        regular, W_inv = regular.all(), None
+    else:
+        W, regular, W_inv = L._constant_W
+    if not regular:
         raise SingularHessian(f"acceleration Hessian of {L.name} is singular at this jet")
     Z = np.concatenate([Y, np.zeros((len(Y), n))], axis=1)
     R = L.el4_stack(Z)
     if R is None:
         R = np.array([el_residual_raw(L, *z.reshape(5, n)) for z in Z])
+    if W_inv is not None:
+        return -(R @ W_inv.T)
     return np.linalg.solve(W, -R[:, :, None])[:, :, 0]
 
 

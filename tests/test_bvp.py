@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,9 @@ import scipy.special
 from varint import (JetPoint, endpoints_to_w, exact_Ld, integrate_el,
                     shooting_bvp, solve_regularized)
 from varint.bvp import GAMMA, _ActionAssembler, _basis_tables, _rk4
+from varint.errors import UnsettledSubsteps
+
+from conftest import model_from_expr
 
 
 def jet1(q, v):
@@ -241,6 +245,20 @@ class TestShooting:
             out = integrate_el(spline_potential, jet, h, 64)
             err = max(abs(out.q[0] - b.q[0]), abs(out.deriv(1)[0] - b.deriv(1)[0]))
             assert err <= 1e-10
+
+    def test_settled_solve_is_silent(self, spline_potential):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UnsettledSubsteps)
+            shooting_bvp(spline_potential, jet1(0.0, 1.0), jet1(0.1, 0.5), 0.5)
+
+    def test_substep_cap_reached_unsettled_warns(self):
+        # a stiff potential: the doubling from 512 to 1024 substeps still
+        # moves the answer by about 2.7e-11 (relative), above 1e-11
+        stiff = model_from_expr(1, "ddq0**2/2 + 1e4*q0**2/2")
+        with pytest.warns(UnsettledSubsteps, match=r"S = 1024 .* by 2\.\d+e-11"):
+            jet, S = shooting_bvp(stiff, jet1(0.0, 1.0), jet1(0.1, 0.5), 1.0,
+                                  return_substeps=True)
+        assert S == 1024 and np.all(np.isfinite(jet.as_array()))
 
 
 def scalar_rk4(L, y, h, S):

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import tempfile
@@ -473,3 +474,43 @@ class TestCheckCommand:
         assert main(["check", "order", "--seed", "3"]) == 0
         out = capsys.readouterr().out
         assert out.startswith("PASS order:")
+
+
+class TestGoldenOutputs:
+    """The spline scenarios' CSVs and ``check --seed 0`` are pinned byte for
+    byte, so a speedup that claims identical outputs is checked, not assumed."""
+
+    CHECK_SEED_0 = (
+        "PASS legendre-match: spline max err 2.376e-10 (tol 1e-08), "
+        "with potential 2.341e-09 (tol 1e-06)\n"
+        "PASS oracles: action agreement 1.041e-12 (tol 1e-08), "
+        "cubic recovery 0.000e+00 (tol 1e-12)\n"
+        "PASS order: taylor: r_hat=2.000/2.000; midpoint-difference: r_hat=2.000/2.000\n"
+        "PASS phi: max drift over N=1000: 1.322e-13 (tol 1e-12)\n"
+        "PASS spline-exactness: max closed-form error 3.741e-14 (tol 1e-10)\n"
+        "PASS symplectic: max defect 1.536e-08 (tol 1e-05)\n"
+    )
+    CSV_SHA256 = {
+        "spline-bvp-figure_trajectory.csv":
+            "8140f9a55c2001537fbdf3b00ccf4ce69c1379a5184159f8e03b89260b965efe",
+        "spline-run_trajectory.csv":
+            "33694b9f5cd2fb6e24caebf2f7466c7d32ed29765bdf8c99f2038e21d59a1607",
+        "order-taylor_order.csv":
+            "e8549250431278333f8696ff383c8942bfb84d6e50e8f02c955e0be2994e8f2f",
+        "order-midpoint_order.csv":
+            "6df318c36a28edcb2ba94fd4e96b8295ee8f8ea087b3aeb15bb1fdb2ff950d9a",
+    }
+
+    def test_check_seed_0_stdout(self, capsys):
+        assert main(["check", "--seed", "0"]) == 0
+        assert capsys.readouterr().out == self.CHECK_SEED_0
+
+    def test_spline_csvs(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        for command, config in (("bvp", "spline_bvp_figure.json"),
+                                ("simulate", "spline_simulate.json"),
+                                ("order", "order_spline.json")):
+            assert main([command, "--config", str(CONFIGS / config),
+                         "--out", str(out)]) == 0
+        for name, digest in self.CSV_SHA256.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name

@@ -3,8 +3,9 @@ import pytest
 
 from varint import (JetPoint, LagrangianModel, MechanicalModel,
                     controlled_forces, el_residual, fourth_order_rhs,
-                    hessian_W, legendre)
+                    hessian_W, legendre, named_lagrangian)
 from varint.errors import SingularHessian
+from varint.lagrangian import _acceleration_hessian, fourth_order_rhs_raw
 
 from conftest import model_from_expr
 
@@ -79,6 +80,79 @@ class TestFourthOrderRhs:
         degenerate = model_from_expr(1, "ddq0*dq0")
         with pytest.raises(SingularHessian):
             fourth_order_rhs(degenerate, jet(0.0, 1.0, 2.0, 3.0))
+
+
+def _solve_per_member(L, Y):
+    """q4 of each row of Y by the general route: W at the row and its own
+    LAPACK solve."""
+    n = L.n
+    W, regular = _acceleration_hessian(L, Y[:, :3 * n])
+    assert regular.all()
+    R = L.el4_stack(np.hstack([Y, np.zeros((len(Y), n))]))
+    return np.array([np.linalg.solve(w, -r) for w, r in zip(W, R)])
+
+
+class TestConstantAccelerationHessian:
+    """A model whose W does not depend on the jet stores W, its regularity
+    and its inverse when built, and its right-hand side uses them."""
+
+    @pytest.mark.parametrize("name, n", [("spline", 1), ("spline", 2),
+                                         ("spline-potential", 1),
+                                         ("spline-potential", 2),
+                                         ("spline-velocity", 1)])
+    def test_spline_family_equals_general_path(self, name, n, rng):
+        L = named_lagrangian(name, n)
+        W, regular, W_inv = L._constant_W
+        assert regular and np.array_equal(W, np.eye(n)) and np.array_equal(W_inv, np.eye(n))
+        for M in (1, 4, 40):
+            Y = rng.normal(size=(M, 4 * n)) * 10.0 ** rng.integers(-3, 4, size=(M, 4 * n))
+            assert np.array_equal(fourth_order_rhs_raw(L, Y), _solve_per_member(L, Y))
+
+    def test_skips_the_per_stage_hessian(self, spline2, rng, monkeypatch):
+        import varint.lagrangian as lag
+        Y = rng.normal(size=(4, 8))
+        expected = fourth_order_rhs_raw(spline2, Y)
+
+        def forbidden(*args):
+            raise AssertionError("W rebuilt for a constant-W model")
+        monkeypatch.setattr(lag, "_acceleration_hessian", forbidden)
+        monkeypatch.setattr(lag.np.linalg, "solve", forbidden)
+        monkeypatch.setattr(lag.np.linalg, "det", forbidden)
+        assert np.array_equal(fourth_order_rhs_raw(spline2, Y), expected)
+
+    def test_constant_non_identity_W(self, rng):
+        L = model_from_expr(2, "ddq0**2 + ddq0*ddq1/2 + ddq1**2 + q0**2*dq1")
+        W, regular, _ = L._constant_W
+        assert regular and np.array_equal(W, [[2.0, 0.5], [0.5, 2.0]])
+        for M in (1, 4, 40):
+            Y = rng.normal(size=(M, 8)) * 10.0 ** rng.integers(-3, 4, size=(M, 8))
+            got, ref = fourth_order_rhs_raw(L, Y), _solve_per_member(L, Y)
+            # 4 ulp of each member's largest entry
+            tol = 4 * np.finfo(float).eps * np.max(np.abs(ref), axis=1, keepdims=True)
+            assert np.all(np.abs(got - ref) <= tol)
+
+    def test_singular_W_builds_and_raises_on_first_call(self):
+        degenerate = model_from_expr(1, "ddq0*dq0")
+        W, regular, W_inv = degenerate._constant_W
+        assert not regular and W_inv is None and W[0, 0] == 0.0
+        with pytest.raises(SingularHessian,
+                           match="^acceleration Hessian of lagrangian is singular at this jet$"):
+            fourth_order_rhs_raw(degenerate, np.array([[0.0, 1.0, 2.0, 3.0]]))
+
+    def test_hessian_W_reads_stored_W(self, spline2):
+        W, ok = hessian_W(spline2, JetPoint(np.ones(2), (np.ones(2), np.ones(2))))
+        W[0, 0] = 7.0
+        assert ok and np.array_equal(spline2._constant_W[0], np.eye(2))
+
+    def test_position_term_keeps_stored_W(self, spline_potential):
+        model = spline_potential.with_position_term(
+            lambda q: float(q[0] ** 4), lambda q: 4 * q ** 3, lambda q: np.diag(12 * q ** 2))
+        assert model._constant_W is spline_potential._constant_W
+
+    def test_jet_dependent_and_fd_models_store_none(self, stacked_models):
+        models = dict(stacked_models)
+        for name in ("lifted-two-link", "fd-value-only", "from-sympy"):
+            assert models[name]._constant_W is None, name
 
 
 class TestLegendre:
