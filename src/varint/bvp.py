@@ -313,7 +313,7 @@ def shooting_bvp(L: LagrangianModel, q1jet: JetPoint, q2jet: JetPoint, h: float,
         if S >= 1024:
             warnings.warn(f"shooting accepted at the cap of S = {S} substeps, where the "
                           f"last doubling moved the answer by {moved / size:.2e} "
-                          "(relative), above 1e-11", UnsettledSubsteps, stacklevel=2)
+                          "(relative), above 1e-11", UnsettledSubsteps)
             break
     n = L.n
     jet = JetPoint(q1jet.q, (q1jet.deriv(1), x[0, :n], x[0, n:]))

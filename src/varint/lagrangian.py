@@ -248,11 +248,11 @@ def _from_sympy(cls, n, expr, blocks, **kw):
     model._hess_rows = _Columns(f_hess, hess_mat.shape)
     model.sympy_data = (expr, *blocks)
     if cls.order == 2 and not hess_mat[2 * n:, 2 * n:].free_symbols:
-        # W does not depend on the jet: find it, and invert it if regular, once
+        # W does not depend on the jet: invert it once if it is regular
         with np.errstate(all="ignore"):
             W, regular = _acceleration_hessian(model, np.zeros((1, 3 * n)))
-        model._constant_W = (W[0], bool(regular[0]),
-                             np.linalg.inv(W[0]) if regular[0] else None)
+        if regular[0]:
+            model._W_inv = np.linalg.inv(W[0])
     return model
 
 
@@ -361,8 +361,8 @@ class LagrangianModel:
         self.sympy_data = None
         # stacked evaluators of the lambdified value and Hessian
         self._value_rows = self._hess_rows = None
-        # (W, regular, W^-1 or None) of a model whose W is constant
-        self._constant_W = None
+        # W^-1 of a model whose W is constant and regular
+        self._W_inv = None
 
     def _fd_grad(self, y):
         return _central_diff(self.value_stack, y)
@@ -457,7 +457,7 @@ class LagrangianModel:
                                     hess=hess if base.analytic_hess else None,
                                     el4=el4 if base.el4 is not None else None,
                                     name=name or f"{base.name}+penalty")
-        model._constant_W = base._constant_W    # f(q) leaves W alone
+        model._W_inv = base._W_inv    # f(q) leaves W alone
         return model
 
 
@@ -565,9 +565,6 @@ def hessian_W(L: LagrangianModel, jet: JetPoint):
 
     The flag uses a scale-aware threshold: |det W| > 1e-10 * max|W|**n.
     """
-    if L._constant_W is not None:
-        W, regular, _ = L._constant_W
-        return W.copy(), regular
     W, regular = _acceleration_hessian(L, jet.as_array()[None, :3 * L.n])
     return W[0], bool(regular[0])
 
@@ -577,19 +574,16 @@ def fourth_order_rhs_raw(L: LagrangianModel, Y) -> np.ndarray:
     (M, 4n) stack of (q, dq, ddq, d3q), by one stacked determinant and one
     stacked solve, or by the stored inverse of a constant W."""
     n = L.n
-    if L._constant_W is None:
+    if L._W_inv is None:
         W, regular = _acceleration_hessian(L, Y[:, :3 * n])
-        regular, W_inv = regular.all(), None
-    else:
-        W, regular, W_inv = L._constant_W
-    if not regular:
-        raise SingularHessian(f"acceleration Hessian of {L.name} is singular at this jet")
+        if not regular.all():
+            raise SingularHessian(f"acceleration Hessian of {L.name} is singular at this jet")
     Z = np.concatenate([Y, np.zeros((len(Y), n))], axis=1)
     R = L.el4_stack(Z)
     if R is None:
         R = np.array([el_residual_raw(L, *z.reshape(5, n)) for z in Z])
-    if W_inv is not None:
-        return -(R @ W_inv.T)
+    if L._W_inv is not None:
+        return -(R @ L._W_inv.T)
     return np.linalg.solve(W, -R[:, :, None])[:, :, 0]
 
 

@@ -255,10 +255,12 @@ class TestShooting:
         # a stiff potential: the doubling from 512 to 1024 substeps still
         # moves the answer by about 2.7e-11 (relative), above 1e-11
         stiff = model_from_expr(1, "ddq0**2/2 + 1e4*q0**2/2")
-        with pytest.warns(UnsettledSubsteps, match=r"S = 1024 .* by 2\.\d+e-11"):
+        with pytest.warns(UnsettledSubsteps, match=r"S = 1024 .* by 2\.\d+e-11") as record:
             jet, S = shooting_bvp(stiff, jet1(0.0, 1.0), jet1(0.1, 0.5), 1.0,
                                   return_substeps=True)
         assert S == 1024 and np.all(np.isfinite(jet.as_array()))
+        # the warning names shooting_bvp's own line, whichever layer called it
+        assert record[0].filename.endswith("bvp.py")
 
 
 def scalar_rk4(L, y, h, S):

@@ -93,8 +93,8 @@ def _solve_per_member(L, Y):
 
 
 class TestConstantAccelerationHessian:
-    """A model whose W does not depend on the jet stores W, its regularity
-    and its inverse when built, and its right-hand side uses them."""
+    """A model whose W does not depend on the jet and is regular stores W^-1
+    when built, and its right-hand side multiplies by it."""
 
     @pytest.mark.parametrize("name, n", [("spline", 1), ("spline", 2),
                                          ("spline-potential", 1),
@@ -102,8 +102,7 @@ class TestConstantAccelerationHessian:
                                          ("spline-velocity", 1)])
     def test_spline_family_equals_general_path(self, name, n, rng):
         L = named_lagrangian(name, n)
-        W, regular, W_inv = L._constant_W
-        assert regular and np.array_equal(W, np.eye(n)) and np.array_equal(W_inv, np.eye(n))
+        assert np.array_equal(L._W_inv, np.eye(n))
         for M in (1, 4, 40):
             Y = rng.normal(size=(M, 4 * n)) * 10.0 ** rng.integers(-3, 4, size=(M, 4 * n))
             assert np.array_equal(fourth_order_rhs_raw(L, Y), _solve_per_member(L, Y))
@@ -122,8 +121,9 @@ class TestConstantAccelerationHessian:
 
     def test_constant_non_identity_W(self, rng):
         L = model_from_expr(2, "ddq0**2 + ddq0*ddq1/2 + ddq1**2 + q0**2*dq1")
-        W, regular, _ = L._constant_W
+        W, regular = hessian_W(L, JetPoint(np.ones(2), (np.ones(2), np.ones(2))))
         assert regular and np.array_equal(W, [[2.0, 0.5], [0.5, 2.0]])
+        assert L._W_inv is not None
         for M in (1, 4, 40):
             Y = rng.normal(size=(M, 8)) * 10.0 ** rng.integers(-3, 4, size=(M, 8))
             got, ref = fourth_order_rhs_raw(L, Y), _solve_per_member(L, Y)
@@ -133,26 +133,20 @@ class TestConstantAccelerationHessian:
 
     def test_singular_W_builds_and_raises_on_first_call(self):
         degenerate = model_from_expr(1, "ddq0*dq0")
-        W, regular, W_inv = degenerate._constant_W
-        assert not regular and W_inv is None and W[0, 0] == 0.0
+        assert degenerate._W_inv is None
         with pytest.raises(SingularHessian,
                            match="^acceleration Hessian of lagrangian is singular at this jet$"):
             fourth_order_rhs_raw(degenerate, np.array([[0.0, 1.0, 2.0, 3.0]]))
 
-    def test_hessian_W_reads_stored_W(self, spline2):
-        W, ok = hessian_W(spline2, JetPoint(np.ones(2), (np.ones(2), np.ones(2))))
-        W[0, 0] = 7.0
-        assert ok and np.array_equal(spline2._constant_W[0], np.eye(2))
-
     def test_position_term_keeps_stored_W(self, spline_potential):
         model = spline_potential.with_position_term(
             lambda q: float(q[0] ** 4), lambda q: 4 * q ** 3, lambda q: np.diag(12 * q ** 2))
-        assert model._constant_W is spline_potential._constant_W
+        assert model._W_inv is not None and model._W_inv is spline_potential._W_inv
 
     def test_jet_dependent_and_fd_models_store_none(self, stacked_models):
         models = dict(stacked_models)
         for name in ("lifted-two-link", "fd-value-only", "from-sympy"):
-            assert models[name]._constant_W is None, name
+            assert models[name]._W_inv is None, name
 
 
 class TestLegendre:
