@@ -178,15 +178,15 @@ class _SplineExact(DiscreteLagrangian):
 
     def value(self, s: PairState) -> float:
         h = s.h
-        d = s.left.q - s.right.q
-        v0, v1 = s.left.deriv(1), s.right.deriv(1)
+        q0, v0, q1, v1 = pack(s).reshape(4, s.n)
+        d = q0 - q1
         return float(np.sum(6.0 / h**3 * d * d + 6.0 / h**2 * d * (v0 + v1)
                             + 2.0 / h * (v0 * v0 + v0 * v1 + v1 * v1)))
 
     def partials(self, s: PairState):
         h = s.h
-        d = s.left.q - s.right.q
-        v0, v1 = s.left.deriv(1), s.right.deriv(1)
+        q0, v0, q1, v1 = pack(s).reshape(4, s.n)
+        d = q0 - q1
         sv = v0 + v1
         D1 = 12.0 / h**3 * d + 6.0 / h**2 * sv
         D2 = 6.0 / h**2 * d + 2.0 / h * (2.0 * v0 + v1)

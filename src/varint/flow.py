@@ -19,7 +19,7 @@ import scipy.sparse.linalg as spla
 from .bvp import _hermite_coeffs, integrate_el
 from .discretization import DiscreteLagrangian
 from .errors import NoConvergence, SingularKKT
-from .jets import DiscretePath, Grid, JetPoint, PairState
+from .jets import DiscretePath, Grid, JetPoint, PairState, unpack
 from .lagrangian import LagrangianModel
 from .momentum import fminus_inverse, fplus
 
@@ -174,18 +174,24 @@ def _newton_path(Ld, x0, xN, grid, interior, tol, max_iter):
     an Armijo search on the action along the Newton direction, Levenberg-
     regularized when the plain direction is not a descent direction.  A
     failed search ends the solve, accepted only at the loose floor.  Every
-    point's pair states are built once and serve all its sweeps, and a trial
-    point's residual is evaluated only once its action has passed.  Returns
-    the interior states, the residual (one row per interior node) and the
-    action there, and the iteration count.
+    point's pair states are built once, as the rows of one packed array, and
+    serve all its sweeps, and a trial point's residual is evaluated only once
+    its action has passed.  Returns the interior states, the residual (one
+    row per interior node) and the action there, and the iteration count.
     """
     n = x0.dim
     N = grid.N
     h = grid.h
     eps = np.finfo(float).eps
 
+    first, last = (np.concatenate([x.q, x.deriv(1)]) for x in (x0, xN))
+
     def pairs_of(U):
-        return _pairs([x0] + [_state(u[:n], u[n:]) for u in U] + [xN], h)
+        # row i of X is the packed pair (node i, node i + 1)
+        nodes = np.vstack([first, U, last])
+        X = np.hstack([nodes[:-1], nodes[1:]])
+        X.setflags(write=False)
+        return [unpack(x, 2, n, h) for x in X]
 
     U = interior.copy()
     P = pairs_of(U)

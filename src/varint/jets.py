@@ -1,12 +1,14 @@
 """State containers: jet points, state pairs, time grids, and discrete paths.
 
 All types are immutable after construction (arrays are marked read-only), so
-instances can be shared freely between concurrent workers.  Solvers operate on
-flat vectors produced by :func:`pack` and go back via :func:`unpack`.
+instances can be shared freely between concurrent workers.  Pair states are
+packed-first: each holds the flat vector that :func:`pack` returns, which the
+solvers work on, and :func:`unpack` wraps such a vector without building jets.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,34 +71,47 @@ class JetPoint:
         return f"JetPoint({parts})"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class PairState:
     """Two jet points of equal order plus the step ``h`` separating them.
 
     With jets of order k-1 this is the discrete state of a k-th order scheme;
-    for k = 2 it carries (q0, v0, q1, v1).
+    for k = 2 it carries (q0, v0, q1, v1).  The state is stored packed, as
+    the read-only vector :func:`pack` returns; ``left`` and ``right`` are
+    built from it on first access.  :func:`unpack` is the cheap constructor.
     """
 
-    left: JetPoint
-    right: JetPoint
+    _packed: np.ndarray
+    k: int
     h: float
 
-    def __post_init__(self):
-        if self.left.order != self.right.order:
+    def __init__(self, left: JetPoint, right: JetPoint, h: float):
+        if left.order != right.order:
             raise ValueError("left and right jets must have equal order")
-        if self.left.dim != self.right.dim:
+        if left.dim != right.dim:
             raise ValueError("left and right jets must have equal dimension")
+        x = np.concatenate([left.q, *left.derivs, right.q, *right.derivs])
+        x.setflags(write=False)
+        self.__dict__.update(_packed=x, k=left.order + 1, h=h, left=left, right=right)
+        self.__post_init__()
+
+    def __post_init__(self):
+        # both constructors end here, so it runs once per pair state built
         if not self.h > 0.0:
             raise ValueError(f"h must be positive, got {self.h}")
         object.__setattr__(self, "h", float(self.h))
 
     @property
     def n(self) -> int:
-        return self.left.dim
+        return self._packed.size // (2 * self.k)
 
-    @property
-    def k(self) -> int:
-        return self.left.order + 1
+    @functools.cached_property
+    def left(self) -> JetPoint:
+        return JetPoint.from_array(self._packed[:self._packed.size // 2], self.k - 1, self.n)
+
+    @functools.cached_property
+    def right(self) -> JetPoint:
+        return JetPoint.from_array(self._packed[self._packed.size // 2:], self.k - 1, self.n)
 
 
 @dataclass(frozen=True)
@@ -175,25 +190,25 @@ def uniform_grid(t0: float, T: float, N: int) -> Grid:
 
 
 def pack(state: PairState) -> np.ndarray:
-    """Flatten a pair state to a 2kn vector: (left.q, left.derivs..., right...).
-
-    The vector is computed once per state and is read-only.
-    """
-    x = state.__dict__.get("_packed")
-    if x is None:
-        left, right = state.left, state.right
-        x = np.concatenate([left.q, *left.derivs, right.q, *right.derivs])
-        x.setflags(write=False)
-        object.__setattr__(state, "_packed", x)
-    return x
+    """The pair state as its read-only 2kn vector (left.q, left.derivs...,
+    right...); the same array on every call."""
+    return state._packed
 
 
 def unpack(v, k: int, n: int, h: float = 1.0) -> PairState:
     """Inverse of :func:`pack`.  The step is not part of the flat vector and
-    defaults to 1; pass the original ``h`` to get a strict inverse."""
-    v = np.asarray(v, dtype=float)
-    if v.size != 2 * k * n:
-        raise ValueError(f"expected length {2 * k * n}, got {v.size}")
-    left = JetPoint.from_array(v[: k * n], k - 1, n)
-    right = JetPoint.from_array(v[k * n:], k - 1, n)
-    return PairState(left, right, h)
+    defaults to 1; pass the original ``h`` to get a strict inverse.
+
+    The state keeps a read-only copy of ``v``, or ``v`` itself when it is
+    already a read-only float vector, whose memory must then stay unchanged.
+    """
+    x = np.asarray(v, dtype=float)
+    if x.size != 2 * k * n:
+        raise ValueError(f"expected length {2 * k * n}, got {x.size}")
+    if x.flags.writeable or x.ndim != 1:
+        x = x.flatten()
+        x.setflags(write=False)
+    s = object.__new__(PairState)
+    s.__dict__.update(_packed=x, k=k, h=h)
+    s.__post_init__()
+    return s

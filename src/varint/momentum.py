@@ -14,7 +14,7 @@ import numpy as np
 from .bvp import _rk4, _shoot, integrate_el, shooting_bvp
 from .discretization import DiscreteLagrangian
 from .errors import SingularWd
-from .jets import JetPoint, PairState
+from .jets import JetPoint, PairState, unpack
 from .lagrangian import LagrangianModel, MomentaState, _central_diff, legendre
 from .newton import newton_one
 
@@ -58,7 +58,7 @@ def fminus_inverse(Ld: DiscreteLagrangian, m: MomentaState, h: float,
     from the straight-line one (q + h v, v).
     """
     n = m.n
-    left = JetPoint(m.q, (m.v,))
+    left = np.concatenate([m.q, m.v])
     target = np.concatenate([m.p, m.pt])
     if guess is None:
         z0 = np.concatenate([m.q + h * m.v, m.v])
@@ -66,7 +66,7 @@ def fminus_inverse(Ld: DiscreteLagrangian, m: MomentaState, h: float,
         z0 = np.concatenate([guess.q, guess.deriv(1)])
 
     def pair(z):
-        return PairState(left, JetPoint(z[:n], (z[n:],)), h)
+        return unpack(np.concatenate([left, z]), 2, n, h)
 
     def residual(z):
         D1, D2, _, _ = Ld.partials(pair(z))
@@ -87,12 +87,12 @@ def fplus_inverse(Ld: DiscreteLagrangian, m: MomentaState, h: float) -> PairStat
     (q - h v, v).
     """
     n = m.n
-    right = JetPoint(m.q, (m.v,))
+    right = np.concatenate([m.q, m.v])
     target = np.concatenate([m.p, m.pt])
     z0 = np.concatenate([m.q - h * m.v, m.v])
 
     def pair(z):
-        return PairState(JetPoint(z[:n], (z[n:],)), right, h)
+        return unpack(np.concatenate([z, right]), 2, n, h)
 
     def residual(z):
         _, _, D3, D4 = Ld.partials(pair(z))

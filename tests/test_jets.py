@@ -105,3 +105,58 @@ class TestPackOnce:
         with pytest.raises(ValueError):
             x[0] = 0.0
         assert pack(s) is x
+
+
+class TestPackedPairState:
+    def test_unpack_copies_a_writable_vector(self):
+        v = np.array([1.0, 2.0, 3.0, 4.0])
+        s = unpack(v, 2, 1, 0.5)
+        v[:] = 99.0
+        assert np.array_equal(pack(s), [1.0, 2.0, 3.0, 4.0])
+        assert s.left.q[0] == 1.0 and s.right.deriv(1)[0] == 4.0
+
+    def test_unpack_keeps_a_read_only_row(self):
+        X = np.arange(8.0).reshape(2, 4)
+        X.setflags(write=False)
+        row = X[1]
+        assert pack(unpack(row, 2, 1, 0.5)) is row
+
+    @pytest.mark.parametrize("make", [
+        lambda: unpack([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0], 2, 2, 0.5),
+        lambda: PairState(JetPoint([1.0, 2.0], [[3.0, 4.0]]),
+                          JetPoint([5.0, 6.0], [[7.0, 8.0]]), 0.5)])
+    def test_pack_is_one_read_only_array(self, make):
+        s = make()
+        x = pack(s)
+        assert not x.flags.writeable
+        assert pack(s) is x
+        assert np.array_equal(x, np.arange(1.0, 9.0))
+
+    @given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 10**6))
+    @settings(max_examples=25, deadline=None)
+    def test_lazy_jets_are_the_packed_blocks(self, k, n, seed):
+        v = np.random.default_rng(seed).normal(size=2 * k * n)
+        s = unpack(v, k, n, 0.25)
+        blocks = v.reshape(2 * k, n)
+        for j in range(k):
+            assert np.array_equal(s.left.deriv(j), blocks[j])
+            assert np.array_equal(s.right.deriv(j), blocks[k + j])
+        assert s.left.order == s.right.order == k - 1
+        assert s.left is s.left and s.right is s.right
+
+    def test_jet_constructor_validates(self):
+        a = JetPoint([0.0], [[1.0]])
+        with pytest.raises(ValueError, match="equal order"):
+            PairState(a, JetPoint([0.0], [[1.0], [2.0]]), 0.1)
+        with pytest.raises(ValueError, match="equal dimension"):
+            PairState(a, JetPoint([0.0, 1.0], [[1.0, 2.0]]), 0.1)
+        for h in (0.0, -1.0):
+            with pytest.raises(ValueError, match="h must be positive"):
+                PairState(a, a, h)
+
+    def test_unpack_validates(self):
+        with pytest.raises(ValueError, match="expected length 8"):
+            unpack(np.zeros(6), 2, 2)
+        for h in (0.0, -0.5):
+            with pytest.raises(ValueError, match="h must be positive"):
+                unpack(np.zeros(4), 2, 1, h)
