@@ -91,12 +91,11 @@ class PairState:
         if left.dim != right.dim:
             raise ValueError("left and right jets must have equal dimension")
         x = np.concatenate([left.q, *left.derivs, right.q, *right.derivs])
-        x.setflags(write=False)
-        self.__dict__.update(_packed=x, k=left.order + 1, h=h, left=left, right=right)
-        self.__post_init__()
+        _fill(self, x, left.order + 1, h)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
     def __post_init__(self):
-        # both constructors end here, so it runs once per pair state built
         if not self.h > 0.0:
             raise ValueError(f"h must be positive, got {self.h}")
         object.__setattr__(self, "h", float(self.h))
@@ -107,11 +106,21 @@ class PairState:
 
     @functools.cached_property
     def left(self) -> JetPoint:
-        return JetPoint.from_array(self._packed[:self._packed.size // 2], self.k - 1, self.n)
+        return JetPoint.from_array(self._packed[:self.k * self.n], self.k - 1, self.n)
 
     @functools.cached_property
     def right(self) -> JetPoint:
-        return JetPoint.from_array(self._packed[self._packed.size // 2:], self.k - 1, self.n)
+        return JetPoint.from_array(self._packed[self.k * self.n:], self.k - 1, self.n)
+
+
+def _fill(s: PairState, x: np.ndarray, k: int, h: float) -> PairState:
+    """Both pair-state constructors end here, and so in ``__post_init__``."""
+    x.setflags(write=False)
+    object.__setattr__(s, "_packed", x)
+    object.__setattr__(s, "k", k)
+    object.__setattr__(s, "h", h)
+    s.__post_init__()
+    return s
 
 
 @dataclass(frozen=True)
@@ -207,8 +216,4 @@ def unpack(v, k: int, n: int, h: float = 1.0) -> PairState:
         raise ValueError(f"expected length {2 * k * n}, got {x.size}")
     if x.flags.writeable or x.ndim != 1:
         x = x.flatten()
-        x.setflags(write=False)
-    s = object.__new__(PairState)
-    s.__dict__.update(_packed=x, k=k, h=h)
-    s.__post_init__()
-    return s
+    return _fill(object.__new__(PairState), x, k, h)
