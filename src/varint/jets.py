@@ -114,7 +114,7 @@ class PairState:
 
 
 def _fill(s: PairState, x: np.ndarray, k: int, h: float) -> PairState:
-    """Both pair-state constructors end here, and so in ``__post_init__``."""
+    """Set a pair state's fields; both constructors end here, in ``__post_init__``."""
     x.setflags(write=False)
     object.__setattr__(s, "_packed", x)
     object.__setattr__(s, "k", k)
