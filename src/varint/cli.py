@@ -153,8 +153,7 @@ def _lagrangian_of(cfg: ScenarioConfig):
 def _path_outputs(path):
     n = path.n
     header = ["t"] + [f"q{i}" for i in range(n)] + [f"v{i}" for i in range(n)]
-    return header, np.column_stack([path.grid.times, path.positions(),
-                                    path.velocities()])
+    return header, np.column_stack([path.grid.times, path.nodes])
 
 
 def _summary(cfg, path, cost=None, timings=None, newton_iterations=None):
@@ -275,11 +274,14 @@ def _ocp_problem_of(cfg: ScenarioConfig):
         pcfg = cfg.raw.get("penalty")
         if pcfg:
             _check_keys(pcfg, {"slope", "lo_deg", "hi_deg", "width"}, "penalty")
-            penalty = JointLimitPenalty(
-                n=2, slope=_number(pcfg.get("slope", 1000.0), "penalty.slope"),
-                lo=math.radians(_number(pcfg.get("lo_deg", 0.0), "penalty.lo_deg")),
-                hi=math.radians(_number(pcfg.get("hi_deg", 170.0), "penalty.hi_deg")),
-                width=_number(pcfg.get("width", 1e-6), "penalty.width"))
+            try:
+                penalty = JointLimitPenalty(
+                    n=2, slope=_number(pcfg.get("slope", 1000.0), "penalty.slope"),
+                    lo=math.radians(_number(pcfg.get("lo_deg", 0.0), "penalty.lo_deg")),
+                    hi=math.radians(_number(pcfg.get("hi_deg", 170.0), "penalty.hi_deg")),
+                    width=_number(pcfg.get("width", 1e-6), "penalty.width"))
+            except ValueError as exc:
+                raise ConfigError(str(exc))
         forces = lambda jet: two_link_forces(params, jet)
         labels = ["t", "theta1", "theta2", "dtheta1", "dtheta2", "u1", "u2"]
         n = 2

@@ -91,6 +91,10 @@ class JointLimitPenalty:
     slope: float = 1000.0
     width: float = 1e-6
 
+    def __post_init__(self):
+        if not (self.slope > 0 and self.width > 0 and self.lo < self.hi):
+            raise ValueError("penalty needs slope > 0, width > 0 and lo < hi")
+
     def exact(self, theta: float) -> float:
         return joint_limit_penalty(theta, self.lo, self.hi, self.slope)
 
@@ -201,8 +205,7 @@ def _width_ladder(width: float):
     return ladder
 
 
-def solve_ocp(P: OCProblem, scheme: str = "taylor-midpoint",
-              max_iter: int = 200) -> OCPResult:
+def solve_ocp(P: OCProblem, scheme: str = "taylor-midpoint") -> OCPResult:
     """Solve the discrete boundary-value optimality system over the path.
 
     All interior states are unknowns of one damped Newton iteration with a
@@ -211,7 +214,7 @@ def solve_ocp(P: OCProblem, scheme: str = "taylor-midpoint",
     barrier down to its target kink width, warm-starting every stage, so the
     iterates never have to cross the stiff barrier blindly.  Returns the path
     together with the discrete action value.  The path tolerance is 1e-10
-    (1e-6 for the intermediate penalty stages).
+    (1e-6 for the intermediate penalty stages), within 200 Newton iterations.
     """
     grid = uniform_grid(0.0, P.T, P.N)
     x0 = JetPoint(P.qa, (P.va,))
@@ -220,7 +223,7 @@ def solve_ocp(P: OCProblem, scheme: str = "taylor-midpoint",
     if P.penalty is None:
         lifted = lift_cost(P)
         Ld = make_scheme(scheme, lifted)
-        path = solve_boundary_path(Ld, x0, xN, grid, tol=1e-10, max_iter=max_iter)
+        path = solve_boundary_path(Ld, x0, xN, grid, tol=1e-10, max_iter=200)
         stages = [path.diagnostics["newton_iterations"]]
     else:
         base = lift_cost(dataclasses.replace(P, penalty=None))
@@ -233,10 +236,9 @@ def solve_ocp(P: OCProblem, scheme: str = "taylor-midpoint",
             Ld = make_scheme(scheme, lifted)
             stage_tol = 1e-10 if i == len(widths) - 1 else 1e-6
             path = solve_boundary_path(Ld, x0, xN, grid, guess=guess,
-                                       tol=stage_tol, max_iter=max_iter)
+                                       tol=stage_tol, max_iter=200)
             stages.append(path.diagnostics["newton_iterations"])
-            guess = np.column_stack([path.positions()[1:-1],
-                                     path.velocities()[1:-1]])
+            guess = path.nodes[1:-1]
 
     return OCPResult(path, path.diagnostics["action"], lifted, Ld, stages)
 

@@ -2,10 +2,11 @@
 
 ``step`` advances one node through the momentum maps, (F-)^{-1} o F+, so its
 solve is the minus-map inversion of :mod:`varint.momentum`; ``run`` iterates
-it along a grid.  ``solve_boundary_path`` solves the whole-path two-point
-problem (both endpoint states pinned) with a damped Newton on the stacked
-residual and a sparse block-tridiagonal Jacobian, which stays well-behaved
-where the step recursion would amplify errors exponentially.
+it along a grid, filling the path's (N+1, 2n) node array row by row.
+``solve_boundary_path`` solves the whole-path two-point problem (both endpoint
+states pinned) with a damped Newton on the stacked residual and a sparse
+block-tridiagonal Jacobian, which stays well-behaved where the step recursion
+would amplify errors exponentially.
 """
 
 from __future__ import annotations
@@ -19,13 +20,9 @@ import scipy.sparse.linalg as spla
 from .bvp import _hermite_coeffs, integrate_el
 from .discretization import DiscreteLagrangian
 from .errors import NoConvergence, SingularKKT
-from .jets import DiscretePath, Grid, JetPoint, PairState, unpack
+from .jets import DiscretePath, Grid, JetPoint, pack, unpack
 from .lagrangian import LagrangianModel
-from .momentum import fminus_inverse, fplus
-
-
-def _state(q, v) -> JetPoint:
-    return JetPoint(q, (v,))
+from .momentum import _minus_inverse
 
 
 def del_residual(Ld: DiscreteLagrangian, prev: JetPoint, cur: JetPoint,
@@ -35,7 +32,8 @@ def del_residual(Ld: DiscreteLagrangian, prev: JetPoint, cur: JetPoint,
     Zero iff (D3 + D1, D4 + D2) vanish across the two adjacent pairs, which
     is the condition for the summed action to be stationary at ``cur``.
     """
-    return _path_residual(Ld, _pairs([prev, cur, nxt], h))[0]
+    nodes = np.array([x.as_array() for x in (prev, cur, nxt)])
+    return _path_residual(Ld, _pairs_of(nodes, h))[0]
 
 
 def step(Ld: DiscreteLagrangian, prev: JetPoint, cur: JetPoint, h: float) -> JetPoint:
@@ -46,9 +44,16 @@ def step(Ld: DiscreteLagrangian, prev: JetPoint, cur: JetPoint, h: float) -> Jet
     of (prev, cur).  Solvability is the regularity of the cross-derivative
     block matrix of the forward pair.
     """
-    guess = _state(2.0 * cur.q - prev.q, 2.0 * cur.deriv(1) - prev.deriv(1))
-    return fminus_inverse(Ld, fplus(Ld, PairState(prev, cur, h)), h,
-                          guess=guess).right
+    return JetPoint.from_array(_next_node(Ld, prev.as_array(), cur.as_array(), h),
+                               1, cur.dim)
+
+
+def _next_node(Ld, prev, cur, h):
+    """:func:`step` on the nodes' (q, v) rows."""
+    n = cur.size // 2
+    _, _, D3, D4 = Ld.partials(unpack(np.concatenate([prev, cur]), 2, n, h))
+    s = _minus_inverse(Ld, cur, np.concatenate([D3, D4]), h, 2.0 * cur - prev)
+    return pack(s)[2 * n:]
 
 
 def phi_values(path: DiscretePath) -> np.ndarray:
@@ -57,10 +62,8 @@ def phi_values(path: DiscretePath) -> np.ndarray:
     Both cubic-spline schemes conserve this quantity exactly; it is recorded
     for every path as a structure diagnostic.
     """
-    h = path.grid.h
-    q = path.positions()
-    v = path.velocities()
-    return (q[1:] - q[:-1]) / h - 0.5 * (v[:-1] + v[1:])
+    q, v = path.positions(), path.velocities()
+    return (q[1:] - q[:-1]) / path.grid.h - 0.5 * (v[:-1] + v[1:])
 
 
 def run(Ld: DiscreteLagrangian, x0: JetPoint, x1: JetPoint,
@@ -72,14 +75,15 @@ def run(Ld: DiscreteLagrangian, x0: JetPoint, x1: JetPoint,
     conserved-quantity samples.
     """
     h = grid.h
-    states = [x0, x1]
+    X = np.empty((grid.N + 1, 2 * x0.dim))
+    X[0], X[1] = x0.as_array(), x1.as_array()
     for k in range(1, grid.N):
         try:
-            states.append(step(Ld, states[k - 1], states[k], h))
+            X[k + 1] = _next_node(Ld, X[k - 1], X[k], h)
         except NoConvergence as exc:
             exc.step_index = k
             raise
-    return _with_diagnostics(grid, states, _path_residual(Ld, _pairs(states, h)))
+    return _with_diagnostics(grid, X, _path_residual(Ld, _pairs_of(X, h)))
 
 
 def initial_pair(L: LagrangianModel, jet3: JetPoint, h: float):
@@ -89,9 +93,7 @@ def initial_pair(L: LagrangianModel, jet3: JetPoint, h: float):
     the trajectory the scheme approximates.
     """
     out = integrate_el(L, jet3, h, 16)
-    x0 = _state(jet3.q, jet3.deriv(1))
-    x1 = _state(out.q, out.deriv(1))
-    return x0, x1
+    return JetPoint(jet3.q, (jet3.deriv(1),)), JetPoint(out.q, (out.deriv(1),))
 
 
 def _hermite_path(x0: JetPoint, xN: JetPoint, grid: Grid) -> np.ndarray:
@@ -107,14 +109,19 @@ def _hermite_path(x0: JetPoint, xN: JetPoint, grid: Grid) -> np.ndarray:
     return out
 
 
-def _pairs(states, h):
-    """The pair states of consecutive nodes."""
-    return [PairState(a, b, h) for a, b in zip(states[:-1], states[1:])]
+def _pairs_of(nodes, h):
+    """The pair states of consecutive rows of the (N+1, 2n) ``nodes``, one
+    at a time; pair i is row i of one read-only packed array."""
+    n = nodes.shape[1] // 2
+    X = np.hstack([nodes[:-1], nodes[1:]])
+    X.setflags(write=False)
+    for x in X:
+        yield unpack(x, 2, n, h)
 
 
 def _path_residual(Ld, pairs):
     D = np.array([np.concatenate(Ld.partials(p)) for p in pairs])
-    m = 2 * pairs[0].n
+    m = D.shape[1] // 2
     return D[:-1, m:] + D[1:, :m]
 
 
@@ -176,7 +183,7 @@ def _newton_path(Ld, x0, xN, grid, interior, tol, max_iter):
     failed search ends the solve, accepted only at the loose floor.  Every
     point's pair states are built once, as the rows of one packed array, and
     serve all its sweeps, and a trial point's residual is evaluated only once
-    its action has passed.  Returns the interior states, the residual (one
+    its action has passed.  Returns the (N+1, 2n) nodes, the residual (one
     row per interior node) and the action there, and the iteration count.
     """
     n = x0.dim
@@ -184,17 +191,14 @@ def _newton_path(Ld, x0, xN, grid, interior, tol, max_iter):
     h = grid.h
     eps = np.finfo(float).eps
 
-    first, last = (np.concatenate([x.q, x.deriv(1)]) for x in (x0, xN))
+    def moved(X, d):
+        # the nodes X with their interior rows moved by the flat step d
+        Xt = X.copy()
+        Xt[1:-1] += d.reshape(N - 1, 2 * n)
+        return Xt, list(_pairs_of(Xt, h))
 
-    def pairs_of(U):
-        # row i of X is the packed pair (node i, node i + 1)
-        nodes = np.vstack([first, U, last])
-        X = np.hstack([nodes[:-1], nodes[1:]])
-        X.setflags(write=False)
-        return [unpack(x, 2, n, h) for x in X]
-
-    U = interior.copy()
-    P = pairs_of(U)
+    X = np.vstack([x0.as_array(), interior, xN.as_array()])
+    P = list(_pairs_of(X, h))
     scale0 = _path_scale(Ld, P)
     tight = max(tol, 2.0 * eps * scale0)
     loose = max(tol, 64.0 * eps * scale0)
@@ -205,7 +209,7 @@ def _newton_path(Ld, x0, xN, grid, interior, tol, max_iter):
     eye = sps.identity((N - 1) * 2 * n, format="csr")
     for it in range(max_iter):
         if rnorm <= tight:
-            return U, R.reshape(N - 1, 2 * n), A, it
+            return X, R.reshape(N - 1, 2 * n), A, it
         J = _path_jacobian(Ld, P)
         trial = None
         # fast path: an undamped step that halves the residual is always taken,
@@ -215,8 +219,7 @@ def _newton_path(Ld, x0, xN, grid, interior, tol, max_iter):
         except RuntimeError:
             newton = None
         if newton is not None and np.all(np.isfinite(newton)):
-            Ut = U + newton.reshape(N - 1, 2 * n)
-            Pt = pairs_of(Ut)
+            Xt, Pt = moved(X, newton)
             At = _path_action(Ld, Pt)
             Rt = None
             # the action must not climb and the residual must halve, so the
@@ -225,12 +228,12 @@ def _newton_path(Ld, x0, xN, grid, interior, tol, max_iter):
             if At <= A + 1e-10 * (1.0 + abs(A)):
                 Rt = _path_residual(Ld, Pt).reshape(-1)
                 if np.linalg.norm(Rt) <= 0.5 * np.linalg.norm(R):
-                    U, P, R, A = Ut, Pt, Rt, At
+                    X, P, R, A = Xt, Pt, Rt, At
                     rnorm = np.max(np.abs(R))
                     lam = lam / 4.0
                     continue
             # the line search's first point when its direction is this step
-            trial = Ut, Pt, At, Rt
+            trial = Xt, Pt, At, Rt
         delta, lam_try = None, lam
         for _ in range(60):
             M = J + lam_try * eye if lam_try > 0.0 else J
@@ -250,16 +253,15 @@ def _newton_path(Ld, x0, xN, grid, interior, tol, max_iter):
             trial = None
         for _ in range(50):
             if trial is not None:
-                Ut, Pt, At, Rt = trial
+                Xt, Pt, At, Rt = trial
                 trial = None
             else:
-                Ut = U + alpha * delta.reshape(N - 1, 2 * n)
-                Pt = pairs_of(Ut)
+                Xt, Pt = moved(X, alpha * delta)
                 At, Rt = _path_action(Ld, Pt), None
             if At <= A + 1e-4 * alpha * slope:
                 if Rt is None:
                     Rt = _path_residual(Ld, Pt).reshape(-1)
-                U, P, R, A = Ut, Pt, Rt, At
+                X, P, R, A = Xt, Pt, Rt, At
                 rnorm = np.max(np.abs(R))
                 break
             alpha *= 0.5
@@ -268,25 +270,21 @@ def _newton_path(Ld, x0, xN, grid, interior, tol, max_iter):
             # particular), so refresh the floor before giving up
             loose = max(loose, 64.0 * eps * _path_scale(Ld, P))
             if rnorm <= loose:
-                return U, R.reshape(N - 1, 2 * n), A, it
+                return X, R.reshape(N - 1, 2 * n), A, it
             raise NoConvergence("path Newton stalled", iterations=it,
                                 residual_norm=rnorm)
         lam = lam_try / 3.0 if alpha >= 0.5 else min(max(lam_try, 1e-6) * 2.0, 1e8)
     loose = max(loose, 64.0 * eps * _path_scale(Ld, P))
     if rnorm <= loose:
-        return U, R.reshape(N - 1, 2 * n), A, max_iter
+        return X, R.reshape(N - 1, 2 * n), A, max_iter
     raise NoConvergence("path Newton did not reach tolerance",
                         iterations=max_iter, residual_norm=rnorm)
 
 
-def _refine_interior(U, x0, xN, coarse_grid, fine_grid):
-    n = x0.dim
-    told = coarse_grid.times
+def _refine_interior(nodes, coarse_grid, fine_grid):
+    """Fine-grid interior nodes, interpolated linearly from the coarse nodes."""
     tnew = fine_grid.times[1:-1]
-    full = np.vstack([np.concatenate([x0.q, x0.deriv(1)]), U,
-                      np.concatenate([xN.q, xN.deriv(1)])])
-    return np.column_stack([np.interp(tnew, told, full[:, j])
-                            for j in range(2 * n)])
+    return np.column_stack([np.interp(tnew, coarse_grid.times, c) for c in nodes.T])
 
 
 def _continuation_levels(N):
@@ -315,28 +313,26 @@ def solve_boundary_path(Ld: DiscreteLagrangian, x0: JetPoint, xN: JetPoint,
         raise ValueError("boundary solve needs at least N = 2 steps")
     iterations = []
     if guess is not None:
-        U, R, A, it = _newton_path(Ld, x0, xN, grid, np.asarray(guess, dtype=float),
+        X, R, A, it = _newton_path(Ld, x0, xN, grid, np.asarray(guess, dtype=float),
                                    tol, max_iter)
         iterations.append(it)
     else:
-        U, prev = None, None
+        X, prev = None, None
         for Nc in _continuation_levels(N):
             g = grid if Nc == N else Grid(grid.t0, grid.h * N / Nc, Nc)
-            start = (_hermite_path(x0, xN, g) if U is None
-                     else _refine_interior(U, x0, xN, prev, g))
-            U, R, A, it = _newton_path(Ld, x0, xN, g, start, tol, max_iter)
+            start = (_hermite_path(x0, xN, g) if X is None
+                     else _refine_interior(X, prev, g))
+            X, R, A, it = _newton_path(Ld, x0, xN, g, start, tol, max_iter)
             iterations.append(it)
             prev = g
-
-    states = [x0] + [_state(u[:x0.dim], u[x0.dim:]) for u in U] + [xN]
-    return _with_diagnostics(grid, states, R, newton_iterations=iterations,
-                             action=A)
+    return _with_diagnostics(grid, X, R, newton_iterations=iterations, action=A)
 
 
-def _with_diagnostics(grid, states, residual, **extra):
-    """The path with its per-node DEL residual norms (from the (N - 1, 2n)
-    ``residual``), phi samples and ``extra`` diagnostics."""
-    path = DiscretePath(grid, tuple(states))
-    per_node = np.max(np.abs(residual), axis=1)
-    diags = {"del_residual": per_node, "phi": phi_values(path), **extra}
-    return DiscretePath(grid, tuple(states), diags)
+def _with_diagnostics(grid, nodes, residual, **extra):
+    """The path that takes over ``nodes``, with per-node DEL residual norms
+    (of the (N - 1, 2n) ``residual``), phi samples and ``extra`` diagnostics."""
+    nodes.setflags(write=False)
+    path = DiscretePath(grid, nodes)
+    path.diagnostics.update(del_residual=np.max(np.abs(residual), axis=1),
+                            phi=phi_values(path), **extra)
+    return path

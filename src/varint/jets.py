@@ -151,42 +151,41 @@ class Grid:
     def times(self) -> np.ndarray:
         return self.t0 + self.h * np.arange(self.N + 1)
 
-    @property
-    def t_end(self) -> float:
-        return self.node(self.N)
-
 
 @dataclass(frozen=True, eq=False)
 class DiscretePath:
-    """A grid plus N+1 jet points and per-step diagnostic arrays."""
+    """A grid, the (N+1, 2n) array of its nodes (q, v) and per-step
+    diagnostic arrays.  A writable ``nodes`` array is copied; a read-only
+    float array is kept as it is, and its memory must stay unchanged."""
 
     grid: Grid
-    states: tuple
+    nodes: np.ndarray
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        states = tuple(self.states)
-        if len(states) != self.grid.N + 1:
-            raise ValueError(f"expected {self.grid.N + 1} states, got {len(states)}")
-        order, dim = states[0].order, states[0].dim
-        for s in states:
-            if s.order != order or s.dim != dim:
-                raise ValueError("all states must share order and dimension")
-        object.__setattr__(self, "states", states)
+        X = np.asarray(self.nodes, dtype=float)
+        if X.ndim != 2 or X.shape[0] != self.grid.N + 1 or X.shape[1] % 2 or not X.size:
+            raise ValueError(f"nodes must have shape ({self.grid.N + 1}, 2n), "
+                             f"got {X.shape}")
+        if X.flags.writeable:
+            X = X.copy()
+            X.setflags(write=False)
+        object.__setattr__(self, "nodes", X)
 
     @property
     def n(self) -> int:
-        return self.states[0].dim
+        return self.nodes.shape[1] // 2
 
-    def deriv_array(self, j: int) -> np.ndarray:
-        """(N+1, n) array of the j-th derivative along the path."""
-        return np.array([s.deriv(j) for s in self.states])
+    @functools.cached_property
+    def states(self) -> tuple:
+        """The nodes as order-1 jet points, built on first access."""
+        return tuple(JetPoint.from_array(x, 1, self.n) for x in self.nodes)
 
     def positions(self) -> np.ndarray:
-        return self.deriv_array(0)
+        return self.nodes[:, :self.n]
 
     def velocities(self) -> np.ndarray:
-        return self.deriv_array(1)
+        return self.nodes[:, self.n:]
 
 
 def uniform_grid(t0: float, T: float, N: int) -> Grid:

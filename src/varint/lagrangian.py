@@ -623,11 +623,7 @@ def controlled_forces(M: MechanicalModel, jet: JetPoint) -> np.ndarray:
 
 def spline_lagrangian(n: int = 1) -> LagrangianModel:
     """L = 1/2 |qddot|^2, whose trajectories are componentwise cubics."""
-    q = sp.symbols(f"q0:{n}", real=True)
-    dq = sp.symbols(f"dq0:{n}", real=True)
-    ddq = sp.symbols(f"ddq0:{n}", real=True)
-    expr = sum(a**2 for a in ddq) / 2
-    return LagrangianModel.from_sympy(n, expr, q, dq, ddq, poly_degree=2, name="spline")
+    return named_lagrangian("spline", n)
 
 
 def named_lagrangian(name: str, n: int = 1) -> LagrangianModel:

@@ -57,13 +57,15 @@ def fminus_inverse(Ld: DiscreteLagrangian, m: MomentaState, h: float,
     Newton (at most 50 steps) starts from ``guess`` for the right point, or
     from the straight-line one (q + h v, v).
     """
-    n = m.n
-    left = np.concatenate([m.q, m.v])
-    target = np.concatenate([m.p, m.pt])
-    if guess is None:
-        z0 = np.concatenate([m.q + h * m.v, m.v])
-    else:
-        z0 = np.concatenate([guess.q, guess.deriv(1)])
+    z0 = (m.q + h * m.v, m.v) if guess is None else (guess.q, guess.deriv(1))
+    return _minus_inverse(Ld, np.concatenate([m.q, m.v]),
+                          np.concatenate([m.p, m.pt]), h, np.concatenate(z0))
+
+
+def _minus_inverse(Ld, left, target, h, z0):
+    """Pair state with left node ``left`` (q, v) whose minus map (-D1, -D2)
+    equals ``target``; Newton on the right node, started from ``z0``."""
+    n = left.size // 2
 
     def pair(z):
         return unpack(np.concatenate([left, z]), 2, n, h)

@@ -188,6 +188,32 @@ def test_config_errors_exit_2(tmp_path, capsys, command, cfg):
     assert list(out.iterdir()) == []
 
 
+PENALTY_CFG = json.loads((CONFIGS / "twolink_ocp_penalty.json").read_text())
+
+
+@pytest.mark.parametrize("field, value", [
+    ("width", 0.0), ("width", -1e-6), ("slope", 0.0), ("slope", -1000.0),
+    ("lo_deg", 170.0), ("hi_deg", -10.0),
+], ids=["width-zero", "width-negative", "slope-zero", "slope-negative",
+        "lo-equals-hi", "hi-below-lo"])
+def test_bad_penalty_exits_2_before_solving(tmp_path, capsys, monkeypatch, field, value):
+    import varint.cli
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the solve ran")
+
+    monkeypatch.setattr(varint.cli, "solve_ocp", no_solve)
+    out = tmp_path / "out"
+    out.mkdir()
+    cfg = _edit(PENALTY_CFG, ["penalty", field], value)
+    rc = main(["ocp", "--config", write_config(tmp_path, cfg), "--out", str(out)])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 2
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["type"] == "config"
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("command, cfg", [
     ("simulate", _edit(SIM_CFG, ["grid", "T"], 1e300)),

@@ -120,6 +120,14 @@ class TestPenalty:
             assert pen.value(np.array([0.0, t])) == pytest.approx(
                 pen.exact(t), abs=1e-12)
 
+    @pytest.mark.parametrize("bad", [dict(width=0.0), dict(width=-1e-6),
+                                     dict(slope=0.0), dict(slope=-1.0),
+                                     dict(width=float("nan")),
+                                     dict(lo=1.0, hi=1.0), dict(lo=1.0, hi=0.5)])
+    def test_rejects_bad_settings(self, bad):
+        with pytest.raises(ValueError):
+            JointLimitPenalty(n=2, **bad)
+
     def test_smoothed_gradient_consistent(self):
         pen = JointLimitPenalty(n=2, width=1e-3)
         for t in (-0.1, -1e-4, 5e-4, 0.3, math.radians(170.0) + 2e-4):

@@ -6,7 +6,7 @@ from varint import (JetPoint, PairState, Wd_matrix, del_residual, initial_pair,
                     taylor_average, uniform_grid)
 from varint.discretization import DiscreteLagrangian
 from varint.errors import SingularWd
-from varint.flow import (_hermite_path, _newton_path, _pairs, _path_jacobian,
+from varint.flow import (_hermite_path, _newton_path, _pairs_of, _path_jacobian,
                          _path_residual)
 from varint.order import cubic_trajectory
 
@@ -159,7 +159,7 @@ class TestRun:
         import varint.flow as flow
         from varint.errors import NoConvergence
         Ld = taylor_average(spline1)
-        orig = flow.step
+        orig = flow._next_node
         calls = {"n": 0}
 
         def flaky(*args, **kwargs):
@@ -168,11 +168,21 @@ class TestRun:
                 raise NoConvergence("forced", iterations=1, residual_norm=1.0)
             return orig(*args, **kwargs)
 
-        monkeypatch.setattr(flow, "step", flaky)
+        monkeypatch.setattr(flow, "_next_node", flaky)
         grid = uniform_grid(0.0, 1.0, 10)
         with pytest.raises(NoConvergence) as info:
             flow.run(Ld, jet1(0, 1), jet1(grid.h, 1), grid)
         assert info.value.step_index == 3
+
+    def test_nodes_equal_chained_steps(self, spline2):
+        Ld = taylor_average(spline2)
+        grid = uniform_grid(0.0, 1.0, 12)
+        states = [jet1([0.1, -0.2], [0.3, 0.5]), jet1([0.13, -0.15], [0.31, 0.52])]
+        path = run(Ld, *states, grid)
+        for _ in range(grid.N - 1):
+            states.append(step(Ld, states[-2], states[-1], grid.h))
+        assert path.nodes.tobytes() == np.array(
+            [x.as_array() for x in states]).tobytes()
 
     def test_initial_pair_seeds_on_trajectory(self, spline1):
         traj = cubic_trajectory(np.array([[0.3], [-0.7], [1.1], [0.9]]))
@@ -182,6 +192,33 @@ class TestRun:
         ref = traj(0.125)
         assert np.allclose(x1.q, ref.q, atol=1e-12)
         assert np.allclose(x1.deriv(1), ref.deriv(1), atol=1e-12)
+
+
+def _count_jets(monkeypatch):
+    """Count the JetPoints built from now on."""
+    made = {"n": 0}
+    post_init = JetPoint.__post_init__
+
+    def counted(self):
+        made["n"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(JetPoint, "__post_init__", counted)
+    return made
+
+
+@pytest.mark.parametrize("solve", ["run", "boundary"])
+def test_paths_build_no_jet_per_node(spline2, monkeypatch, solve):
+    Ld = taylor_average(spline2)
+    grid = uniform_grid(0.0, 1.0, 64)
+    x0 = JetPoint([0.0, 0.0], ([1.0, 1.0],))
+    x1 = (JetPoint([grid.h, grid.h], ([1.0, 1.0],)) if solve == "run"
+          else JetPoint([10.0, 0.0], ([10.0, 20.0],)))
+    made = _count_jets(monkeypatch)
+    path = (run(Ld, x0, x1, grid) if solve == "run"
+            else solve_boundary_path(Ld, x0, x1, grid))
+    assert made["n"] == 0
+    assert path.nodes.shape == (grid.N + 1, 4)
 
 
 class TestBoundaryPath:
@@ -230,7 +267,7 @@ class TestPathAssembly:
         Ld = taylor_average(model_from_expr(n, self.EXPR[n]))
         states = [JetPoint(rng.normal(size=n), (rng.normal(size=n),))
                   for _ in range(N + 1)]
-        pairs = _pairs(states, 0.3)
+        pairs = list(_pairs_of(np.array([x.as_array() for x in states]), 0.3))
         J = _path_jacobian(Ld, pairs)
         # every entry of the block pattern is stored, zeros included
         assert J.nnz == (3 * (N - 1) - 2) * (2 * n) ** 2
@@ -241,7 +278,7 @@ class TestPathAssembly:
         Ld = taylor_average(model_from_expr(2, self.EXPR[2]))
         states = [JetPoint(rng.normal(size=2), (rng.normal(size=2),))
                   for _ in range(6)]
-        pairs = _pairs(states, 0.3)
+        pairs = list(_pairs_of(np.array([x.as_array() for x in states]), 0.3))
         R = _path_residual(Ld, pairs)
         for k in range(1, 5):
             D1b, D2b, _, _ = Ld.partials(pairs[k])
@@ -333,7 +370,7 @@ class TestPathNewton:
         xN = JetPoint([1.0, 0.5], ([0.0, 2.0],))
         grid = uniform_grid(0.0, 1.0, 64)
         path = solve_boundary_path(Ld, x0, xN, grid)
-        pairs = _pairs(path.states, grid.h)
+        pairs = list(_pairs_of(path.nodes, grid.h))
         assert path.diagnostics["action"] == float(sum(Ld.value(p) for p in pairs))
         assert np.array_equal(path.diagnostics["del_residual"],
                               np.max(np.abs(_path_residual(Ld, pairs)), axis=1))

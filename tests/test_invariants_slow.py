@@ -69,7 +69,7 @@ def test_penalty_violation_shrinks_with_slope():
     # on top of that the stronger barrier pushes it down monotonically
     N = 100
     P0 = vi.two_link_problem(N=N, penalty=vi.JointLimitPenalty(n=2, slope=125.0))
-    res = vi.solve_ocp(P0, max_iter=300)
+    res = vi.solve_ocp(P0)
     base = vi.lift_cost(dataclasses.replace(P0, penalty=None))
     x0 = JetPoint(P0.qa, (P0.va,))
     xN = JetPoint(P0.qb, (P0.vb,))

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from varint import JetPoint, PairState, pack, uniform_grid, unpack
+from varint import DiscretePath, JetPoint, PairState, pack, uniform_grid, unpack
 
 
 class TestUniformGrid:
@@ -30,6 +30,30 @@ class TestUniformGrid:
         for i in (0, 1, 42, 97):
             assert g.node(i) == g.node(i)
             assert g.node(i) == g.times[i]
+
+
+class TestDiscretePath:
+    @pytest.mark.parametrize("shape", [(4, 2), (5, 3), (5, 0), (5,), (5, 2, 1)])
+    def test_rejects_nodes_of_another_shape(self, shape):
+        with pytest.raises(ValueError):
+            DiscretePath(uniform_grid(0.0, 1.0, 4), np.zeros(shape))
+
+    def test_views_are_read_only_blocks(self):
+        nodes = np.arange(10.0).reshape(5, 2)
+        path = DiscretePath(uniform_grid(0.0, 1.0, 4), nodes)
+        nodes[0, 0] = -1.0                      # the path kept its own copy
+        assert path.n == 1
+        assert np.array_equal(path.positions()[:, 0], [0.0, 2.0, 4.0, 6.0, 8.0])
+        assert np.array_equal(path.velocities()[:, 0], [1.0, 3.0, 5.0, 7.0, 9.0])
+        for view in (path.nodes, path.positions(), path.velocities()):
+            with pytest.raises(ValueError):
+                view[0, 0] = 1.0
+
+    def test_states_are_the_rows(self):
+        path = DiscretePath(uniform_grid(0.0, 1.0, 2), np.arange(12.0).reshape(3, 4))
+        assert path.states is path.states
+        assert [s.as_array().tolist() for s in path.states] == path.nodes.tolist()
+        assert all(s.order == 1 and s.dim == 2 for s in path.states)
 
 
 class TestPackUnpack:
