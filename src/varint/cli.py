@@ -182,18 +182,18 @@ def _summary(cfg, path, cost=None, timings=None, newton_iterations=None):
     return out
 
 
-def run_scenario(cfg: ScenarioConfig, command: str, outdir: Path):
-    """Execute one validated scenario; returns its summary and its output
-    files, a list of (path, function writing that path).
+def prepare_scenario(cfg: ScenarioConfig, command: str, outdir: Path):
+    """Check one scenario, raising every config error it has, and return a
+    zero-argument function that solves it and returns its summary and its
+    output files, a list of (path, function writing that path).
 
     Outputs are held in memory until every scenario of a run has succeeded,
     so failures leave no partial files.
     """
-    t_start = time.perf_counter()
     _require(command == "bvp" or "tolerances" not in cfg.raw,
              f"tolerances.path applies only to bvp, not {command}")
     if command == "order":
-        return _run_order(cfg, outdir)
+        return _prepare_order(cfg, outdir)
 
     if command in ("simulate", "bvp"):
         _require(cfg.kind in ("spline", "custom-lagrangian"),
@@ -214,55 +214,64 @@ def run_scenario(cfg: ScenarioConfig, command: str, outdir: Path):
                 x0 = JetPoint(q0, (v0,))
                 x1 = JetPoint(_vector(init["q1"], "initial.q1", L.n),
                               (_vector(init["v1"], "initial.v1", L.n),))
+                seeds = lambda: (x0, x1)
             else:
                 _require("ddq0" in init and "d3q0" in init,
                          "initial needs (q1, v1) or (ddq0, d3q0)")
                 jet = JetPoint(q0, (v0, _vector(init["ddq0"], "initial.ddq0", L.n),
                                     _vector(init["d3q0"], "initial.d3q0", L.n)))
-                x0, x1 = initial_pair(L, jet, grid.h)
-            path = run_flow(Ld, x0, x1, grid)
-            newton = None
+                seeds = lambda: initial_pair(L, jet, grid.h)
+
+            def solve():
+                path = run_flow(Ld, *seeds(), grid)
+                return (path, *_path_outputs(path), {})
         else:
             _require(grid.N >= 2, "bvp requires grid.N >= 2")
             q0, v0, qN, vN = _boundary(cfg, "bvp", L.n)
             x0, xN = JetPoint(q0, (v0,)), JetPoint(qN, (vN,))
             tol = float(cfg.raw.get("tolerances", {}).get("path", 1e-10))
-            path = solve_boundary_path(Ld, x0, xN, grid, tol=tol)
-            newton = [path.diagnostics["newton_iterations"]]
-        header, rows = _path_outputs(path)
-        summary = _summary(cfg, path,
-                           timings={"solve_s": time.perf_counter() - t_start},
-                           newton_iterations=newton)
+
+            def solve():
+                path = solve_boundary_path(Ld, x0, xN, grid, tol=tol)
+                newton = [path.diagnostics["newton_iterations"]]
+                return (path, *_path_outputs(path), {"newton_iterations": newton})
     elif command == "ocp":
         _require(cfg.kind in ("ocp-twolink", "ocp-custom"),
                  "ocp expects an ocp-twolink or ocp-custom scenario")
         problem, forces, labels = _ocp_problem_of(cfg)
-        result = solve_ocp(problem, scheme=cfg.scheme)
-        header, rows = solution_table(problem, result, forces=forces)
-        if labels:
-            header = labels
-        path = result.path
-        summary = _summary(cfg, path, cost=result.cost,
-                           timings={"solve_s": time.perf_counter() - t_start},
-                           newton_iterations=result.newton_iterations)
+
+        def solve():
+            result = solve_ocp(problem, scheme=cfg.scheme)
+            header, rows = solution_table(problem, result, forces=forces)
+            return result.path, labels or header, rows, {
+                "cost": result.cost, "newton_iterations": result.newton_iterations}
     else:
         raise ConfigError(f"unknown command {command!r}")
 
-    csv_path = outdir / f"{cfg.name}_trajectory.csv"
-    json_path = outdir / f"{cfg.name}_summary.json"
-    summary["outputs"] = [str(csv_path)]
-    text = json.dumps(summary, sort_keys=True, indent=2) + "\n"
-    summary["outputs"].append(str(json_path))
+    def run():
+        t_start = time.perf_counter()
+        path, header, rows, extra = solve()
+        summary = _summary(cfg, path, timings={"solve_s": time.perf_counter() - t_start},
+                           **extra)
+        csv_path = outdir / f"{cfg.name}_trajectory.csv"
+        json_path = outdir / f"{cfg.name}_summary.json"
+        summary["outputs"] = [str(csv_path)]
+        text = json.dumps(summary, sort_keys=True, indent=2) + "\n"
+        summary["outputs"].append(str(json_path))
+        return summary, [(csv_path, lambda p: write_csv(p, header, rows)),
+                         (json_path, lambda p: p.write_text(text))]
 
-    return summary, [(csv_path, lambda p: write_csv(p, header, rows)),
-                     (json_path, lambda p: p.write_text(text))]
+    return run
 
 
 def _ocp_problem_of(cfg: ScenarioConfig):
     g = cfg.raw.get("grid")
     _require(isinstance(g, dict), "ocp requires 'grid'")
-    T, N = float(g["T"]), int(g["N"])
-    _require(T > 0 and N >= 2, "ocp requires grid.T > 0 and grid.N >= 2")
+    # the problem's horizon is [0, T] (so T > 0): a grid starting elsewhere
+    # would be solved, and its times written, as if it started at 0
+    _require(g.get("t0", 0.0) == 0 and g["N"] >= 2,
+             "ocp requires grid.t0 = 0 and grid.N >= 2")
+    T, N = float(g["T"]), g["N"]
     if cfg.kind == "ocp-twolink":
         pr = cfg.raw.get("params", {})
         _check_keys(pr, {"m1", "m2", "l1", "l2", "J1", "J2", "g"}, "params")
@@ -299,7 +308,7 @@ def _ocp_problem_of(cfg: ScenarioConfig):
     return problem, forces, labels
 
 
-def _run_order(cfg: ScenarioConfig, outdir: Path):
+def _prepare_order(cfg: ScenarioConfig, outdir: Path):
     _require(cfg.kind in ("spline", "custom-lagrangian"),
              "order expects a spline or custom-lagrangian scenario")
     L = _lagrangian_of(cfg)
@@ -320,16 +329,19 @@ def _run_order(cfg: ScenarioConfig, outdir: Path):
              f"h_values must lie in (0, {H_MAX}]")
     _require(len(set(h_values)) == len(h_values), "h_values must be distinct")
     boundary = cubic_trajectory(coeffs.reshape(4, L.n))
-    t0 = time.perf_counter()
-    report = estimate_order(Ld, L, boundary, h_values, scheme_name=cfg.scheme)
-    doc = report.to_dict()
-    doc.update({"name": cfg.name,
-                "timings": {"solve_s": time.perf_counter() - t0}})
 
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    csv_text = report.to_csv()
-    return doc, [(outdir / f"{cfg.name}_order.csv", lambda p: p.write_text(csv_text)),
-                 (outdir / f"{cfg.name}_order.json", lambda p: p.write_text(text))]
+    def run():
+        t0 = time.perf_counter()
+        report = estimate_order(Ld, L, boundary, h_values)
+        doc = report.to_dict()
+        doc.update({"name": cfg.name,
+                    "timings": {"solve_s": time.perf_counter() - t0}})
+        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        csv_text = report.to_csv()
+        return doc, [(outdir / f"{cfg.name}_order.csv", lambda p: p.write_text(csv_text)),
+                     (outdir / f"{cfg.name}_order.json", lambda p: p.write_text(text))]
+
+    return run
 
 
 def load_scenarios(config_path: str):
@@ -390,14 +402,14 @@ def main(argv=None) -> int:
         print(_error_json(ConfigError(f"--out {args.out}: not a directory")))
         return 2
     try:
-        if args.workers > 1 and len(scenarios) > 1:
+        # every scenario is checked before any is solved
+        solves = [prepare_scenario(c, args.command, outdir) for c in scenarios]
+        if args.workers > 1 and len(solves) > 1:
             with concurrent.futures.ThreadPoolExecutor(args.workers) as pool:
-                futs = [pool.submit(run_scenario, c, args.command, outdir)
-                        for c in scenarios]
+                futs = [pool.submit(solve) for solve in solves]
                 results = [f.result() for f in futs]
         else:
-            results = [run_scenario(c, args.command, outdir)
-                       for c in scenarios]
+            results = [solve() for solve in solves]
     except ConfigError as exc:
         print(_error_json(exc))
         return 2

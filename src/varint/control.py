@@ -175,10 +175,15 @@ def lift_cost(P: OCProblem) -> LagrangianModel:
             return P.cost.fn(q, dq, u)
 
         base = LagrangianModel(n, value, name=f"lifted-{M.name}-fd")
-    if P.penalty is not None:
-        base = base.with_position_term(P.penalty.value, P.penalty.grad,
-                                       P.penalty.hess, name=f"{base.name}+limit")
-    return base
+    return _penalized(base, P.penalty)
+
+
+def _penalized(base: LagrangianModel, penalty: JointLimitPenalty) -> LagrangianModel:
+    """``base`` plus the configuration term of ``penalty``, if there is one."""
+    if penalty is None:
+        return base
+    return base.with_position_term(penalty.value, penalty.grad, penalty.hess,
+                                   name=f"{base.name}+limit")
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,25 +225,20 @@ def solve_ocp(P: OCProblem, scheme: str = "taylor-midpoint") -> OCPResult:
     x0 = JetPoint(P.qa, (P.va,))
     xN = JetPoint(P.qb, (P.vb,))
 
-    if P.penalty is None:
-        lifted = lift_cost(P)
+    base = lift_cost(dataclasses.replace(P, penalty=None))
+    # a problem without a penalty is a one-stage ladder
+    penalties = ([None] if P.penalty is None else
+                 [dataclasses.replace(P.penalty, width=w)
+                  for w in _width_ladder(P.penalty.width)])
+    guess, stages = None, []
+    for i, pen in enumerate(penalties):
+        lifted = _penalized(base, pen)
         Ld = make_scheme(scheme, lifted)
-        path = solve_boundary_path(Ld, x0, xN, grid, tol=1e-10, max_iter=200)
-        stages = [path.diagnostics["newton_iterations"]]
-    else:
-        base = lift_cost(dataclasses.replace(P, penalty=None))
-        guess, stages = None, []
-        widths = _width_ladder(P.penalty.width)
-        for i, width in enumerate(widths):
-            pen = dataclasses.replace(P.penalty, width=width)
-            lifted = base.with_position_term(pen.value, pen.grad, pen.hess,
-                                             name=f"{base.name}+limit")
-            Ld = make_scheme(scheme, lifted)
-            stage_tol = 1e-10 if i == len(widths) - 1 else 1e-6
-            path = solve_boundary_path(Ld, x0, xN, grid, guess=guess,
-                                       tol=stage_tol, max_iter=200)
-            stages.append(path.diagnostics["newton_iterations"])
-            guess = path.nodes[1:-1]
+        stage_tol = 1e-10 if i == len(penalties) - 1 else 1e-6
+        path = solve_boundary_path(Ld, x0, xN, grid, guess=guess,
+                                   tol=stage_tol, max_iter=200)
+        stages.append(path.diagnostics["newton_iterations"])
+        guess = path.nodes[1:-1]
 
     return OCPResult(path, path.diagnostics["action"], lifted, Ld, stages)
 

@@ -104,9 +104,7 @@ class _AffineJetScheme(DiscreteLagrangian):
         return H
 
     def _fd_noise_scale(self, s: PairState) -> float:
-        if self.L.analytic_grad:
-            return 0.0
-        return max(1.0, abs(self.value(s))) / FD_STEP
+        return 0.0 if self.L.analytic_grad else super()._fd_noise_scale(s)
 
 
 def taylor_average(L: LagrangianModel, midpoint_averages: bool = False) -> DiscreteLagrangian:

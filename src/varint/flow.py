@@ -22,7 +22,8 @@ from .discretization import DiscreteLagrangian
 from .errors import NoConvergence, SingularKKT
 from .jets import DiscretePath, Grid, JetPoint, pack, unpack
 from .lagrangian import LagrangianModel
-from .momentum import _minus_inverse
+from .momentum import _invert
+from .newton import floors
 
 
 def del_residual(Ld: DiscreteLagrangian, prev: JetPoint, cur: JetPoint,
@@ -52,7 +53,7 @@ def _next_node(Ld, prev, cur, h):
     """:func:`step` on the nodes' (q, v) rows."""
     n = cur.size // 2
     _, _, D3, D4 = Ld.partials(unpack(np.concatenate([prev, cur]), 2, n, h))
-    s = _minus_inverse(Ld, cur, np.concatenate([D3, D4]), h, 2.0 * cur - prev)
+    s = _invert(Ld, cur, np.concatenate([D3, D4]), h, 2.0 * cur - prev, plus=False)
     return pack(s)[2 * n:]
 
 
@@ -189,7 +190,6 @@ def _newton_path(Ld, x0, xN, grid, interior, tol, max_iter):
     n = x0.dim
     N = grid.N
     h = grid.h
-    eps = np.finfo(float).eps
 
     def moved(X, d):
         # the nodes X with their interior rows moved by the flat step d
@@ -199,15 +199,14 @@ def _newton_path(Ld, x0, xN, grid, interior, tol, max_iter):
 
     X = np.vstack([x0.as_array(), interior, xN.as_array()])
     P = list(_pairs_of(X, h))
-    scale0 = _path_scale(Ld, P)
-    tight = max(tol, 2.0 * eps * scale0)
-    loose = max(tol, 64.0 * eps * scale0)
+    tight, loose = floors(tol, _path_scale(Ld, P))
     R = _path_residual(Ld, P).reshape(-1)
-    rnorm = np.max(np.abs(R))
     A = _path_action(Ld, P)
     lam = 0.0
     eye = sps.identity((N - 1) * 2 * n, format="csr")
+    message = "path Newton did not reach tolerance"
     for it in range(max_iter):
+        rnorm = np.max(np.abs(R))
         if rnorm <= tight:
             return X, R.reshape(N - 1, 2 * n), A, it
         J = _path_jacobian(Ld, P)
@@ -229,7 +228,6 @@ def _newton_path(Ld, x0, xN, grid, interior, tol, max_iter):
                 Rt = _path_residual(Ld, Pt).reshape(-1)
                 if np.linalg.norm(Rt) <= 0.5 * np.linalg.norm(R):
                     X, P, R, A = Xt, Pt, Rt, At
-                    rnorm = np.max(np.abs(R))
                     lam = lam / 4.0
                     continue
             # the line search's first point when its direction is this step
@@ -262,23 +260,21 @@ def _newton_path(Ld, x0, xN, grid, interior, tol, max_iter):
                 if Rt is None:
                     Rt = _path_residual(Ld, Pt).reshape(-1)
                 X, P, R, A = Xt, Pt, Rt, At
-                rnorm = np.max(np.abs(R))
                 break
             alpha *= 0.5
         else:
-            # the sensitivity scale moves with the iterate (penalty bands in
-            # particular), so refresh the floor before giving up
-            loose = max(loose, 64.0 * eps * _path_scale(Ld, P))
-            if rnorm <= loose:
-                return X, R.reshape(N - 1, 2 * n), A, it
-            raise NoConvergence("path Newton stalled", iterations=it,
-                                residual_norm=rnorm)
+            message = "path Newton stalled"
+            break
         lam = lam_try / 3.0 if alpha >= 0.5 else min(max(lam_try, 1e-6) * 2.0, 1e8)
-    loose = max(loose, 64.0 * eps * _path_scale(Ld, P))
+    else:
+        it = max_iter
+    # the sensitivity scale moves with the iterate (penalty bands in
+    # particular), so refresh the loose floor before giving up
+    loose = max(loose, floors(tol, _path_scale(Ld, P))[1])
+    rnorm = np.max(np.abs(R))
     if rnorm <= loose:
-        return X, R.reshape(N - 1, 2 * n), A, max_iter
-    raise NoConvergence("path Newton did not reach tolerance",
-                        iterations=max_iter, residual_norm=rnorm)
+        return X, R.reshape(N - 1, 2 * n), A, it
+    raise NoConvergence(message, iterations=it, residual_norm=rnorm)
 
 
 def _refine_interior(nodes, coarse_grid, fine_grid):
@@ -301,30 +297,26 @@ def solve_boundary_path(Ld: DiscreteLagrangian, x0: JetPoint, xN: JetPoint,
 
     Unknowns are the N-1 interior states; the residual stacks the node
     stationarity conditions and the Jacobian is block tridiagonal (assembled
-    sparse).  The initial guess is the cubic interpolant of the boundary
-    data.  Fine grids are reached by solving a coarsened grid first and
-    refining by interpolation, which keeps the expensive levels warm-started.
-    The path's diagnostics list the Newton iterations of each level
-    (``newton_iterations``), coarsest first, and hold the summed discrete
-    action of the solved path (``action``).
+    sparse).  Fine grids are reached by solving a coarsened grid first, from
+    the cubic interpolant of the boundary data, and refining by
+    interpolation, which keeps the expensive levels warm-started; a caller's
+    ``guess`` for the interior nodes is the one level of its own
+    continuation.  The path's diagnostics list the Newton iterations of each
+    level (``newton_iterations``), coarsest first, and hold the summed
+    discrete action of the solved path (``action``).
     """
     N = grid.N
     if N < 2:
         raise ValueError("boundary solve needs at least N = 2 steps")
-    iterations = []
-    if guess is not None:
-        X, R, A, it = _newton_path(Ld, x0, xN, grid, np.asarray(guess, dtype=float),
-                                   tol, max_iter)
+    X, prev, iterations = None, None, []
+    for Nc in _continuation_levels(N) if guess is None else [N]:
+        g = grid if Nc == N else Grid(grid.t0, grid.h * N / Nc, Nc)
+        start = (np.asarray(guess, dtype=float) if guess is not None
+                 else _hermite_path(x0, xN, g) if X is None
+                 else _refine_interior(X, prev, g))
+        X, R, A, it = _newton_path(Ld, x0, xN, g, start, tol, max_iter)
         iterations.append(it)
-    else:
-        X, prev = None, None
-        for Nc in _continuation_levels(N):
-            g = grid if Nc == N else Grid(grid.t0, grid.h * N / Nc, Nc)
-            start = (_hermite_path(x0, xN, g) if X is None
-                     else _refine_interior(X, prev, g))
-            X, R, A, it = _newton_path(Ld, x0, xN, g, start, tol, max_iter)
-            iterations.append(it)
-            prev = g
+        prev = g
     return _with_diagnostics(grid, X, R, newton_iterations=iterations, action=A)
 
 

@@ -14,9 +14,9 @@ import numpy as np
 from .bvp import _rk4, _shoot, integrate_el, shooting_bvp
 from .discretization import DiscreteLagrangian
 from .errors import SingularWd
-from .jets import JetPoint, PairState, unpack
+from .jets import JetPoint, PairState, pack, unpack
 from .lagrangian import LagrangianModel, MomentaState, _central_diff, legendre
-from .newton import newton_one
+from .newton import floors, newton_one
 
 
 def fplus(Ld: DiscreteLagrangian, s: PairState) -> MomentaState:
@@ -37,19 +37,6 @@ def Wd_matrix(Ld: DiscreteLagrangian, s: PairState) -> np.ndarray:
     return Ld.second_partials(s)[:2 * n, 2 * n:]
 
 
-def _floors(Ld, s0, target):
-    """Tight and loose stop levels of a momentum-matching solve.
-
-    Both are 1e-12 unless roundoff forbids: the residual differences
-    cancelling partials, so the levels allow for roundoff at the larger of
-    the scheme's sensitivity scale at the initial guess ``s0`` and the size
-    of the target momenta.
-    """
-    eps = np.finfo(float).eps
-    scale0 = max(Ld.residual_scale(s0), float(np.max(np.abs(target))))
-    return max(1e-12, 2.0 * eps * scale0), max(1e-12, 64.0 * eps * scale0)
-
-
 def fminus_inverse(Ld: DiscreteLagrangian, m: MomentaState, h: float,
                    guess: JetPoint = None) -> PairState:
     """Pair state whose minus map equals ``m`` (left point is fixed by m).
@@ -57,29 +44,9 @@ def fminus_inverse(Ld: DiscreteLagrangian, m: MomentaState, h: float,
     Newton (at most 50 steps) starts from ``guess`` for the right point, or
     from the straight-line one (q + h v, v).
     """
-    z0 = (m.q + h * m.v, m.v) if guess is None else (guess.q, guess.deriv(1))
-    return _minus_inverse(Ld, np.concatenate([m.q, m.v]),
-                          np.concatenate([m.p, m.pt]), h, np.concatenate(z0))
-
-
-def _minus_inverse(Ld, left, target, h, z0):
-    """Pair state with left node ``left`` (q, v) whose minus map (-D1, -D2)
-    equals ``target``; Newton on the right node, started from ``z0``."""
-    n = left.size // 2
-
-    def pair(z):
-        return unpack(np.concatenate([left, z]), 2, n, h)
-
-    def residual(z):
-        D1, D2, _, _ = Ld.partials(pair(z))
-        return np.concatenate([-D1, -D2]) - target
-
-    def jacobian(z, r):
-        return -Wd_matrix(Ld, pair(z))
-
-    z, _ = newton_one(residual, jacobian, z0, *_floors(Ld, pair(z0), target),
-                      50, SingularWd, "minus-map inversion")
-    return pair(z)
+    z0 = None if guess is None else np.concatenate([guess.q, guess.deriv(1)])
+    return _invert(Ld, np.concatenate([m.q, m.v]), np.concatenate([m.p, m.pt]),
+                   h, z0, plus=False)
 
 
 def fplus_inverse(Ld: DiscreteLagrangian, m: MomentaState, h: float) -> PairState:
@@ -88,24 +55,39 @@ def fplus_inverse(Ld: DiscreteLagrangian, m: MomentaState, h: float) -> PairStat
     Newton (at most 50 steps) starts from the straight-line left point
     (q - h v, v).
     """
-    n = m.n
-    right = np.concatenate([m.q, m.v])
-    target = np.concatenate([m.p, m.pt])
-    z0 = np.concatenate([m.q - h * m.v, m.v])
+    return _invert(Ld, np.concatenate([m.q, m.v]), np.concatenate([m.p, m.pt]),
+                   h, None, plus=True)
+
+
+def _invert(Ld, node, target, h, z0, plus):
+    """Pair state with the (q, v) ``node`` on its right (``plus``) or left
+    whose plus map (D3, D4) or minus map (-D1, -D2) equals ``target``.
+
+    Newton (at most 50 steps) runs on the other node from ``z0``, or from
+    the straight-line one.  The residual differences cancelling partials, so
+    its stop levels are the :func:`floors` of 1e-12 at the larger of the
+    scheme's sensitivity scale at the start and the size of the target.
+    """
+    k = node.size
+    n = k // 2
+    if z0 is None:
+        q, v = node[:n], node[n:]
+        z0 = np.concatenate([q - h * v if plus else q + h * v, v])
 
     def pair(z):
-        return unpack(np.concatenate([z, right]), 2, n, h)
+        return unpack(np.concatenate([z, node] if plus else [node, z]), 2, n, h)
 
     def residual(z):
-        _, _, D3, D4 = Ld.partials(pair(z))
-        return np.concatenate([D3, D4]) - target
+        D = np.concatenate(Ld.partials(pair(z)))
+        return (D[k:] if plus else -D[:k]) - target
 
     def jacobian(z, r):
         DD = Ld.second_partials(pair(z))
-        return DD[2 * n:, :2 * n]
+        return DD[k:, :k] if plus else -DD[:k, k:]
 
-    z, _ = newton_one(residual, jacobian, z0, *_floors(Ld, pair(z0), target),
-                      50, SingularWd, "plus-map inversion")
+    scale = max(Ld.residual_scale(pair(z0)), float(np.max(np.abs(target))))
+    z, _ = newton_one(residual, jacobian, z0, *floors(1e-12, scale), 50, SingularWd,
+                      f"{'plus' if plus else 'minus'}-map inversion")
     return pair(z)
 
 
@@ -116,8 +98,16 @@ def hamiltonian_step(Ld: DiscreteLagrangian, m: MomentaState, h: float,
     In coordinates this sends (q0, v0, -D1, -D2) of the solved pair to
     (q1, v1, D3, D4) of the same pair.
     """
-    s = fminus_inverse(Ld, m, h, guess=guess)
-    return fplus(Ld, s)
+    z0 = None if guess is None else np.concatenate([guess.q, guess.deriv(1)])
+    return MomentaState.from_array(_step_map(Ld, m.as_array(), h, z0), m.n)
+
+
+def _step_map(Ld, x, h, z0):
+    """:func:`hamiltonian_step` on the flat vector (q, v, p, pt)."""
+    k = x.size // 2
+    s = _invert(Ld, x[:k], x[k:], h, z0, plus=False)
+    _, _, D3, D4 = Ld.partials(s)
+    return np.concatenate([pack(s)[k:], D3, D4])
 
 
 def symplectic_defect(Ld: DiscreteLagrangian, m: MomentaState, h: float) -> float:
@@ -129,10 +119,9 @@ def symplectic_defect(Ld: DiscreteLagrangian, m: MomentaState, h: float) -> floa
     is limited by second-order difference noise.
     """
     n = m.n
-    base_pair = fminus_inverse(Ld, m, h)
-    J = _central_diff(lambda X: [hamiltonian_step(
-        Ld, MomentaState.from_array(x, n), h, guess=base_pair.right).as_array()
-        for x in X], m.as_array(), 1e-6).T
+    x = m.as_array()
+    warm = pack(_invert(Ld, x[:2 * n], x[2 * n:], h, None, plus=False))[2 * n:]
+    J = _central_diff(lambda X: [_step_map(Ld, y, h, warm) for y in X], x, 1e-6).T
     I = np.eye(2 * n)
     Z = np.zeros((2 * n, 2 * n))
     Omega = np.block([[Z, I], [-I, Z]])

@@ -5,9 +5,9 @@ both exact-action solvers each drive a residual in a few unknowns to zero,
 and the shooting solver's outer differences pose many such systems at once.
 One kernel solves a stack of independent systems; a single solve is the
 one-member stack.  The residuals difference large cancelling terms, so they
-cannot always be driven below a roundoff floor that the caller estimates:
-``tight`` ends a regular solve, ``loose`` is the level at which a stalled or
-exhausted solve is still accepted.
+cannot always be driven below a roundoff floor, which :func:`floors` sets
+from the caller's scale estimate: ``tight`` ends a regular solve, ``loose``
+is the level at which a stalled or exhausted solve is still accepted.
 """
 
 from __future__ import annotations
@@ -15,6 +15,12 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NoConvergence
+
+
+def floors(tol, scale):
+    """(tight, loose): ``tol``, raised to 2 eps and 64 eps times ``scale``."""
+    eps = np.finfo(float).eps
+    return max(tol, 2.0 * eps * scale), max(tol, 64.0 * eps * scale)
 
 
 def solve_rows(A, b):

@@ -79,26 +79,26 @@ def local_error(Ld: DiscreteLagrangian, L: LagrangianModel, q1jet: JetPoint,
 
 
 def estimate_order(Ld: DiscreteLagrangian, L: LagrangianModel, boundary,
-                   h_list, scheme_name: str = None, **solver_opts) -> OrderReport:
+                   h_list, **solver_opts) -> OrderReport:
     """Fit the error exponent over a geometric step sweep.
 
     ``boundary(t)`` samples an exact trajectory as an order-1 jet; the pair
     (boundary(0), boundary(h)) feeds each evaluation.  Needs at least four
     decreasing h values.  When every error sits below the exactness floor the
-    scheme is reported as exact instead of fitted.
+    scheme is reported as exact instead of fitted.  The report carries the
+    scheme's ``name``.
     """
     h_arr = np.asarray(sorted(h_list, reverse=True), dtype=float)
     if h_arr.size < 4:
         raise ValueError("need at least 4 step sizes")
     errs = np.array([local_error(Ld, L, boundary(0.0), boundary(h), h,
                                  **solver_opts) for h in h_arr])
-    name = scheme_name or getattr(Ld, "name", "")
     if np.all(errs < EXACT_FLOOR):
-        return OrderReport(h_arr, errs, None, None, True, name)
+        return OrderReport(h_arr, errs, None, None, True, Ld.name)
     slope, intercept = np.polyfit(np.log(h_arr), np.log(errs), 1)
     fit = slope * np.log(h_arr) + intercept
     residual = float(np.max(np.abs(fit - np.log(errs))))
-    return OrderReport(h_arr, errs, float(slope - 1.0), residual, False, name)
+    return OrderReport(h_arr, errs, float(slope - 1.0), residual, False, Ld.name)
 
 
 def cubic_trajectory(coeffs) -> "callable":

@@ -166,6 +166,7 @@ def _edit(base, path, value):
     ("bvp", _edit(BVP_CFG, ["scheme"], [])),
     ("order", _edit(CUSTOM_ORDER_CFG, ["lagrangian", "name"], [])),
     ("simulate", _edit(SIM_CFG, ["initial", "v0"], DROP)),
+    ("ocp", _edit(OCP_CFG, ["grid"], {"t0": 5.0, "T": 10.0, "N": 4})),
 ], ids=["T-not-number", "bvp-boundary-missing", "ocp-boundary-missing",
         "tolerances-not-object", "tolerance-not-number", "bvp-N-1",
         "nan-boundary", "inf-boundary", "ocp-inf-boundary",
@@ -176,7 +177,7 @@ def _edit(base, path, value):
         "newton-tolerance-field", "simulate-path-tolerance",
         "ocp-path-tolerance", "order-path-tolerance", "batch-second-invalid",
         "scheme-not-string", "lagrangian-name-not-string",
-        "initial-v0-missing"])
+        "initial-v0-missing", "ocp-t0-nonzero"])
 def test_config_errors_exit_2(tmp_path, capsys, command, cfg):
     out = tmp_path / "out"
     out.mkdir()
@@ -230,6 +231,34 @@ def test_overflowing_grid_exits_1(tmp_path, capsys, command, cfg):
     assert list(out.iterdir()) == []
 
 
+FIGURE_CFG = json.loads((CONFIGS / "spline_bvp_figure.json").read_text())
+
+
+@pytest.mark.parametrize("command, solver, scenarios", [
+    ("bvp", "solve_boundary_path",
+     [FIGURE_CFG, _edit(FIGURE_CFG, ["boundary", "vN"], DROP)]),
+    ("simulate", "run_flow", [SIM_CFG, _edit(SIM_CFG, ["initial", "v0"], DROP)]),
+    ("ocp", "solve_ocp", [OCP_CFG, _edit(OCP_CFG, ["grid", "t0"], 0.5)]),
+    ("order", "estimate_order", [ORDER_CFG, _edit(ORDER_CFG, ["h_values"], [0.1])]),
+], ids=["bvp", "simulate", "ocp", "order"])
+def test_bad_later_scenario_exits_2_before_solving(tmp_path, capsys, monkeypatch,
+                                                   command, solver, scenarios):
+    # every scenario of a batch is checked before the first one is solved
+    import varint.cli
+
+    calls = []
+    monkeypatch.setattr(varint.cli, solver, lambda *a, **k: calls.append(a))
+    out = tmp_path / "out"
+    rc = main([command, "--config", write_config(tmp_path, {"scenarios": scenarios}),
+               "--out", str(out)])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 2
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["type"] == "config"
+    assert calls == []
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("below", [(), ("sub",)], ids=["file", "under-file"])
 def test_out_naming_a_file_exits_2_before_solving(tmp_path, capsys, monkeypatch, below):
     import varint.cli
@@ -237,7 +266,7 @@ def test_out_naming_a_file_exits_2_before_solving(tmp_path, capsys, monkeypatch,
     def no_solve(*args):
         raise AssertionError("the solve ran")
 
-    monkeypatch.setattr(varint.cli, "run_scenario", no_solve)
+    monkeypatch.setattr(varint.cli, "prepare_scenario", no_solve)
     blocker = tmp_path / "taken"
     blocker.write_text("keep")
     rc = main(["bvp", "--config", str(CONFIGS / "spline_bvp_figure.json"),

@@ -1,10 +1,14 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from varint import (JetPoint, MomentaState, PairState, fminus, fminus_inverse,
-                    fplus, fplus_inverse, hamiltonian_step, integrate_el,
-                    legendre, legendre_match_errors, shooting_bvp,
-                    spline_exact, step, symplectic_defect, taylor_average)
+from varint import (JetPoint, MomentaState, PairState, SingularWd, fminus,
+                    fminus_inverse, fplus, fplus_inverse, hamiltonian_step,
+                    integrate_el, legendre, legendre_match_errors, make_scheme,
+                    named_lagrangian, pack, shooting_bvp, spline_exact, step,
+                    symplectic_defect, taylor_average)
+from varint.discretization import SCHEMES
 from varint.order import cubic_trajectory
 
 
@@ -109,6 +113,8 @@ class TestHamiltonianStep:
                 m = fminus(Ld, s)
                 direct = hamiltonian_step(Ld, m, s.h).as_array()
                 sm = fminus_inverse(Ld, m, s.h)
+                # the step is the plus map of the minus inverse, bit for bit
+                assert direct.tobytes() == fplus(Ld, sm).as_array().tobytes()
                 nxt = step(Ld, sm.left, sm.right, s.h)
                 via_minus = fminus(Ld, PairState(sm.right, nxt, s.h)).as_array()
                 sp = fplus_inverse(Ld, m, s.h)
@@ -211,3 +217,48 @@ class TestLegendreMatch:
             le, re = legendre_match_errors(spline_potential, s.left, s.right, s.h)
             worst = max(worst, le, re)
         assert worst <= 1e-6
+
+
+class TestPinnedOutputs:
+    def test_momentum_layer_digest(self):
+        # the outputs of every momentum-map solve, for every scheme, pinned to
+        # the last bit; trapezoid-velocity's cross block is singular, so its
+        # pinned output is the error message of each solve
+        L = named_lagrangian("spline-potential", 2)
+        rng = np.random.default_rng(2024)
+        h = 0.3
+        pairs = []
+        for _ in range(3):
+            q0, v0 = rng.normal(size=2), rng.normal(size=2)
+            q1 = q0 + h * v0 + 0.1 * h * rng.normal(size=2)
+            v1 = v0 + 0.5 * rng.normal(size=2)
+            pairs.append(PairState(JetPoint(q0, (v0,)), JetPoint(q1, (v1,)), h))
+        digest = hashlib.sha256()
+        for name in sorted(SCHEMES):
+            Ld = make_scheme(name, L)
+            for s in pairs:
+                m = fminus(Ld, s)
+                for f in (lambda: [symplectic_defect(Ld, m, h)],
+                          lambda: hamiltonian_step(Ld, m, h).as_array(),
+                          lambda: pack(fminus_inverse(Ld, m, h)),
+                          lambda: pack(fplus_inverse(Ld, fplus(Ld, s), h)),
+                          lambda: step(Ld, s.left, s.right, h).as_array()):
+                    try:
+                        digest.update(np.asarray(f(), dtype=float).tobytes())
+                    except SingularWd as exc:
+                        digest.update(str(exc).encode())
+        assert digest.hexdigest() == (
+            "147d49b3a9dc436087aba79975e47e1abf06da0cb72ff60000dab310e280ac44")
+
+    def test_defect_builds_no_jets_or_momenta(self, spline1, monkeypatch):
+        # the 8n differenced steps run on flat arrays
+        Ld = taylor_average(spline1)
+        m = fminus(Ld, pair(0.1, 0.4, 0.25, 0.6, 0.4))
+        made = []
+        for cls in (JetPoint, MomentaState):
+            def counted(self, _post_init=cls.__post_init__):
+                made.append(type(self))
+                _post_init(self)
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        assert symplectic_defect(Ld, m, 0.4) <= 1e-5
+        assert made == []

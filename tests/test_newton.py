@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from varint.errors import NoConvergence, SingularWd
-from varint.newton import newton, newton_one
+from varint.newton import floors, newton, newton_one
 
 
 def _no_jacobian(z, r):
@@ -134,3 +134,10 @@ def test_stacked_members_match_their_solo_solves():
     assert np.max(np.abs(R[6])) == 0.5 ** max_iter
     # the members stopped at different iterations
     assert len(iterations) >= 4
+
+
+def test_floors_rise_above_tol_only_for_roundoff():
+    eps = np.finfo(float).eps
+    assert floors(1e-10, 1.0) == (1e-10, 1e-10)
+    assert floors(1e-12, 1e3) == (1e-12, 64.0 * eps * 1e3)
+    assert floors(0.0, 1e6) == (2.0 * eps * 1e6, 64.0 * eps * 1e6)

@@ -94,7 +94,7 @@ class TestOrderReport:
     def test_json_and_csv(self, spline1):
         traj = cubic_trajectory(np.array([[0.1], [0.4], [0.6], [1.1]]))
         rep = estimate_order(taylor_average(spline1), spline1, traj,
-                             [0.4, 0.2, 0.1, 0.05], degree=4, scheme_name="taylor")
+                             [0.4, 0.2, 0.1, 0.05], degree=4)
         doc = json.loads(rep.to_json())
         assert doc["scheme"] == "taylor"
         assert len(doc["h"]) == 4
