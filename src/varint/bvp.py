@@ -29,7 +29,7 @@ from numpy.polynomial import legendre as leg
 from .errors import SingularHessian, UnsettledSubsteps
 from .jets import JetPoint
 from .lagrangian import FD_STEP, LagrangianModel, fourth_order_rhs_raw
-from .newton import newton, newton_one, solve_rows
+from .newton import floors, newton, newton_one, solve_rows
 
 
 # -- the spectral solver ------------------------------------------------------------
@@ -107,13 +107,13 @@ class _ActionAssembler:
         return np.hstack(self.curves(coeffs))
 
     def action(self, coeffs) -> float:
-        f = self.L.value
-        return float(sum(w * f(y) for w, y in zip(self.wq, self.jets(coeffs))))
+        V = self.L.value_stack(self.jets(coeffs))
+        return float(sum(w * v for w, v in zip(self.wq, V)))
 
     def gradient(self, coeffs) -> np.ndarray:
         h = self.h
         n = self.L.n
-        G = np.array([self.L.grad(y) for y in self.jets(coeffs)])
+        G = self.L.grad_stack(self.jets(coeffs))
         W = self.wq[:, None]
         return (h * h * self.B2.T @ (W * G[:, :n]) + h * self.B1.T @ (W * G[:, n:2 * n])
                 + self.B0.T @ (W * G[:, 2 * n:]))
@@ -124,8 +124,7 @@ class _ActionAssembler:
         m1 = self.B0.shape[1]
         H = np.zeros((m1 * n, m1 * n))
         I = np.eye(n)
-        for g, (w, y) in enumerate(zip(self.wq, self.jets(coeffs))):
-            Hf = self.L.hess(y)
+        for g, (w, Hf) in enumerate(zip(self.wq, self.L.hess_stack(self.jets(coeffs)))):
             Bg = np.vstack([h * h * np.kron(self.B2[g], I),
                             h * np.kron(self.B1[g], I),
                             np.kron(self.B0[g], I)])
@@ -276,11 +275,11 @@ def _shoot(L, left, target, h, substeps, X0, tol, max_iter):
         X[ok[better]] = XT[better]
         return X
 
-    # the endpoint map carries integration roundoff; accept a stall there
-    floor = 64.0 * np.finfo(float).eps * scale * math.sqrt(substeps)
-    X, R, failures = newton(endpoint, jacobian, X0, tol * scale,
-                            np.maximum(tol * scale, floor), max_iter,
-                            SingularHessian, "shooting Newton")
+    # the endpoint map carries integration roundoff, which grows with the
+    # substep count; accept a stall at its floor
+    X, R, failures = newton(endpoint, jacobian, X0,
+                            *floors(tol * scale, scale * math.sqrt(substeps)),
+                            max_iter, SingularHessian, "shooting Newton")
     for exc in failures:
         if exc is not None:
             raise exc

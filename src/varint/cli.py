@@ -69,7 +69,8 @@ def _vector(obj, name, n=None):
 
 
 def _number(obj, name):
-    _require(isinstance(obj, (int, float)), f"{name} must be a number")
+    _require(isinstance(obj, (int, float)) and not isinstance(obj, bool),
+             f"{name} must be a number")
     return float(_vector(obj, name, 1)[0])
 
 
@@ -118,8 +119,7 @@ class ScenarioConfig:
         if "grid" in obj:
             g = obj["grid"]
             _check_keys(g, {"t0", "T", "N"}, "grid")
-            _require(isinstance(g.get("N"), int) and g["N"] >= 1,
-                     "grid.N must be a positive integer")
+            _dimension(g.get("N"), "grid.N")
             _require(_number(g.get("T"), "grid.T") > _number(g.get("t0", 0.0), "grid.t0"),
                      "grid.T must exceed grid.t0")
         if "tolerances" in obj:
@@ -413,9 +413,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(_error_json(exc))
         return 2
-    except (VarintError, ArithmeticError) as exc:
+    except (VarintError, ArithmeticError, MemoryError) as exc:
         # ArithmeticError: float overflow or division by zero in a solve
-        # whose numbers are out of range (a huge grid.T, say)
+        # whose numbers are out of range (a huge grid.T, say); MemoryError:
+        # arrays too large to allocate (a huge grid.N)
         print(_error_json(exc))
         return 1
     opened = []

@@ -14,9 +14,9 @@ the momentum maps hold pointwise.
 
 Internally every call takes one flat jet (the blocks concatenated); the
 block-argument ``*_at`` methods are thin wrappers for callers at the API
-edge.  The value, the Hessian and the equation-of-motion residual also
-evaluate on stacks of jets, one per row, with the pointwise results bit for
-bit; the explicit fourth-order right-hand side takes such stacks.
+edge.  Every call, the gradient included, has a stacked twin on jets, one
+per row, with the pointwise results bit for bit; the spectral and shooting
+solvers evaluate the model through these stacks.
 """
 
 from __future__ import annotations
@@ -132,28 +132,6 @@ def _rebound(f, **names):
 _SCALAR_MATH = {"sin": math.sin, "cos": math.cos, "sqrt": math.sqrt, "_pow": math.pow}
 
 
-def _pointwise(f, out):
-    """The lambdified ``f`` as a call on one flat jet ``y``, result through
-    ``out``, equal to ``f(*y)`` on numpy scalars bit for bit.
-
-    The generated code runs on ``y.tolist()`` with the ``_SCALAR_MATH``
-    functions, which skips numpy's per-scalar overhead.  Where Python floats
-    raise instead (a math domain error, ``math.pow`` overflow or a non-real
-    power, division by zero), the point is evaluated again on numpy scalars,
-    so its nan, inf and warnings are numpy's.
-    """
-    g = _rebound(f, **_SCALAR_MATH)
-
-    def call(y):
-        try:
-            r = g(*y.tolist())
-        except (ArithmeticError, ValueError):
-            r = f(*y)
-        return out(r)
-
-    return call
-
-
 def _vector(r):
     return np.asarray(r, dtype=float).reshape(-1)
 
@@ -162,23 +140,43 @@ def _matrix(r):
     return np.asarray(r, dtype=float)
 
 
-class _Columns:
-    """Stacked twin of the lambdified ``f``: an (M, m) stack of flat points
-    in, the (M, *shape) stack of f's values out, each row equal to f at that
-    row bit for bit.
+class _Generated:
+    """One generated derivative: the lambdified code ``f``, which ``make``
+    returns on first use, ``call`` on one flat jet and ``stack`` on a stack
+    of them, bit for bit alike; ``shape`` is that of one result."""
 
-    f's generated code runs once on the argument columns, with ``array``
-    handing back the nested entries and ``_pow`` taking the scalar power per
-    element.  Entries that do not depend on the arguments come back as
-    numbers; the first call keeps them in a template that fills each output
-    in one broadcast, so only the varying entries are copied one by one, and
-    a constant f is not run again: its output is a read-only broadcast.
-    """
-
-    def __init__(self, f, shape=()):
-        self._f, self.shape = f, shape
+    def __init__(self, make, shape=()):
+        self._make, self.shape = make, shape
         self._template = self._varying = None
         self._constant = {}          # output of a constant f per stack size
+
+    @functools.cached_property
+    def f(self):
+        return self._make()
+
+    @functools.cached_property
+    def call(self):
+        """A plain function (cheaper per call than a method) equal to
+        ``f(*y)`` on numpy scalars bit for bit at a flat jet ``y``, carrying
+        this evaluator as ``generated``.  The generated code runs on
+        ``y.tolist()`` with the ``_SCALAR_MATH`` functions, which skips
+        numpy's per-scalar overhead.  Where Python floats raise instead (a
+        math domain error, ``math.pow`` overflow or a non-real power,
+        division by zero), the point is evaluated again on numpy scalars, so
+        its nan, inf and warnings are numpy's.
+        """
+        f, out = self.f, (float, _vector, _matrix)[len(self.shape)]
+        g = _rebound(f, **_SCALAR_MATH)
+
+        def call(y):
+            try:
+                r = g(*y.tolist())
+            except (ArithmeticError, ValueError):
+                r = f(*y)
+            return out(r)
+
+        call.generated = self
+        return call
 
     @functools.cached_property
     def min_rows(self):
@@ -197,23 +195,33 @@ class _Columns:
         # stack 1 or 2n = 4 rows, below either crossover, and of the 94k
         # stacked calls in ``varint check`` only 1.2k (spline-family values
         # of 4 and 32 rows, about 10 ms) fall in the gap.
-        tree = ast.parse(inspect.getsource(self._f))
+        tree = ast.parse(inspect.getsource(self.f))
         ops = sum(isinstance(node, (ast.BinOp, ast.UnaryOp, ast.Call))
                   for node in ast.walk(tree))
         return ops.bit_length()
 
     @functools.cached_property
-    def _g(self):
-        return _rebound(self._f, array=lambda rows: rows, _pow=_column_pow)
+    def _columns(self):
+        return _rebound(self.f, array=lambda rows: rows, _pow=_column_pow)
 
-    def __call__(self, X):
+    def stack(self, X):
+        """f at each row of an (M, m) stack, as an (M, *shape) stack.
+
+        f's generated code runs once on the argument columns, with ``array``
+        handing back the nested entries and ``_pow`` taking the scalar power
+        per element.  Entries that do not depend on the arguments come back
+        as numbers; the first call keeps them in a template that fills each
+        output in one broadcast, so only the varying entries are copied one
+        by one, and a constant f is not run again: its output is a read-only
+        broadcast.
+        """
         if self._varying == []:
             out = self._constant.get(len(X))
             if out is None:
                 out = self._constant[len(X)] = np.broadcast_to(
                     self._template.reshape(self.shape), (len(X),) + self.shape)
             return out
-        vals = self._g(*X.T)
+        vals = self._columns(*X.T)
         rows = vals if self.shape else [[vals]]
         if self._varying is None:
             entries = [(i, j, e) for i, row in enumerate(rows) for j, e in enumerate(row)]
@@ -228,6 +236,15 @@ class _Columns:
         return out.reshape((len(X),) + self.shape)
 
 
+def _stacked(call, X):
+    """``call`` on each row of X: a generated call runs on the columns of a
+    stack of at least ``min_rows`` rows, other calls loop over the rows."""
+    generated = getattr(call, "generated", None)
+    if generated is not None and len(X) >= generated.min_rows:
+        return generated.stack(X)
+    return np.array([call(x) for x in X])
+
+
 def _from_sympy(cls, n, expr, blocks, **kw):
     """Fully analytic model of class ``cls`` from a sympy expression.
 
@@ -238,14 +255,10 @@ def _from_sympy(cls, n, expr, blocks, **kw):
     args = [s for b in blocks for s in b]
     grads = [sp.diff(expr, s) for s in args]
     hess_mat = sp.Matrix([[sp.diff(g, s) for s in args] for g in grads])
-    f_val = _lambdify(args, expr)
-    f_grad = _lambdify(args, sp.Matrix(grads))
-    f_hess = _lambdify(args, hess_mat)
-
-    model = cls._of_flat(n, _pointwise(f_val, float), grad=_pointwise(f_grad, _vector),
-                         hess=_pointwise(f_hess, _matrix), **kw)
-    model._value_rows = _Columns(f_val)
-    model._hess_rows = _Columns(f_hess, hess_mat.shape)
+    value, grad, hess = (_Generated(functools.partial(_lambdify, args, e), shape).call
+                         for e, shape in [(expr, ()), (sp.Matrix(grads), (len(args),)),
+                                          (hess_mat, hess_mat.shape)])
+    model = cls._of_flat(n, value, grad=grad, hess=hess, **kw)
     model.sympy_data = (expr, *blocks)
     if cls.order == 2 and not hess_mat[2 * n:, 2 * n:].free_symbols:
         # W does not depend on the jet: invert it once if it is regular
@@ -256,22 +269,14 @@ def _from_sympy(cls, n, expr, blocks, **kw):
     return model
 
 
-class _SympyEl4:
-    """The analytic ``el4`` of a second-order sympy model, derived and
-    lambdified on its first call.
+def _lazy_el4(n, expr, q, dq, ddq):
+    """The ``el4`` call of a second-order sympy model, whose code is derived
+    and lambdified on its first use.
 
     Most models never evaluate it (path solves do not), and its derivation
     costs about as much as all the rest of the model's code.
     """
-
-    def __init__(self, n, expr, q, dq, ddq):
-        self.n = n
-        self._sympy = (expr, q, dq, ddq)
-
-    @functools.cached_property
-    def f(self):
-        expr, q, dq, ddq = self._sympy
-        n = self.n
+    def make():
         d3q = list(sp.symbols(f"_d3q0:{n}", real=True))
         d4q = list(sp.symbols(f"_d4q0:{n}", real=True))
 
@@ -287,16 +292,13 @@ class _SympyEl4:
                     for i in range(n)]
         return _lambdify(q + dq + ddq + d3q + d4q, sp.Matrix(el_exprs))
 
-    @functools.cached_property
-    def rows(self):
-        return _Columns(self.f, (self.n,))
+    generated = _Generated(make, (n,))
 
-    @functools.cached_property
-    def _point(self):
-        return _pointwise(self.f, _vector)
+    def el4(y):
+        return generated.call(y)
 
-    def __call__(self, y):
-        return self._point(y)
+    el4.generated = generated
+    return el4
 
 
 class LagrangianModel:
@@ -359,8 +361,6 @@ class LagrangianModel:
         self.poly_degree = poly_degree
         self.name = name or "lagrangian"
         self.sympy_data = None
-        # stacked evaluators of the lambdified value and Hessian
-        self._value_rows = self._hess_rows = None
         # W^-1 of a model whose W is constant and regular
         self._W_inv = None
 
@@ -389,33 +389,25 @@ class LagrangianModel:
         return self.el4(np.concatenate([q, dq, ddq, d3q, d4q]))
 
     # The same calls on stacks, one flat jet per row, with the same results
-    # bit for bit.  Models built from sympy run their lambdified code once
+    # bit for bit.  Models built from sympy run their generated code once
     # on the columns of a stack of at least ``min_rows`` rows; other models
     # and shorter stacks loop over the rows.
 
-    def _stacked(self, columns, pointwise, X):
-        if columns is not None and len(X) >= columns.min_rows:
-            return columns(X)
-        return np.array([pointwise(x) for x in X])
-
     def value_stack(self, X) -> np.ndarray:
         """``value`` of each row of an (M, (order + 1) n) stack."""
-        return self._stacked(self._value_rows, self.value, X)
+        return _stacked(self.value, X)
+
+    def grad_stack(self, X) -> np.ndarray:
+        """``grad`` of each row of an (M, (order + 1) n) stack."""
+        return _stacked(self.grad, X)
 
     def hess_stack(self, X) -> np.ndarray:
         """``hess`` of each row of an (M, (order + 1) n) stack."""
-        return self._stacked(self._hess_rows, self.hess, X)
+        return _stacked(self.hess, X)
 
     def el4_stack(self, X):
         """``el4`` of each row of an (M, 5n) stack; None without el4."""
-        if self.el4 is None:
-            return None
-        return self._stacked(self._el4_rows, self.el4, X)
-
-    @property
-    def _el4_rows(self):
-        # stacked evaluator of a sympy model's el4, generated with it
-        return self.el4.rows if isinstance(self.el4, _SympyEl4) else None
+        return None if self.el4 is None else _stacked(self.el4, X)
 
     @classmethod
     def from_sympy(cls, n, expr, q, dq, ddq, poly_degree=None, name=None):
@@ -426,7 +418,7 @@ class LagrangianModel:
         """
         q, dq, ddq = list(q), list(dq), list(ddq)
         return _from_sympy(cls, n, expr, (q, dq, ddq),
-                           el4=_SympyEl4(n, expr, q, dq, ddq),
+                           el4=_lazy_el4(n, expr, q, dq, ddq),
                            poly_degree=poly_degree, name=name)
 
     def with_position_term(self, f, df, d2f, name=None):

@@ -18,9 +18,10 @@ from .errors import NoConvergence
 
 
 def floors(tol, scale):
-    """(tight, loose): ``tol``, raised to 2 eps and 64 eps times ``scale``."""
+    """(tight, loose): ``tol``, raised to 2 eps and 64 eps times ``scale``,
+    elementwise for arrays of levels."""
     eps = np.finfo(float).eps
-    return max(tol, 2.0 * eps * scale), max(tol, 64.0 * eps * scale)
+    return np.maximum(tol, 2.0 * eps * scale), np.maximum(tol, 64.0 * eps * scale)
 
 
 def solve_rows(A, b):

@@ -167,6 +167,9 @@ def _edit(base, path, value):
     ("order", _edit(CUSTOM_ORDER_CFG, ["lagrangian", "name"], [])),
     ("simulate", _edit(SIM_CFG, ["initial", "v0"], DROP)),
     ("ocp", _edit(OCP_CFG, ["grid"], {"t0": 5.0, "T": 10.0, "N": 4})),
+    ("simulate", _edit(SIM_CFG, ["grid", "N"], True)),
+    ("bvp", _edit(BVP_CFG, ["tolerances"], {"path": True})),
+    ("order", _edit(ORDER_CFG, ["h_values"], [0.64, 0.32, 0.16, True])),
 ], ids=["T-not-number", "bvp-boundary-missing", "ocp-boundary-missing",
         "tolerances-not-object", "tolerance-not-number", "bvp-N-1",
         "nan-boundary", "inf-boundary", "ocp-inf-boundary",
@@ -177,7 +180,8 @@ def _edit(base, path, value):
         "newton-tolerance-field", "simulate-path-tolerance",
         "ocp-path-tolerance", "order-path-tolerance", "batch-second-invalid",
         "scheme-not-string", "lagrangian-name-not-string",
-        "initial-v0-missing", "ocp-t0-nonzero"])
+        "initial-v0-missing", "ocp-t0-nonzero", "grid-N-boolean",
+        "path-tolerance-boolean", "h-values-boolean"])
 def test_config_errors_exit_2(tmp_path, capsys, command, cfg):
     out = tmp_path / "out"
     out.mkdir()
@@ -219,7 +223,9 @@ def test_bad_penalty_exits_2_before_solving(tmp_path, capsys, monkeypatch, field
 @pytest.mark.parametrize("command, cfg", [
     ("simulate", _edit(SIM_CFG, ["grid", "T"], 1e300)),
     ("bvp", _edit(BVP_CFG, ["grid", "T"], 1e300)),
-], ids=["simulate", "bvp"])
+    # nodes too many to allocate: numpy refuses the array at once
+    ("simulate", _edit(SIM_CFG, ["grid", "N"], 10**15)),
+], ids=["simulate", "bvp", "simulate-N-too-large"])
 def test_overflowing_grid_exits_1(tmp_path, capsys, command, cfg):
     out = tmp_path / "out"
     out.mkdir()

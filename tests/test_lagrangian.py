@@ -323,6 +323,9 @@ class TestStackedCalls:
             jets = X[:, :3 * n]
             assert np.array_equal(L.value_stack(jets),
                                   [L.value_at(*x.reshape(3, n)) for x in jets]), name
+            assert np.array_equal(L.grad_stack(jets),
+                                  [np.concatenate(L.grad_at(*x.reshape(3, n)))
+                                   for x in jets]), name
             assert np.array_equal(L.hess_stack(jets),
                                   [L.hess_at(*x.reshape(3, n)) for x in jets]), name
             el4 = L.el4_stack(X)
@@ -335,6 +338,7 @@ class TestStackedCalls:
         for name, L in stacked_models:
             x = rng.normal(size=(1, 3 * L.n))
             assert L.value_stack(x).shape == (1,)
+            assert L.grad_stack(x).shape == (1, 3 * L.n)
             assert L.hess_stack(x).shape == (1, 3 * L.n, 3 * L.n)
             assert L.value_stack(x)[0] == L.value_at(*x[0].reshape(3, L.n)), name
 
@@ -343,10 +347,32 @@ class TestStackedCalls:
         # two-link Hessian and el4 loop over the rows of a shooting
         # Jacobian's 2n-member stack, where that is measurably faster
         models = dict(stacked_models)
-        assert models["spline1"]._hess_rows.min_rows == 1
+        assert models["spline1"].hess.generated.min_rows == 1
         lifted = models["lifted-two-link"]
-        assert lifted._hess_rows.min_rows > 2 * lifted.n
-        assert lifted._el4_rows.min_rows > 2 * lifted.n
+        assert lifted.hess.generated.min_rows > 2 * lifted.n
+        assert lifted.el4.generated.min_rows > 2 * lifted.n
+
+    def test_action_assembler_equals_pointwise_loops(self, stacked_models, rng):
+        # the spectral solver's action, gradient and Hessian take their node
+        # values from the stacks, with the sums of per-node pointwise calls
+        from varint.bvp import _ActionAssembler
+        for name, L in stacked_models:
+            n, h = L.n, 0.3
+            asm = _ActionAssembler(L, 8, JetPoint(rng.normal(size=n), (rng.normal(size=n),)), h)
+            coeffs = rng.normal(size=(9, n))
+            Y = asm.jets(coeffs)
+            action = float(sum(w * L.value(y) for w, y in zip(asm.wq, Y)))
+            G, W = np.array([L.grad(y) for y in Y]), asm.wq[:, None]
+            grad = (h * h * asm.B2.T @ (W * G[:, :n]) + h * asm.B1.T @ (W * G[:, n:2 * n])
+                    + asm.B0.T @ (W * G[:, 2 * n:]))
+            hess, I = np.zeros((9 * n, 9 * n)), np.eye(n)
+            for g, (w, y) in enumerate(zip(asm.wq, Y)):
+                Bg = np.vstack([h * h * np.kron(asm.B2[g], I), h * np.kron(asm.B1[g], I),
+                                np.kron(asm.B0[g], I)])
+                hess += w * (Bg.T @ L.hess(y) @ Bg)
+            assert _same_bits(asm.action(coeffs), action), name
+            assert _same_bits(asm.gradient(coeffs), grad), name
+            assert _same_bits(asm.hessian(coeffs), hess), name
 
 
 _EL4_EXPR = "cos(q0)*ddq0**2/2 + ddq1**2/2 + dq0*dq1*q1 + q0**3 + sqrt(1 + dq1**2)"
@@ -397,7 +423,7 @@ class TestLazyEl4:
         on_columns = model_from_expr(2, _EL4_EXPR)
         stack = np.repeat(X, 4, axis=0)
         got = on_columns.el4_stack(stack)[::4]
-        assert len(stack) >= on_columns._el4_rows.min_rows
+        assert len(stack) >= on_columns.el4.generated.min_rows
         assert got.tobytes() == ref.tobytes()
 
     def test_position_term_keeps_el4(self):
@@ -429,7 +455,7 @@ def _numpy_calls(L):
     return (lambda y: float(f_val(*y)),
             lambda y: np.asarray(f_grad(*y), dtype=float).reshape(-1),
             lambda y: np.asarray(f_hess(*y), dtype=float),
-            lambda y: np.asarray(L.el4.f(*y), dtype=float).reshape(-1))
+            lambda y: np.asarray(L.el4.generated.f(*y), dtype=float).reshape(-1))
 
 
 def _log_jets(rng, M, m):
