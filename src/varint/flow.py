@@ -181,10 +181,11 @@ def _newton_path(Ld, x0, xN, grid, interior, tol, max_iter):
     steps when they halve the residual without raising the action, otherwise
     an Armijo search on the action along the Newton direction, Levenberg-
     regularized when the plain direction is not a descent direction.  A
-    failed search ends the solve, accepted only at the loose floor.  Every
-    point's pair states are built once, as the rows of one packed array, and
-    serve all its sweeps, and a trial point's residual is evaluated only once
-    its action has passed.  Returns the (N+1, 2n) nodes, the residual (one
+    failed search, or a step that leaves every node where it was, ends the
+    solve, accepted only at the loose floor.  Every point's pair states are
+    built once, as the rows of one packed array, and serve all its sweeps,
+    and a trial point's residual is evaluated only once its action has
+    passed.  Returns the (N+1, 2n) nodes, the residual (one
     row per interior node) and the action there, and the iteration count.
     """
     n = x0.dim
@@ -257,14 +258,18 @@ def _newton_path(Ld, x0, xN, grid, interior, tol, max_iter):
                 Xt, Pt = moved(X, alpha * delta)
                 At, Rt = _path_action(Ld, Pt), None
             if At <= A + 1e-4 * alpha * slope:
-                if Rt is None:
-                    Rt = _path_residual(Ld, Pt).reshape(-1)
-                X, P, R, A = Xt, Pt, Rt, At
                 break
             alpha *= 0.5
         else:
+            Xt = X
+        # a failed search, or an accepted step too small to change any node
+        # (the damping may still change), has stopped the level
+        if np.array_equal(Xt, X):
             message = "path Newton stalled"
             break
+        if Rt is None:
+            Rt = _path_residual(Ld, Pt).reshape(-1)
+        X, P, R, A = Xt, Pt, Rt, At
         lam = lam_try / 3.0 if alpha >= 0.5 else min(max(lam_try, 1e-6) * 2.0, 1e8)
     else:
         it = max_iter

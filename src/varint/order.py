@@ -8,9 +8,6 @@ exact trajectory, sampled at t = 0 and t = h.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,17 +53,6 @@ class OrderReport:
             "fit_residual": self.fit_residual,
             "exact": self.exact,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["h", "error"])
-        for h, e in zip(self.h_values, self.errors):
-            writer.writerow([f"{h:.17g}", f"{e:.17g}"])
-        return buf.getvalue()
 
 
 def local_error(Ld: DiscreteLagrangian, L: LagrangianModel, q1jet: JetPoint,

@@ -308,6 +308,8 @@ def test_criterion_10_two_link_swing_up():
     assert max(eps_lo, eps_hi) <= 0.02
     assert resp.cost == pytest.approx(2.7300769043819693, rel=1e-6)
     assert len(resp.newton_iterations) == 8             # penalty stages
+    # the last stage stalls below solve_ocp's 200-iteration cap
+    assert resp.newton_iterations[-1][-1] < 200
     assert _path_digest(resp.path) == (
         "0ee1cc11a2e4c0f705545cc7b12955a1dad4ce22b17c838a32c1f789a56de9c4")
     print(f"\nPASS criterion 10: N=200 solve {elapsed:.1f}s (limit 60s), "

@@ -170,6 +170,13 @@ def _edit(base, path, value):
     ("simulate", _edit(SIM_CFG, ["grid", "N"], True)),
     ("bvp", _edit(BVP_CFG, ["tolerances"], {"path": True})),
     ("order", _edit(ORDER_CFG, ["h_values"], [0.64, 0.32, 0.16, True])),
+    # a field the command does not read is an error, not ignored
+    ("order", _edit(ORDER_CFG, ["grid"], {"t0": 0.0, "T": 1.0, "N": 4})),
+    ("bvp", _edit(BVP_CFG, ["h_values"], [0.64, 0.32, 0.16, 0.08])),
+    ("simulate", _edit(SIM_CFG, ["boundary"],
+                       {"q0": [0.0], "v0": [0.0], "qN": [1.0], "vN": [0.0]})),
+    ("order", _edit(CUSTOM_ORDER_CFG, ["n"], 1)),
+    ("ocp", _edit(OCP_CFG, ["params"], {"m1": 1.0})),
 ], ids=["T-not-number", "bvp-boundary-missing", "ocp-boundary-missing",
         "tolerances-not-object", "tolerance-not-number", "bvp-N-1",
         "nan-boundary", "inf-boundary", "ocp-inf-boundary",
@@ -181,7 +188,9 @@ def _edit(base, path, value):
         "ocp-path-tolerance", "order-path-tolerance", "batch-second-invalid",
         "scheme-not-string", "lagrangian-name-not-string",
         "initial-v0-missing", "ocp-t0-nonzero", "grid-N-boolean",
-        "path-tolerance-boolean", "h-values-boolean"])
+        "path-tolerance-boolean", "h-values-boolean", "order-grid",
+        "bvp-h-values", "simulate-boundary", "custom-lagrangian-n",
+        "ocp-custom-params"])
 def test_config_errors_exit_2(tmp_path, capsys, command, cfg):
     out = tmp_path / "out"
     out.mkdir()
