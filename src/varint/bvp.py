@@ -293,8 +293,10 @@ def shooting_bvp(L: LagrangianModel, q1jet: JetPoint, q2jet: JetPoint, h: float,
     Each solve drives the endpoint miss below 1e-11 (relative to the endpoint
     scale) in at most 50 Newton steps.  The substep count starts at 16 and
     doubles until a solve with twice the resolution moves the answer by at
-    most 1e-11 (relative to the jet scale), capped at 1024; a solve that
-    reaches the cap unsettled issues :class:`UnsettledSubsteps`.
+    most 1e-11 (relative to the jet scale), or by at most 1e-9 after less
+    than a 4-fold shrink from the doubling before: that is the solves' own
+    stopping noise, as RK4's error shrinks 16-fold.  At the cap of 1024 a
+    move still shrinking issues :class:`UnsettledSubsteps`.
     """
     _check_h(h)
     c2, c3 = _hermite_coeffs(q1jet, q2jet, h)
@@ -302,13 +304,14 @@ def shooting_bvp(L: LagrangianModel, q1jet: JetPoint, q2jet: JetPoint, h: float,
     target = np.concatenate([q2jet.q, q2jet.deriv(1)])[None]
     x = _shoot(L, left, target, h, 16, np.concatenate([2.0 * c2, 6.0 * c3])[None],
                1e-11, 50)
-    S = 16
+    S, last = 16, np.inf
     while True:
         x2 = _shoot(L, left, target, h, 2 * S, x, 1e-11, 50)
         moved, size = np.max(np.abs(x2 - x)), 1.0 + np.max(np.abs(x2))
         x, S = x2, 2 * S
-        if moved <= 1e-11 * size:
+        if moved <= 1e-11 * size or moved <= 1e-9 * size and 4.0 * moved / size > last:
             break
+        last = moved / size
         if S >= 1024:
             warnings.warn(f"shooting accepted at the cap of S = {S} substeps, where the "
                           f"last doubling moved the answer by {moved / size:.2e} "

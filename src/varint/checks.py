@@ -44,33 +44,23 @@ def check_spline_exactness(rng):
     """Scheme values against the closed forms of the spline problem."""
     L = spline_lagrangian(1)
     Ld = taylor_average(L)
-    err_t = err_e = 0.0
-    for q1jet, q2jet, h in _nearby_pairs(rng, 200):
-        s = PairState(q1jet, q2jet, h)
-        ref = _taylor_closed_form(q1jet.q, q1jet.deriv(1), q2jet.q, q2jet.deriv(1), h)
-        err_t = max(err_t, abs(Ld.value(s) - ref))
-        ref_e = _spline_closed_form(q1jet.q, q1jet.deriv(1), q2jet.q, q2jet.deriv(1), h)
-        err_e = max(err_e, abs(exact_Ld(L, q1jet, q2jet, h, degree=4) - ref_e))
-    tol = 1e-10
-    return max(err_t, err_e) <= tol, f"max closed-form error {max(err_t, err_e):.3e} (tol {tol:g})"
+    worst = 0.0
+    for a, b, h in _nearby_pairs(rng, 200):
+        ends = (a.q, a.deriv(1), b.q, b.deriv(1), h)
+        worst = max(worst, abs(Ld.value(PairState(a, b, h)) - _taylor_closed_form(*ends)),
+                    abs(exact_Ld(L, a, b, h, degree=4) - _spline_closed_form(*ends)))
+    return worst <= 1e-10, f"max closed-form error {worst:.3e} (tol 1e-10)"
 
 
 def check_legendre_match(rng):
     """Momentum maps of the exact one-step action vs the continuous map."""
-    worst = 0.0
-    L = spline_lagrangian(1)
-    for q1jet, q2jet, h in _nearby_pairs(rng, 5, h=0.3):
-        le, re = legendre_match_errors(L, q1jet, q2jet, h)
-        worst = max(worst, le, re)
-    ok_spline = worst <= 1e-8
-    Lq = named_lagrangian("spline-potential", 1)
-    worst_q = 0.0
-    for q1jet, q2jet, h in _nearby_pairs(rng, 5, h=0.1):
-        le, re = legendre_match_errors(Lq, q1jet, q2jet, h)
-        worst_q = max(worst_q, le, re)
-    ok = ok_spline and worst_q <= 1e-6
-    return ok, (f"spline max err {worst:.3e} (tol 1e-08), "
-                f"with potential {worst_q:.3e} (tol 1e-06)")
+    worst = [max(max(legendre_match_errors(L, a, b, step))
+                 for a, b, step in _nearby_pairs(rng, 5, h=h))
+             for L, h in ((spline_lagrangian(1), 0.3),
+                          (named_lagrangian("spline-potential", 1), 0.1))]
+    return worst[0] <= 1e-8 and worst[1] <= 1e-6, (
+        f"spline max err {worst[0]:.3e} (tol 1e-08), "
+        f"with potential {worst[1]:.3e} (tol 1e-06)")
 
 
 def check_phi(rng):
@@ -91,35 +81,25 @@ def check_phi(rng):
 def check_symplectic(rng):
     """Step-map symplectic defect, with a corrupted negative control."""
     L = spline_lagrangian(1)
-    worst = 0.0
-    h = 0.4
-    for Ld in (spline_exact(), taylor_average(L)):
-        for q1jet, q2jet, hh in _nearby_pairs(rng, 5, h=h):
-            m = fminus(Ld, PairState(q1jet, q2jet, hh))
-            worst = max(worst, symplectic_defect(Ld, m, hh))
-    ok = worst <= 1e-5
-    return ok, f"max defect {worst:.3e} (tol 1e-05)"
+    worst = max(symplectic_defect(Ld, fminus(Ld, PairState(a, b, h)), h)
+                for Ld in (spline_exact(), taylor_average(L))
+                for a, b, h in _nearby_pairs(rng, 5, h=0.4))
+    return worst <= 1e-5, f"max defect {worst:.3e} (tol 1e-05)"
 
 
 def check_oracles(rng):
     """Spectral and shooting actions agree; connecting cubic recovered exactly."""
-    worst = 0.0
-    problems = [(spline_lagrangian(1), 8), (named_lagrangian("spline-potential", 1), 10),
+    spline = spline_lagrangian(1)
+    problems = [(spline, 8), (named_lagrangian("spline-potential", 1), 10),
                 (named_lagrangian("spline-velocity", 1), 10)]
-    for L, degree in problems:
-        for q1jet, q2jet, h in _nearby_pairs(rng, 2, h=0.1):
-            a = exact_Ld(L, q1jet, q2jet, h, method="regularized", degree=degree)
-            b = exact_Ld(L, q1jet, q2jet, h, method="shooting")
-            worst = max(worst, abs(a - b))
-    ok_agree = worst <= 1e-8
-    L = spline_lagrangian(1)
-    herm = 0.0
-    for q1jet, q2jet, h in _nearby_pairs(rng, 5, h=0.5):
-        coeffs = solve_regularized(L, q1jet, q2jet, h, degree=6)
-        herm = max(herm, float(np.max(np.abs(coeffs[2:]))))
-    ok = ok_agree and herm <= 1e-12
-    return ok, (f"action agreement {worst:.3e} (tol 1e-08), "
-                f"cubic recovery {herm:.3e} (tol 1e-12)")
+    worst = max(abs(exact_Ld(L, a, b, h, method="regularized", degree=degree)
+                    - exact_Ld(L, a, b, h, method="shooting"))
+                for L, degree in problems for a, b, h in _nearby_pairs(rng, 2, h=0.1))
+    herm = max(float(np.max(np.abs(solve_regularized(spline, a, b, h, degree=6)[2:])))
+               for a, b, h in _nearby_pairs(rng, 5, h=0.5))
+    return worst <= 1e-8 and herm <= 1e-12, (
+        f"action agreement {worst:.3e} (tol 1e-08), "
+        f"cubic recovery {herm:.3e} (tol 1e-12)")
 
 
 def check_order(rng):

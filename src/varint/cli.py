@@ -23,9 +23,9 @@ import numpy as np
 from . import checks
 from .bvp import H_MAX
 from .control import (JointLimitPenalty, OCProblem, TwoLinkParams,
-                      control_effort_cost, free_particle_model, solve_ocp,
+                      control_effort_cost, free_particle_model, lift_cost, solve_ocp,
                       solution_table, two_link_forces, two_link_model)
-from .discretization import SCHEMES, make_scheme
+from .discretization import SCHEMES, check_scheme, make_scheme
 from .errors import ConfigError, VarintError
 from .flow import initial_pair, phi_values, run as run_flow, solve_boundary_path
 from .jets import JetPoint, uniform_grid
@@ -101,11 +101,8 @@ def _scheme_of(cfg):
         entry = cfg.get("lagrangian")
         _check_keys(entry, {"name", "n"}, "lagrangian")
         _require(isinstance(entry.get("name"), str), "lagrangian.name must be a string")
-        try:
-            L = named_lagrangian(entry["name"],
-                                 _dimension(entry.get("n", 1), "lagrangian.n"))
-        except KeyError as exc:
-            raise ConfigError(str(exc))
+        L = named_lagrangian(entry["name"], _dimension(entry.get("n", 1), "lagrangian.n"))
+    check_scheme(cfg["scheme"], L)
     return L, make_scheme(cfg["scheme"], L)
 
 
@@ -193,16 +190,13 @@ def _ocp(cfg):
         params = TwoLinkParams(**pr)
         model = two_link_model(params)
         penalty = None
-        if pcfg := cfg.get("penalty"):
-            _check_keys(pcfg, {"slope", "lo_deg", "hi_deg", "width"}, "penalty")
-            try:
-                penalty = JointLimitPenalty(
-                    n=2, slope=_number(pcfg.get("slope", 1000.0), "penalty.slope"),
-                    lo=math.radians(_number(pcfg.get("lo_deg", 0.0), "penalty.lo_deg")),
-                    hi=math.radians(_number(pcfg.get("hi_deg", 170.0), "penalty.hi_deg")),
-                    width=_number(pcfg.get("width", 1e-6), "penalty.width"))
-            except ValueError as exc:
-                raise ConfigError(str(exc))
+        if "penalty" in cfg:
+            # the fields given replace the defaults of JointLimitPenalty
+            fields = {"slope": "slope", "lo_deg": "lo", "hi_deg": "hi", "width": "width"}
+            _check_keys(cfg["penalty"], fields, "penalty")
+            kw = {fields[k]: _number(v, f"penalty.{k}") for k, v in cfg["penalty"].items()}
+            kw.update({k: math.radians(kw[k]) for k in ("lo", "hi") if k in kw})
+            penalty = JointLimitPenalty(n=2, **kw)
         forces = lambda jet: two_link_forces(params, jet)
         labels = ["t", "theta1", "theta2", "dtheta1", "dtheta2", "u1", "u2"]
         n = 2
@@ -217,6 +211,9 @@ def _ocp(cfg):
     qa, va, qb, vb = _boundary(cfg, n)
     problem = OCProblem(model, control_effort_cost(), qa=qa, va=va, qb=qb, vb=vb,
                         T=T, N=N, penalty=penalty)
+    if cfg["scheme"] == "spline-exact":
+        # the solve lifts the model again; no other scheme needs it here
+        check_scheme(cfg["scheme"], lift_cost(problem))
 
     def solve():
         result = solve_ocp(problem, scheme=cfg["scheme"])
@@ -289,7 +286,12 @@ def prepare_scenario(cfg: dict, command: str, outdir: Path):
     scheme = cfg.get("scheme", "taylor")
     _require(isinstance(scheme, str) and scheme in SCHEMES,
              f"scheme must be one of {tuple(SCHEMES)}")
-    solve = build(dict(cfg, scheme=scheme))
+    try:
+        solve = build(dict(cfg, scheme=scheme))
+    except (KeyError, ValueError) as exc:
+        # what the registries and constructors (a Lagrangian name, a scheme
+        # for its model, a penalty) reject
+        raise ConfigError(str(exc))
     files = ("order.csv", "order.json") if command == "order" else (
         "trajectory.csv", "summary.json")
     csv_path, json_path = (outdir / f"{name}_{f}" for f in files)
@@ -351,6 +353,7 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "check":
+            _require(args.seed >= 0, "--seed must be a non-negative integer")
             return checks.run_suites(args.suites or None, seed=args.seed)
         scenarios = load_scenarios(args.config)
         outdir = Path(args.out)

@@ -20,10 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 import sympy as sp
 
-from .discretization import DiscreteLagrangian, make_scheme
+from .discretization import DiscreteLagrangian, check_scheme, make_scheme
 from .flow import solve_boundary_path
 from .jets import DiscretePath, JetPoint, uniform_grid
-from .lagrangian import LagrangianModel, MechanicalModel, controlled_forces
+from .lagrangian import (LagrangianModel, MechanicalModel, _total_derivative,
+                         controlled_forces)
 
 
 # -- costs ---------------------------------------------------------------------
@@ -160,12 +161,8 @@ def lift_cost(P: OCProblem) -> LagrangianModel:
     if M.sympy_data is not None and P.cost.symbolic is not None:
         expr, qs, dqs = M.sympy_data
         ddqs = list(sp.symbols(f"__lift_ddq0:{n}", real=True))
-
-        def dt(e):
-            return sum(sp.diff(e, qs[i]) * dqs[i] + sp.diff(e, dqs[i]) * ddqs[i]
-                       for i in range(n))
-
-        u_exprs = [dt(sp.diff(expr, dqs[i])) - sp.diff(expr, qs[i]) for i in range(n)]
+        u_exprs = [_total_derivative(sp.diff(expr, dqs[i]), (qs, dqs, ddqs))
+                   - sp.diff(expr, qs[i]) for i in range(n)]
         lifted_expr = P.cost.symbolic(qs, dqs, u_exprs)
         base = LagrangianModel.from_sympy(n, lifted_expr, qs, dqs, ddqs,
                                           name=f"lifted-{M.name}")
@@ -233,6 +230,7 @@ def solve_ocp(P: OCProblem, scheme: str = "taylor-midpoint") -> OCPResult:
     guess, stages = None, []
     for i, pen in enumerate(penalties):
         lifted = _penalized(base, pen)
+        check_scheme(scheme, lifted)
         Ld = make_scheme(scheme, lifted)
         stage_tol = 1e-10 if i == len(penalties) - 1 else 1e-6
         path = solve_boundary_path(Ld, x0, xN, grid, guess=guess,

@@ -11,6 +11,7 @@ with hand-written partials.
 from __future__ import annotations
 
 import numpy as np
+import sympy as sp
 
 from .jets import PairState, pack, unpack
 from .lagrangian import FD_STEP, LagrangianModel, _central_diff
@@ -225,8 +226,19 @@ SCHEMES = {
 }
 
 
+def check_scheme(name: str, L: LagrangianModel) -> None:
+    """Raise ValueError if the scheme ``name`` cannot discretize ``L``:
+    spline-exact is the exact action of L = 1/2 |qddot|^2 whatever L it gets,
+    so it needs a model whose sympy expression is that one."""
+    data = L.sympy_data if L.order == 2 else None
+    if name == "spline-exact" and (
+            data is None or sp.expand(data[0] - sum(a**2 for a in data[3]) / 2) != 0):
+        raise ValueError(f"spline-exact discretizes only L = 1/2 |qddot|^2, not {L.name}")
+
+
 def make_scheme(name: str, L: LagrangianModel) -> DiscreteLagrangian:
-    """Scheme registry used by the solvers and the CLI."""
+    """Scheme registry used by the solvers and the CLI; it builds every
+    scheme for any L, unchecked (see :func:`check_scheme`)."""
     if name not in SCHEMES:
         raise KeyError(f"unknown scheme {name!r}; known: {sorted(SCHEMES)}")
     return SCHEMES[name](L)

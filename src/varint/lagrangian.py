@@ -5,8 +5,8 @@ k = 2 for the second-order systems, k = 1 for mechanical Lagrangians
 L(q, qdot).  Every model exposes the value, the k + 1 first-partial blocks
 and the full symmetric second-partial matrix in jet layout.  Derivatives are
 analytic callbacks when supplied (or generated symbolically via
-``from_sympy``); otherwise central finite differences on the value are used
-and the model is flagged as FD-backed.
+``from_sympy``, each on its first call); otherwise central finite
+differences on the value are used and the model is flagged as FD-backed.
 
 Total time derivatives are always expanded by the chain rule on the supplied
 partials, never by differencing along a trajectory, so identities involving
@@ -24,6 +24,7 @@ from __future__ import annotations
 import ast
 import functools
 import inspect
+import itertools
 import math
 import operator
 import types
@@ -100,6 +101,9 @@ class _PowPrinter(NumPyPrinter):
     (``_pow`` is the scalar power per element) with equal results.
     """
 
+    _default_settings = dict(NumPyPrinter._default_settings, fully_qualified_modules=False,
+                             inline=True, allow_unknown_functions=True)
+
     def _hprint_Pow(self, expr, rational=False, sqrt="numpy.sqrt"):
         if not rational and (expr.exp == sp.S.Half or expr.is_commutative and (
                 -expr.exp is sp.S.Half or expr.exp is sp.S.NegativeOne)):
@@ -108,10 +112,8 @@ class _PowPrinter(NumPyPrinter):
 
 
 def _lambdify(args, expr):
-    printer = _PowPrinter({"fully_qualified_modules": False, "inline": True,
-                           "allow_unknown_functions": True})
     return sp.lambdify(args, expr, modules=[{"_pow": operator.pow}, "numpy"],
-                       printer=printer, cse=True)
+                       printer=_PowPrinter, cse=True)
 
 
 def _column_pow(b, e):
@@ -143,7 +145,8 @@ def _matrix(r):
 class _Generated:
     """One generated derivative: the lambdified code ``f``, which ``make``
     returns on first use, ``call`` on one flat jet and ``stack`` on a stack
-    of them, bit for bit alike; ``shape`` is that of one result."""
+    of them, bit for bit alike; ``shape`` is that of one result.  Nothing is
+    derived or lambdified before the first call or stack."""
 
     def __init__(self, make, shape=()):
         self._make, self.shape = make, shape
@@ -153,6 +156,8 @@ class _Generated:
     @functools.cached_property
     def f(self):
         return self._make()
+
+    _scalar = functools.cached_property(lambda self: _rebound(self.f, **_SCALAR_MATH))
 
     @functools.cached_property
     def call(self):
@@ -165,14 +170,13 @@ class _Generated:
         division by zero), the point is evaluated again on numpy scalars, so
         its nan, inf and warnings are numpy's.
         """
-        f, out = self.f, (float, _vector, _matrix)[len(self.shape)]
-        g = _rebound(f, **_SCALAR_MATH)
+        out = (float, _vector, _matrix)[len(self.shape)]
 
         def call(y):
             try:
-                r = g(*y.tolist())
+                r = self._scalar(*y.tolist())
             except (ArithmeticError, ValueError):
-                r = f(*y)
+                r = self.f(*y)
             return out(r)
 
         call.generated = self
@@ -249,56 +253,55 @@ def _from_sympy(cls, n, expr, blocks, **kw):
     """Fully analytic model of class ``cls`` from a sympy expression.
 
     ``blocks`` holds the jet variables, ``cls.order + 1`` sequences of n
-    symbols each; ``kw`` goes to the constructor.
+    symbols each; ``kw`` goes to the constructor.  Each derivative (value,
+    gradient, Hessian and, at order 2, ``el4``) is derived and lambdified on
+    its first call, all from one cached list of the gradient's expressions.
     """
     blocks = [list(b) for b in blocks]
     args = [s for b in blocks for s in b]
-    grads = [sp.diff(expr, s) for s in args]
-    hess_mat = sp.Matrix([[sp.diff(g, s) for s in args] for g in grads])
-    value, grad, hess = (_Generated(functools.partial(_lambdify, args, e), shape).call
-                         for e, shape in [(expr, ()), (sp.Matrix(grads), (len(args),)),
-                                          (hess_mat, hess_mat.shape)])
-    model = cls._of_flat(n, value, grad=grad, hess=hess, **kw)
+    m = len(args)
+    grads = functools.cache(lambda: [sp.diff(expr, s) for s in args])
+
+    def generated(exprs, shape, args=args):
+        return _Generated(lambda: _lambdify(args, exprs()), shape).call
+
+    if cls.order == 2:
+        jet = blocks + [list(sp.symbols(f"_d{k}q0:{n}", real=True)) for k in (3, 4)]
+        kw["el4"] = generated(lambda: _el4_exprs(grads(), *jet), (n,),
+                              [s for b in jet for s in b])
+    model = cls._of_flat(n, generated(lambda: expr, ()),
+                         grad=generated(lambda: sp.Matrix(grads()), (m,)),
+                         hess=generated(lambda: sp.Matrix(grads()).jacobian(args), (m, m)),
+                         **kw)
     model.sympy_data = (expr, *blocks)
-    if cls.order == 2 and not hess_mat[2 * n:, 2 * n:].free_symbols:
-        # W does not depend on the jet: invert it once if it is regular
-        with np.errstate(all="ignore"):
-            W, regular = _acceleration_hessian(model, np.zeros((1, 3 * n)))
-        if regular[0]:
-            model._W_inv = np.linalg.inv(W[0])
+    if cls.order == 2:
+        # W does not depend on the jet: invert it once if it is regular.  Its
+        # entries are read up to the first that depends on the jet, each as
+        # the number the generated Hessian code computes.
+        W = list(itertools.takewhile(lambda d: not d.free_symbols, (
+            sp.diff(g, s) for g in grads()[2 * n:] for s in blocks[2])))
+        if len(W) == n * n:
+            printer, names = _PowPrinter(), dict(vars(np), **_SCALAR_MATH)
+            W = np.reshape([eval(printer.doprint(d), names) for d in W], (1, n, n))
+            W, regular = _regular(W)
+            if regular[0]:
+                model._W_inv = np.linalg.inv(W[0])
     return model
 
 
-def _lazy_el4(n, expr, q, dq, ddq):
-    """The ``el4`` call of a second-order sympy model, whose code is derived
-    and lambdified on its first use.
+def _el4_exprs(grads, *jet):
+    """The equation-of-motion residual of a second-order Lagrangian with the
+    first partials ``grads``, at the jet blocks (q, dq, ddq, d3q, d4q)."""
+    n = len(jet[0])
+    return sp.Matrix([grads[i] - _total_derivative(grads[n + i], jet)
+                      + _total_derivative(_total_derivative(grads[2 * n + i], jet), jet)
+                      for i in range(n)])
 
-    Most models never evaluate it (path solves do not), and its derivation
-    costs about as much as all the rest of the model's code.
-    """
-    def make():
-        d3q = list(sp.symbols(f"_d3q0:{n}", real=True))
-        d4q = list(sp.symbols(f"_d4q0:{n}", real=True))
 
-        def dt(e, include_d4=False):
-            out = sum(sp.diff(e, q[i]) * dq[i] + sp.diff(e, dq[i]) * ddq[i]
-                      + sp.diff(e, ddq[i]) * d3q[i] for i in range(n))
-            if include_d4:
-                out += sum(sp.diff(e, d3q[i]) * d4q[i] for i in range(n))
-            return out
-
-        el_exprs = [sp.diff(expr, q[i]) - dt(sp.diff(expr, dq[i]))
-                    + dt(dt(sp.diff(expr, ddq[i])), include_d4=True)
-                    for i in range(n)]
-        return _lambdify(q + dq + ddq + d3q + d4q, sp.Matrix(el_exprs))
-
-    generated = _Generated(make, (n,))
-
-    def el4(y):
-        return generated.call(y)
-
-    el4.generated = generated
-    return el4
+def _total_derivative(e, jet):
+    """d/dt of the sympy expression ``e`` along the jet blocks (q, dq, ...):
+    the sum over blocks of de/d(block) times the next block."""
+    return sum(sp.diff(e, x) * y for a, b in zip(jet, jet[1:]) for x, y in zip(a, b))
 
 
 class LagrangianModel:
@@ -353,9 +356,10 @@ class LagrangianModel:
         self.analytic_grad = grad is not None
         self.analytic_hess = hess is not None
         self.value = value
-        self.grad = grad if grad is not None else self._fd_grad
+        self.grad = grad if grad is not None else lambda y: _central_diff(self.value_stack, y)
         if hess is None:
-            hess = self._fd_hess_of_grad if grad is not None else self._fd_hess_of_value
+            hess = (self._fd_hess_of_grad if grad is not None
+                    else lambda y: _fd_hess(self.value, y))
         self.hess = hess
         self.el4 = el4
         self.poly_degree = poly_degree
@@ -364,15 +368,9 @@ class LagrangianModel:
         # W^-1 of a model whose W is constant and regular
         self._W_inv = None
 
-    def _fd_grad(self, y):
-        return _central_diff(self.value_stack, y)
-
     def _fd_hess_of_grad(self, y):
         J = _central_diff(lambda Y: [self.grad(z) for z in Y], y)
         return 0.5 * (J + J.T)
-
-    def _fd_hess_of_value(self, y):
-        return _fd_hess(self.value, y)
 
     def value_at(self, *x) -> float:
         return self.value(np.concatenate(x))
@@ -413,13 +411,11 @@ class LagrangianModel:
     def from_sympy(cls, n, expr, q, dq, ddq, poly_degree=None, name=None):
         """Build a fully analytic second-order model from a sympy expression.
 
-        ``q``, ``dq``, ``ddq`` are sequences of n symbols each.  The
-        equation-of-motion residual ``el4`` is generated on its first use.
+        ``q``, ``dq``, ``ddq`` are sequences of n symbols each.  Every
+        derivative, the equation-of-motion residual ``el4`` included, is
+        generated on its first call.
         """
-        q, dq, ddq = list(q), list(dq), list(ddq)
-        return _from_sympy(cls, n, expr, (q, dq, ddq),
-                           el4=_lazy_el4(n, expr, q, dq, ddq),
-                           poly_degree=poly_degree, name=name)
+        return _from_sympy(cls, n, expr, (q, dq, ddq), poly_degree=poly_degree, name=name)
 
     def with_position_term(self, f, df, d2f, name=None):
         """New model whose value gains a configuration-only term f(q).
@@ -543,10 +539,15 @@ def el_residual(L: LagrangianModel, jet: JetPoint) -> np.ndarray:
 
 def _acceleration_hessian(L: LagrangianModel, X):
     """Symmetrized W = d^2 L / dqddot dqddot at each row of an (M, 3n) stack
-    of (q, dq, ddq), and whether each is regular, by the scale-aware test
-    |det W| > 1e-10 * max|W|**n."""
+    of (q, dq, ddq), and whether each is regular, by :func:`_regular`."""
     n = L.n
-    W = L.hess_stack(X)[:, 2 * n:, 2 * n:]
+    return _regular(L.hess_stack(X)[:, 2 * n:, 2 * n:])
+
+
+def _regular(W):
+    """The symmetrized (M, n, n) stack W and whether each is regular, by the
+    scale-aware test |det W| > 1e-10 * max|W|**n."""
+    n = W.shape[1]
     W = 0.5 * (W + W.transpose(0, 2, 1))
     scale = np.abs(W).reshape(len(W), -1).max(axis=1)
     return W, np.abs(np.linalg.det(W)) > 1e-10 * scale ** n

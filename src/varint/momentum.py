@@ -45,8 +45,7 @@ def fminus_inverse(Ld: DiscreteLagrangian, m: MomentaState, h: float,
     from the straight-line one (q + h v, v).
     """
     z0 = None if guess is None else np.concatenate([guess.q, guess.deriv(1)])
-    return _invert(Ld, np.concatenate([m.q, m.v]), np.concatenate([m.p, m.pt]),
-                   h, z0, plus=False)
+    return _invert(Ld, *np.split(m.as_array(), 2), h, z0, plus=False)
 
 
 def fplus_inverse(Ld: DiscreteLagrangian, m: MomentaState, h: float) -> PairState:
@@ -55,8 +54,7 @@ def fplus_inverse(Ld: DiscreteLagrangian, m: MomentaState, h: float) -> PairStat
     Newton (at most 50 steps) starts from the straight-line left point
     (q - h v, v).
     """
-    return _invert(Ld, np.concatenate([m.q, m.v]), np.concatenate([m.p, m.pt]),
-                   h, None, plus=True)
+    return _invert(Ld, *np.split(m.as_array(), 2), h, None, plus=True)
 
 
 def _invert(Ld, node, target, h, z0, plus):

@@ -6,8 +6,8 @@ import pytest
 import scipy.integrate
 import scipy.special
 
-from varint import (JetPoint, endpoints_to_w, exact_Ld, integrate_el,
-                    shooting_bvp, solve_regularized)
+from varint import (JetPoint, endpoints_to_w, exact_Ld, integrate_el, lift_cost,
+                    shooting_bvp, solve_regularized, two_link_problem)
 from varint.bvp import GAMMA, _ActionAssembler, _basis_tables, _rk4
 from varint.errors import UnsettledSubsteps
 
@@ -250,6 +250,22 @@ class TestShooting:
         with warnings.catch_warnings():
             warnings.simplefilter("error", UnsettledSubsteps)
             shooting_bvp(spline_potential, jet1(0.0, 1.0), jet1(0.1, 0.5), 0.5)
+
+    def test_settles_at_the_solves_noise_floor(self):
+        # the lifted swing-up model: doublings move the answer about 16x less
+        # each down to 256 substeps, then under 4x less on the solves' own
+        # stopping noise (above 1e-11), where the doubling stops, silently
+        lifted = lift_cost(two_link_problem(N=4))
+        start = JetPoint([-1.36, 0.09], ([0.19, 0.03], [-0.16, 0.11], [0.39, 0.28]))
+        end = integrate_el(lifted, start, 0.05, 64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UnsettledSubsteps)
+            jet, S = shooting_bvp(lifted, JetPoint(start.q, (start.deriv(1),)),
+                                  JetPoint(end.q, (end.deriv(1),)), 0.05,
+                                  return_substeps=True)
+        assert S == 512
+        out = integrate_el(lifted, jet, 0.05, 512)
+        assert np.max(np.abs(out.as_array()[:4] - end.as_array()[:4])) <= 1e-10
 
     def test_substep_cap_reached_unsettled_warns(self):
         # a stiff potential: the doubling from 512 to 1024 substeps still

@@ -177,6 +177,12 @@ def _edit(base, path, value):
                        {"q0": [0.0], "v0": [0.0], "qN": [1.0], "vN": [0.0]})),
     ("order", _edit(CUSTOM_ORDER_CFG, ["n"], 1)),
     ("ocp", _edit(OCP_CFG, ["params"], {"m1": 1.0})),
+    # spline-exact is the exact action of 1/2 |qddot|^2 and no other L
+    ("bvp", {k: v for k, v in BVP_CFG.items() if k != "n"}
+     | {"kind": "custom-lagrangian", "scheme": "spline-exact",
+        "lagrangian": {"name": "spline-potential", "n": 2}}),
+    ("ocp", _edit(json.loads((CONFIGS / "twolink_ocp.json").read_text()),
+                  ["scheme"], "spline-exact")),
 ], ids=["T-not-number", "bvp-boundary-missing", "ocp-boundary-missing",
         "tolerances-not-object", "tolerance-not-number", "bvp-N-1",
         "nan-boundary", "inf-boundary", "ocp-inf-boundary",
@@ -190,7 +196,7 @@ def _edit(base, path, value):
         "initial-v0-missing", "ocp-t0-nonzero", "grid-N-boolean",
         "path-tolerance-boolean", "h-values-boolean", "order-grid",
         "bvp-h-values", "simulate-boundary", "custom-lagrangian-n",
-        "ocp-custom-params"])
+        "ocp-custom-params", "spline-exact-potential", "spline-exact-twolink"])
 def test_config_errors_exit_2(tmp_path, capsys, command, cfg):
     out = tmp_path / "out"
     out.mkdir()
@@ -205,12 +211,16 @@ def test_config_errors_exit_2(tmp_path, capsys, command, cfg):
 PENALTY_CFG = json.loads((CONFIGS / "twolink_ocp_penalty.json").read_text())
 
 
-@pytest.mark.parametrize("field, value", [
-    ("width", 0.0), ("width", -1e-6), ("slope", 0.0), ("slope", -1000.0),
-    ("lo_deg", 170.0), ("hi_deg", -10.0),
+@pytest.mark.parametrize("path, value", [
+    (["penalty", "width"], 0.0), (["penalty", "width"], -1e-6),
+    (["penalty", "slope"], 0.0), (["penalty", "slope"], -1000.0),
+    (["penalty", "lo_deg"], 170.0), (["penalty", "hi_deg"], -10.0),
+    # a penalty that is not an object is an error, not "no penalty"
+    (["penalty"], []), (["penalty"], False), (["penalty"], 0), (["penalty"], None),
 ], ids=["width-zero", "width-negative", "slope-zero", "slope-negative",
-        "lo-equals-hi", "hi-below-lo"])
-def test_bad_penalty_exits_2_before_solving(tmp_path, capsys, monkeypatch, field, value):
+        "lo-equals-hi", "hi-below-lo", "penalty-list", "penalty-false",
+        "penalty-zero", "penalty-null"])
+def test_bad_penalty_exits_2_before_solving(tmp_path, capsys, monkeypatch, path, value):
     import varint.cli
 
     def no_solve(*args, **kwargs):
@@ -219,13 +229,30 @@ def test_bad_penalty_exits_2_before_solving(tmp_path, capsys, monkeypatch, field
     monkeypatch.setattr(varint.cli, "solve_ocp", no_solve)
     out = tmp_path / "out"
     out.mkdir()
-    cfg = _edit(PENALTY_CFG, ["penalty", field], value)
+    cfg = _edit(PENALTY_CFG, path, value)
     rc = main(["ocp", "--config", write_config(tmp_path, cfg), "--out", str(out)])
     lines = capsys.readouterr().out.splitlines()
     assert rc == 2
     assert len(lines) == 1
     assert json.loads(lines[0])["error"]["type"] == "config"
     assert list(out.iterdir()) == []
+
+
+def test_empty_penalty_is_the_default_penalty(tmp_path, capsys, monkeypatch):
+    import varint.cli
+    from varint.control import JointLimitPenalty
+    from varint.errors import NoConvergence
+    problems = []
+
+    def no_solve(problem, scheme):
+        problems.append(problem)
+        raise NoConvergence("not solved")
+
+    monkeypatch.setattr(varint.cli, "solve_ocp", no_solve)
+    cfg = _edit(PENALTY_CFG, ["penalty"], {})
+    rc = main(["ocp", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)])
+    assert rc == 1
+    assert [p.penalty for p in problems] == [JointLimitPenalty(n=2)]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -539,6 +566,13 @@ class TestCheckCommand:
         assert len(lines) == 1
         err = json.loads(lines[0])["error"]
         assert err["type"] == "config" and "not-a-suite" in err["message"]
+
+    def test_negative_seed(self, capsys):
+        assert main(["check", "order", "--seed", "-1"]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])["error"]
+        assert err["type"] == "config" and "--seed" in err["message"]
 
     def test_order_suite_passes(self, capsys):
         assert main(["check", "order", "--seed", "3"]) == 0

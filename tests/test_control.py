@@ -155,6 +155,13 @@ class TestSolveOcp:
         assert np.max(np.abs(res.path.positions()[:, 0]
                              - (3 * t**2 - 2 * t**3))) <= 1e-9
 
+    def test_exact_scheme_rejects_a_penalty(self):
+        P = OCProblem(free_particle_model(1), control_effort_cost(),
+                      qa=[0.0], va=[0.0], qb=[1.0], vb=[0.0], T=1.0, N=20,
+                      penalty=JointLimitPenalty(n=1, index=0))
+        with pytest.raises(ValueError, match="^spline-exact discretizes only"):
+            solve_ocp(P, scheme="spline-exact")
+
     def test_constant_boundary(self):
         P = OCProblem(free_particle_model(2), control_effort_cost(),
                       qa=[0.4, -0.2], va=[0.0, 0.0], qb=[0.4, -0.2],

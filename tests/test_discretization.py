@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
-from varint import (JetPoint, LagrangianModel, PairState, lift_cost, make_scheme,
+from varint import (JetPoint, LagrangianModel, OCProblem, PairState, check_scheme,
+                    control_effort_cost, free_particle_model, lift_cost, make_scheme,
                     midpoint_difference, pack, spline_exact, taylor_average,
-                    trapezoid_velocity, two_link_problem)
+                    trapezoid_velocity, two_link_model, two_link_problem)
 
 from conftest import model_from_expr
 
@@ -204,6 +207,21 @@ class TestBaselines:
     def test_make_scheme_rejects_unknown(self, spline1):
         with pytest.raises(KeyError):
             make_scheme("does-not-exist", spline1)
+
+    def test_spline_exact_only_for_the_spline_lagrangian(self, spline2, spline_potential):
+        free = OCProblem(free_particle_model(2), control_effort_cost(), qa=[0, 0],
+                         va=[0, 0], qb=[1, 0], vb=[0, 0], T=1.0, N=4)
+        for L in (spline2, model_from_expr(1, "ddq0**2/2"), lift_cost(free)):
+            check_scheme("spline-exact", L)
+        others = [spline_potential, model_from_expr(1, "ddq0**2"),
+                  lift_cost(two_link_problem(N=4)), two_link_model(),
+                  LagrangianModel(1, lambda q, dq, ddq: 0.5 * float(ddq @ ddq)),
+                  spline2.with_position_term(lambda q: 0.0, lambda q: 0 * q,
+                                             lambda q: np.zeros((2, 2)))]
+        for L in others:
+            with pytest.raises(ValueError, match=f"^spline-exact .* not {re.escape(L.name)}$"):
+                check_scheme("spline-exact", L)
+            check_scheme("taylor", L)
 
 
 def _block_reference(Ld, s):

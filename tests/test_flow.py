@@ -387,6 +387,20 @@ class TestPathNewton:
                                     guess=guess)
         assert again.diagnostics["newton_iterations"] == [0]
 
+    def test_max_iter_exhausted(self):
+        from varint.errors import NoConvergence
+        from varint.newton import floors
+        Ld = taylor_average(model_from_expr(1, "ddq0**2/2 + cos(q0)"))
+        x0, xN = jet1(0.0, 0.0), jet1(2.0, 0.0)
+        grid = uniform_grid(0.0, 1.0, 10)
+        start = _hermite_path(x0, xN, grid)
+        pairs = list(_pairs_of(np.vstack([[0.0, 0.0], start, [2.0, 0.0]]), grid.h))
+        loose = floors(1e-10, max(Ld.residual_scale(p) for p in pairs))[1]
+        with pytest.raises(NoConvergence, match="^path Newton did not reach tolerance$") as info:
+            _newton_path(Ld, x0, xN, grid, start, 1e-10, 1)
+        assert info.value.iterations == 1
+        assert info.value.residual_norm > 100 * loose
+
 
 class TestPhiValues:
     def test_definition(self, spline1):

@@ -5,7 +5,7 @@ from varint import (JetPoint, LagrangianModel, MechanicalModel,
                     controlled_forces, el_residual, fourth_order_rhs,
                     hessian_W, legendre, named_lagrangian)
 from varint.errors import SingularHessian
-from varint.lagrangian import _acceleration_hessian, fourth_order_rhs_raw
+from varint.lagrangian import _acceleration_hessian, el_residual_raw, fourth_order_rhs_raw
 
 from conftest import model_from_expr
 
@@ -48,6 +48,20 @@ class TestElResidual:
             a = el_residual(spline_potential, jet(*vals))
             b = el_residual(fd_model, jet(*vals))
             assert np.allclose(a, b, rtol=2e-4, atol=2e-4)
+
+
+    @pytest.mark.parametrize("given, tol", [(("grad", "hess"), 2e-9), (("grad",), 5e-6)],
+                             ids=["analytic-hessian", "analytic-gradient"])
+    def test_difference_branches_match_el4(self, given, tol, rng):
+        # models without el4 difference their second partials along the jet
+        L = model_from_expr(2, _EL4_EXPR)
+        calls = {"grad": lambda *b: L.grad_at(*b), "hess": lambda *b: L.hess_at(*b)}
+        M = LagrangianModel(2, lambda *b: L.value_at(*b), **{k: calls[k] for k in given})
+        assert M.el4 is None and M.analytic_hess == ("hess" in given)
+        for x in np.vstack([_el4_points(), rng.normal(size=(10, 10))]):
+            ref = L.el4_at(*x.reshape(5, 2))
+            got = el_residual_raw(M, *x.reshape(5, 2))
+            assert np.max(np.abs(got - ref)) <= tol * (1.0 + np.max(np.abs(ref)))
 
 
 class TestFourthOrderRhs:
@@ -403,16 +417,29 @@ class TestLazyEl4:
 
     def test_built_on_first_use(self, lambdified):
         L = model_from_expr(2, _EL4_EXPR)
-        assert lambdified == [(), (6, 1), (6, 6)]      # value, gradient, Hessian
+        assert lambdified == []                          # nothing when built
         L.value_stack(_el4_points()[:, :6])
         L.hess_stack(_el4_points()[:, :6])
-        assert len(lambdified) == 3
+        assert lambdified == [(), (6, 6)]                # value, Hessian
         x = _el4_points()[0].reshape(5, 2)
         first = L.el4_at(*x)
-        assert lambdified[3:] == [(2, 1)]
+        assert lambdified[2:] == [(2, 1)]
         assert np.array_equal(L.el4_at(*x), first)
         L.el4_stack(np.repeat(_el4_points(), 4, axis=0))
-        assert len(lambdified) == 4                      # generated once
+        assert len(lambdified) == 3                      # generated once
+
+    def test_shipped_models_build_without_code(self, lambdified):
+        from varint.control import lift_cost, two_link_model, two_link_problem
+        models = [named_lagrangian(name, 2)
+                  for name in ("spline", "spline-potential", "spline-velocity")]
+        models += [two_link_model(), lift_cost(two_link_problem(N=4))]
+        assert lambdified == []
+        for L in models:
+            y = _el4_points()[0, :(L.order + 1) * L.n]
+            for call in (L.value, L.grad, L.hess, L.value, L.grad, L.hess):
+                call(y)
+        m = [(L.order + 1) * L.n for L in models]
+        assert lambdified == [s for k in m for s in [(), (k, 1), (k, k)]]
 
     def test_values_equal_eager_model(self):
         ref = np.array([[float.fromhex(v) for v in row] for row in _EL4_EAGER])
