@@ -76,12 +76,11 @@ def _dimension(obj, name, least=1):
 
 
 def _grid_of(cfg, min_N):
-    """The scenario's (t0, T, N), with T > t0 and N >= min_N."""
+    """The scenario's (t0, T, N), N >= min_N; its grid or problem needs T > t0."""
     g = cfg.get("grid")
     _check_keys(g, {"t0", "T", "N"}, "grid")
     N = _dimension(g.get("N"), "grid.N", min_N)
     t0, T = _number(g.get("t0", 0.0), "grid.t0"), _number(g.get("T"), "grid.T")
-    _require(T > t0, "grid.T must exceed grid.t0")
     return t0, T, N
 
 
@@ -186,7 +185,6 @@ def _ocp(cfg):
         pr = cfg.get("params", {})
         _check_keys(pr, {"m1", "m2", "l1", "l2", "J1", "J2", "g"}, "params")
         pr = {k: _number(v, f"params.{k}") for k, v in pr.items()}
-        _require(all(v > 0 for v in pr.values()), "params must be positive")
         params = TwoLinkParams(**pr)
         model = two_link_model(params)
         penalty = None
