@@ -13,9 +13,8 @@ from .jets import (DiscretePath, Grid, JetPoint, PairState, pack, uniform_grid,
 from .lagrangian import (LagrangianModel, MechanicalModel, controlled_forces,
                          el_residual, fourth_order_rhs, hessian_W, legendre,
                          named_lagrangian, spline_lagrangian)
-from .discretization import (DiscreteLagrangian, check_scheme, make_scheme,
-                             midpoint_difference, spline_exact, taylor_average,
-                             trapezoid_velocity)
+from .discretization import (DiscreteLagrangian, make_scheme, midpoint_difference,
+                             spline_exact, taylor_average, trapezoid_velocity)
 from .bvp import (endpoints_to_w, exact_Ld, integrate_el, shooting_bvp,
                   solve_regularized)
 from .flow import (del_residual, initial_pair, phi_values, run,

@@ -25,7 +25,7 @@ from .bvp import H_MAX
 from .control import (JointLimitPenalty, OCProblem, TwoLinkParams,
                       control_effort_cost, free_particle_model, lift_cost, solve_ocp,
                       solution_table, two_link_forces, two_link_model)
-from .discretization import SCHEMES, check_scheme, make_scheme
+from .discretization import SCHEMES, make_scheme
 from .errors import ConfigError, VarintError
 from .flow import initial_pair, phi_values, run as run_flow, solve_boundary_path
 from .jets import JetPoint, uniform_grid
@@ -101,7 +101,6 @@ def _scheme_of(cfg):
         _check_keys(entry, {"name", "n"}, "lagrangian")
         _require(isinstance(entry.get("name"), str), "lagrangian.name must be a string")
         L = named_lagrangian(entry["name"], _dimension(entry.get("n", 1), "lagrangian.n"))
-    check_scheme(cfg["scheme"], L)
     return L, make_scheme(cfg["scheme"], L)
 
 
@@ -136,17 +135,16 @@ def _simulate(cfg):
     init = cfg.get("initial")
     _check_keys(init, {"q0", "v0", "q1", "v1", "ddq0", "d3q0"}, "initial",
                 required=("q0", "v0"))
+    _require(set(init) - {"q0", "v0"} in ({"q1", "v1"}, {"ddq0", "d3q0"}),
+             "initial needs exactly one of (q1, v1) or (ddq0, d3q0) with q0 and v0")
     q0 = _vector(init["q0"], "initial.q0", L.n)
     v0 = _vector(init["v0"], "initial.v0", L.n)
     if "q1" in init:
-        _require("v1" in init, "initial.v1 required with initial.q1")
         x0 = JetPoint(q0, (v0,))
         x1 = JetPoint(_vector(init["q1"], "initial.q1", L.n),
                       (_vector(init["v1"], "initial.v1", L.n),))
         seeds = lambda: (x0, x1)
     else:
-        _require("ddq0" in init and "d3q0" in init,
-                 "initial needs (q1, v1) or (ddq0, d3q0)")
         jet = JetPoint(q0, (v0, _vector(init["ddq0"], "initial.ddq0", L.n),
                             _vector(init["d3q0"], "initial.d3q0", L.n)))
         seeds = lambda: initial_pair(L, jet, grid.h)
@@ -210,8 +208,8 @@ def _ocp(cfg):
     problem = OCProblem(model, control_effort_cost(), qa=qa, va=va, qb=qb, vb=vb,
                         T=T, N=N, penalty=penalty)
     if cfg["scheme"] == "spline-exact":
-        # the solve lifts the model again; no other scheme needs it here
-        check_scheme(cfg["scheme"], lift_cost(problem))
+        # refused before the solve lifts it again; no other scheme needs it
+        make_scheme(cfg["scheme"], lift_cost(problem))
 
     def solve():
         result = solve_ocp(problem, scheme=cfg["scheme"])
@@ -359,6 +357,10 @@ def main(argv=None) -> int:
                  f"--out {args.out}: not a directory")
         # every scenario is checked before any is solved
         solves = [prepare_scenario(c, args.command, outdir) for c in scenarios]
+        # scenarios of one name would write the same files
+        names = [c["name"] for c in scenarios]
+        repeated = sorted({name for name in names if names.count(name) > 1})
+        _require(not repeated, f"scenario names must be distinct; repeated: {repeated}")
         if args.workers > 1 and len(solves) > 1:
             with concurrent.futures.ThreadPoolExecutor(args.workers) as pool:
                 results = list(pool.map(lambda solve: solve(), solves))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 import sympy as sp
 
-from .discretization import DiscreteLagrangian, check_scheme, make_scheme
+from .discretization import DiscreteLagrangian, make_scheme
 from .flow import solve_boundary_path
 from .jets import DiscretePath, JetPoint, uniform_grid
 from .lagrangian import (LagrangianModel, MechanicalModel, _total_derivative,
@@ -230,7 +230,6 @@ def solve_ocp(P: OCProblem, scheme: str = "taylor-midpoint") -> OCPResult:
     guess, stages = None, []
     for i, pen in enumerate(penalties):
         lifted = _penalized(base, pen)
-        check_scheme(scheme, lifted)
         Ld = make_scheme(scheme, lifted)
         stage_tol = 1e-10 if i == len(penalties) - 1 else 1e-6
         path = solve_boundary_path(Ld, x0, xN, grid, guess=guess,

@@ -216,29 +216,28 @@ def spline_exact(n=None) -> DiscreteLagrangian:
     return _SplineExact(n)
 
 
+def _spline_exact_of(L: LagrangianModel) -> DiscreteLagrangian:
+    """spline-exact is the exact action of L = 1/2 |qddot|^2 whatever L it
+    gets, so it refuses a model whose sympy expression is not that one."""
+    data = L.sympy_data if L.order == 2 else None
+    if data is None or sp.expand(data[0] - sum(a**2 for a in data[3]) / 2) != 0:
+        raise ValueError(f"spline-exact discretizes only L = 1/2 |qddot|^2, not {L.name}")
+    return spline_exact(L.n)
+
+
 #: Scheme constructors by the names :func:`make_scheme` and the CLI accept.
 SCHEMES = {
     "taylor": taylor_average,
     "taylor-midpoint": lambda L: taylor_average(L, midpoint_averages=True),
     "midpoint-difference": midpoint_difference,
     "trapezoid-velocity": trapezoid_velocity,
-    "spline-exact": lambda L: spline_exact(L.n),
+    "spline-exact": _spline_exact_of,
 }
 
 
-def check_scheme(name: str, L: LagrangianModel) -> None:
-    """Raise ValueError if the scheme ``name`` cannot discretize ``L``:
-    spline-exact is the exact action of L = 1/2 |qddot|^2 whatever L it gets,
-    so it needs a model whose sympy expression is that one."""
-    data = L.sympy_data if L.order == 2 else None
-    if name == "spline-exact" and (
-            data is None or sp.expand(data[0] - sum(a**2 for a in data[3]) / 2) != 0):
-        raise ValueError(f"spline-exact discretizes only L = 1/2 |qddot|^2, not {L.name}")
-
-
 def make_scheme(name: str, L: LagrangianModel) -> DiscreteLagrangian:
-    """Scheme registry used by the solvers and the CLI; it builds every
-    scheme for any L, unchecked (see :func:`check_scheme`)."""
+    """Scheme registry used by the solvers and the CLI: KeyError for an
+    unknown name, ValueError for a scheme that cannot discretize ``L``."""
     if name not in SCHEMES:
         raise KeyError(f"unknown scheme {name!r}; known: {sorted(SCHEMES)}")
     return SCHEMES[name](L)

@@ -183,6 +183,9 @@ def _edit(base, path, value):
         "lagrangian": {"name": "spline-potential", "n": 2}}),
     ("ocp", _edit(json.loads((CONFIGS / "twolink_ocp.json").read_text()),
                   ["scheme"], "spline-exact")),
+    # simulate seeds from exactly one of (q1, v1) and (ddq0, d3q0)
+    ("simulate", _edit(_edit(SIM_CFG, ["initial", "q1"], [0.0]), ["initial", "v1"], [1.0])),
+    ("simulate", _edit(SIM_CFG, ["initial", "v1"], [1.0])),
 ], ids=["T-not-number", "bvp-boundary-missing", "ocp-boundary-missing",
         "tolerances-not-object", "tolerance-not-number", "bvp-N-1",
         "nan-boundary", "inf-boundary", "ocp-inf-boundary",
@@ -196,7 +199,8 @@ def _edit(base, path, value):
         "initial-v0-missing", "ocp-t0-nonzero", "grid-N-boolean",
         "path-tolerance-boolean", "h-values-boolean", "order-grid",
         "bvp-h-values", "simulate-boundary", "custom-lagrangian-n",
-        "ocp-custom-params", "spline-exact-potential", "spline-exact-twolink"])
+        "ocp-custom-params", "spline-exact-potential", "spline-exact-twolink",
+        "initial-both-seed-forms", "initial-v1-without-q1"])
 def test_config_errors_exit_2(tmp_path, capsys, command, cfg):
     out = tmp_path / "out"
     out.mkdir()
@@ -297,6 +301,27 @@ def test_bad_later_scenario_exits_2_before_solving(tmp_path, capsys, monkeypatch
     assert rc == 2
     assert len(lines) == 1
     assert json.loads(lines[0])["error"]["type"] == "config"
+    assert calls == []
+    assert not out.exists()
+
+
+def test_repeated_scenario_name_exits_2_before_solving(tmp_path, capsys, monkeypatch):
+    # two scenarios of one name would write the same two files, the later
+    # one silently replacing the earlier
+    import varint.cli
+
+    calls = []
+    monkeypatch.setattr(varint.cli, "solve_boundary_path", lambda *a, **k: calls.append(a))
+    out = tmp_path / "out"
+    scenarios = [FIGURE_CFG, _edit(FIGURE_CFG, ["grid", "N"], 10)]
+    rc = main(["bvp", "--config", write_config(tmp_path, {"scenarios": scenarios}),
+               "--out", str(out)])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 2
+    assert len(lines) == 1
+    error = json.loads(lines[0])["error"]
+    assert error["type"] == "config"
+    assert "spline-bvp-figure" in error["message"]
     assert calls == []
     assert not out.exists()
 

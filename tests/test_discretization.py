@@ -2,10 +2,10 @@ import re
 
 import numpy as np
 import pytest
-from varint import (JetPoint, LagrangianModel, OCProblem, PairState, check_scheme,
+from varint import (JetPoint, LagrangianModel, OCProblem, PairState,
                     control_effort_cost, free_particle_model, lift_cost, make_scheme,
-                    midpoint_difference, pack, spline_exact, taylor_average,
-                    trapezoid_velocity, two_link_model, two_link_problem)
+                    midpoint_difference, named_lagrangian, pack, spline_exact,
+                    taylor_average, trapezoid_velocity, two_link_model, two_link_problem)
 
 from conftest import model_from_expr
 
@@ -212,7 +212,7 @@ class TestBaselines:
         free = OCProblem(free_particle_model(2), control_effort_cost(), qa=[0, 0],
                          va=[0, 0], qb=[1, 0], vb=[0, 0], T=1.0, N=4)
         for L in (spline2, model_from_expr(1, "ddq0**2/2"), lift_cost(free)):
-            check_scheme("spline-exact", L)
+            assert make_scheme("spline-exact", L).name == "spline-exact"
         others = [spline_potential, model_from_expr(1, "ddq0**2"),
                   lift_cost(two_link_problem(N=4)), two_link_model(),
                   LagrangianModel(1, lambda q, dq, ddq: 0.5 * float(ddq @ ddq)),
@@ -220,8 +220,14 @@ class TestBaselines:
                                              lambda q: np.zeros((2, 2)))]
         for L in others:
             with pytest.raises(ValueError, match=f"^spline-exact .* not {re.escape(L.name)}$"):
-                check_scheme("spline-exact", L)
-            check_scheme("taylor", L)
+                make_scheme("spline-exact", L)
+            make_scheme("taylor", L)
+
+    def test_make_scheme_refuses_spline_exact_with_a_potential(self):
+        # the registry itself refuses, so no caller can get the spline action
+        # for another Lagrangian by forgetting a separate check
+        with pytest.raises(ValueError, match="^spline-exact discretizes only .* not "):
+            make_scheme("spline-exact", named_lagrangian("spline-potential", 1))
 
 
 def _block_reference(Ld, s):

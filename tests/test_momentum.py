@@ -223,7 +223,9 @@ class TestPinnedOutputs:
     def test_momentum_layer_digest(self):
         # the outputs of every momentum-map solve, for every scheme, pinned to
         # the last bit; trapezoid-velocity's cross block is singular, so its
-        # pinned output is the error message of each solve
+        # pinned output is the error message of each solve.  spline-exact
+        # discretizes only the spline Lagrangian and reads nothing of its
+        # model, so it is built on that one and hashes the same bytes
         L = named_lagrangian("spline-potential", 2)
         rng = np.random.default_rng(2024)
         h = 0.3
@@ -235,7 +237,8 @@ class TestPinnedOutputs:
             pairs.append(PairState(JetPoint(q0, (v0,)), JetPoint(q1, (v1,)), h))
         digest = hashlib.sha256()
         for name in sorted(SCHEMES):
-            Ld = make_scheme(name, L)
+            Ld = make_scheme(name, named_lagrangian("spline", 2)
+                             if name == "spline-exact" else L)
             for s in pairs:
                 m = fminus(Ld, s)
                 for f in (lambda: [symplectic_defect(Ld, m, h)],
