@@ -27,8 +27,7 @@ class DiscreteLagrangian:
     finite-difference fallbacks on ``value``.
     """
 
-    def __init__(self, n=None, name="discrete-lagrangian"):
-        self.n = n
+    def __init__(self, name="discrete-lagrangian"):
         self.name = name
 
     def value(self, s: PairState) -> float:
@@ -71,7 +70,7 @@ class _AffineJetScheme(DiscreteLagrangian):
     """
 
     def __init__(self, L: LagrangianModel, terms, name):
-        super().__init__(L.n, name)
+        super().__init__(name)
         self.L = L
         self._terms = terms
         self._cache_h = None
@@ -170,8 +169,8 @@ class _SplineExact(DiscreteLagrangian):
     summed over dimensions.  Partials and second partials are hand-written.
     """
 
-    def __init__(self, n=None):
-        super().__init__(n, "spline-exact")
+    def __init__(self):
+        super().__init__("spline-exact")
         self._cache_h = None
         self._cache = None
 
@@ -211,9 +210,9 @@ class _SplineExact(DiscreteLagrangian):
         return 0.0
 
 
-def spline_exact(n=None) -> DiscreteLagrangian:
+def spline_exact() -> DiscreteLagrangian:
     """Exact discrete action for the cubic-spline Lagrangian, any dimension."""
-    return _SplineExact(n)
+    return _SplineExact()
 
 
 def _spline_exact_of(L: LagrangianModel) -> DiscreteLagrangian:
@@ -222,7 +221,7 @@ def _spline_exact_of(L: LagrangianModel) -> DiscreteLagrangian:
     data = L.sympy_data if L.order == 2 else None
     if data is None or sp.expand(data[0] - sum(a**2 for a in data[3]) / 2) != 0:
         raise ValueError(f"spline-exact discretizes only L = 1/2 |qddot|^2, not {L.name}")
-    return spline_exact(L.n)
+    return spline_exact()
 
 
 #: Scheme constructors by the names :func:`make_scheme` and the CLI accept.

@@ -11,7 +11,7 @@ would amplify errors exponentially.
 
 from __future__ import annotations
 
-import functools
+import warnings
 
 import numpy as np
 import scipy.sparse as sps
@@ -130,43 +130,43 @@ def _path_scale(Ld, pairs):
     return max(Ld.residual_scale(p) for p in pairs)
 
 
-@functools.lru_cache(maxsize=32)
-def _jacobian_pattern(N, n):
-    """CSR pattern of the path Jacobian of N pairs of dimension n.
-
-    Block row r holds the blocks (r, r - 1), (r, r) and (r, r + 1) that
-    exist, every entry stored, zeros included.  Returns the flat positions of
-    the stored entries in an (N - 1, 2n, 3, 2n) array of (lower, diagonal,
-    upper) blocks per block row, and the CSR column indices and row pointers.
-    """
-    m = 2 * n
-    r = np.arange(N - 1)[:, None, None, None]
-    b = np.arange(3)[None, None, :, None]
-    shape = (N - 1, m, 3, m)
-    col = np.broadcast_to((r + b - 1) * m + np.arange(m), shape)
-    stored = np.broadcast_to((r + b >= 1) & (r + b <= N - 1), shape)
-    take = np.flatnonzero(stored)
-    indices = col.reshape(-1)[take].astype(np.int32)
-    indptr = np.concatenate([[0], np.cumsum(stored.sum(axis=(2, 3)).reshape(-1))])
-    indptr = indptr.astype(np.int32)
-    for a in (take, indices, indptr):
-        a.setflags(write=False)     # shared by every Jacobian of this shape
-    return take, indices, indptr
-
-
 def _path_jacobian(Ld, pairs):
-    """Block-tridiagonal Hessian of the summed action in the interior states."""
-    N, n = len(pairs), pairs[0].n
-    m = 2 * n
+    """Block-tridiagonal Hessian of the summed action in the interior states.
+
+    Block row r stores its (2n, 2n) blocks r - 1, r and r + 1 that exist,
+    zeros included; ``blocks`` holds every row's (lower, diagonal, upper)
+    entries in CSR order.
+    """
+    N, m = len(pairs), 2 * pairs[0].n
     DD = np.array([Ld.second_partials(p) for p in pairs])
     blocks = np.zeros((N - 1, m, 3, m))
     blocks[1:, :, 0] = DD[1:-1, m:, :m]
     blocks[:, :, 1] = DD[:-1, m:, m:] + DD[1:, :m, :m]
     blocks[:-1, :, 2] = DD[1:-1, :m, m:]
-    take, indices, indptr = _jacobian_pattern(N, n)
+    bcol = np.arange(N - 1)[:, None, None, None] + np.arange(-1, 2)[:, None]
+    stored = np.broadcast_to((bcol >= 0) & (bcol < N - 1), blocks.shape)
+    cols = np.broadcast_to(bcol * m + np.arange(m), blocks.shape)[stored]
+    indptr = np.concatenate([[0], np.cumsum(stored.sum(axis=(2, 3)).reshape(-1))])
     size = (N - 1) * m
-    return sps.csr_matrix((blocks.reshape(-1)[take], indices, indptr),
-                          shape=(size, size))
+    return sps.csr_matrix((blocks[stored], cols, indptr), shape=(size, size))
+
+
+def _linear_solve(J, R, lam):
+    """The solution d of (J + lam I) d = -R, or None where it is not finite.
+
+    SuperLU answers a singular matrix with a MatrixRankWarning and NaN: the
+    warning stays here and the NaN decides, since warning filters are shared
+    by every thread.  An internal SuperLU abort raises RuntimeError.
+    """
+    if lam > 0.0:
+        J = J + lam * sps.identity(J.shape[0], format="csr")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", spla.MatrixRankWarning)
+            d = spla.spsolve(J, -R)
+    except RuntimeError:
+        return None
+    return d if np.all(np.isfinite(d)) else None
 
 
 def _path_action(Ld, pairs):
@@ -204,7 +204,6 @@ def _newton_path(Ld, x0, xN, grid, interior, tol, max_iter):
     R = _path_residual(Ld, P).reshape(-1)
     A = _path_action(Ld, P)
     lam = 0.0
-    eye = sps.identity((N - 1) * 2 * n, format="csr")
     message = "path Newton did not reach tolerance"
     for it in range(max_iter):
         rnorm = np.max(np.abs(R))
@@ -214,11 +213,8 @@ def _newton_path(Ld, x0, xN, grid, interior, tol, max_iter):
         trial = None
         # fast path: an undamped step that halves the residual is always taken,
         # restoring quadratic convergence near the solution
-        try:
-            newton = spla.spsolve(J, -R)
-        except RuntimeError:
-            newton = None
-        if newton is not None and np.all(np.isfinite(newton)):
+        newton = _linear_solve(J, R, 0.0)
+        if newton is not None:
             Xt, Pt = moved(X, newton)
             At = _path_action(Ld, Pt)
             Rt = None
@@ -235,12 +231,8 @@ def _newton_path(Ld, x0, xN, grid, interior, tol, max_iter):
             trial = Xt, Pt, At, Rt
         delta, lam_try = None, lam
         for _ in range(60):
-            M = J + lam_try * eye if lam_try > 0.0 else J
-            try:
-                cand = newton if lam_try == 0.0 else spla.spsolve(M, -R)
-            except RuntimeError:
-                cand = None
-            if cand is not None and np.all(np.isfinite(cand)) and cand @ R < 0.0:
+            cand = newton if lam_try == 0.0 else _linear_solve(J, R, lam_try)
+            if cand is not None and cand @ R < 0.0:
                 delta = cand
                 break
             lam_try = 1e-6 if lam_try == 0.0 else 4.0 * lam_try

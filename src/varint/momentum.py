@@ -65,6 +65,8 @@ def _invert(Ld, node, target, h, z0, plus):
     the straight-line one.  The residual differences cancelling partials, so
     its stop levels are the :func:`floors` of 1e-12 at the larger of the
     scheme's sensitivity scale at the start and the size of the target.
+    A singular cross block raises :class:`SingularWd`, also where the start
+    already meets the floor.
     """
     k = node.size
     n = k // 2
@@ -83,9 +85,16 @@ def _invert(Ld, node, target, h, z0, plus):
         DD = Ld.second_partials(pair(z))
         return DD[k:, :k] if plus else -DD[:k, k:]
 
+    what = f"{'plus' if plus else 'minus'}-map inversion"
     scale = max(Ld.residual_scale(pair(z0)), float(np.max(np.abs(target))))
-    z, _ = newton_one(residual, jacobian, z0, *floors(1e-12, scale), 50, SingularWd,
-                      f"{'plus' if plus else 'minus'}-map inversion")
+    z, r = newton_one(residual, jacobian, z0, *floors(1e-12, scale), 50, SingularWd, what)
+    if np.array_equal(z, z0):
+        # a start that meets the floor leaves the Newton without factoring
+        # the block, so factor it here
+        try:
+            np.linalg.solve(jacobian(z, r), r)
+        except np.linalg.LinAlgError as exc:
+            raise SingularWd(f"{what}: Jacobian is singular") from exc
     return pair(z)
 
 

@@ -277,6 +277,24 @@ def test_overflowing_grid_exits_1(tmp_path, capsys, command, cfg):
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("scheme", ["trapezoid-velocity", "midpoint-difference"])
+def test_singular_wd_exits_1(tmp_path, capsys, scheme):
+    # on 1/2 |qddot|^2 the Wd of both schemes has rank 1 of 2, and the
+    # linear extrapolation already solves each step's minus-map inversion
+    cfg = {"kind": "spline", "name": "sim", "scheme": scheme,
+           "grid": {"T": 1, "N": 10},
+           "initial": {"q0": [0], "v0": [0], "q1": [0.01], "v1": [0.2]}}
+    out = tmp_path / "out"
+    out.mkdir()
+    rc = main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(out)])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 1
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == {
+        "message": "minus-map inversion: Jacobian is singular", "type": "solver"}
+    assert list(out.iterdir()) == []
+
+
 FIGURE_CFG = json.loads((CONFIGS / "spline_bvp_figure.json").read_text())
 
 

@@ -163,7 +163,7 @@ class TestBlockPartials:
     def test_analytic_vs_fd(self, spline_potential, rng, maker):
         from varint.discretization import DiscreteLagrangian
         Ld = maker(spline_potential)
-        fd = DiscreteLagrangian(1)
+        fd = DiscreteLagrangian()
         fd.value = Ld.value  # FD base implementation on the same value
         for _ in range(10):
             s = pair(*rng.normal(size=4), float(rng.uniform(0.1, 0.8)))
@@ -174,7 +174,7 @@ class TestBlockPartials:
     def test_spline_exact_analytic_vs_fd(self, rng):
         from varint.discretization import DiscreteLagrangian
         Ld = spline_exact()
-        fd = DiscreteLagrangian(1)
+        fd = DiscreteLagrangian()
         fd.value = Ld.value
         for _ in range(10):
             s = pair(*rng.normal(size=4), float(rng.uniform(0.2, 0.8)))
@@ -187,7 +187,7 @@ class TestBlockPartials:
         H = Ld.second_partials(s)
         assert np.allclose(H, H.T, atol=1e-12)
         from varint.discretization import DiscreteLagrangian
-        fd = DiscreteLagrangian(1)
+        fd = DiscreteLagrangian()
         fd.value = Ld.value
         assert np.allclose(H, fd.second_partials(s), rtol=1e-5, atol=1e-5)
 

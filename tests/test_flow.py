@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from varint import (JetPoint, PairState, Wd_matrix, del_residual, initial_pair,
                     pack, phi_values, run, solve_boundary_path, spline_exact, step,
                     taylor_average, uniform_grid)
 from varint.discretization import DiscreteLagrangian
-from varint.errors import SingularWd
+from varint.errors import SingularKKT, SingularWd
 from varint.flow import (_hermite_path, _newton_path, _pairs_of, _path_jacobian,
                          _path_residual)
 from varint.order import cubic_trajectory
@@ -291,7 +293,7 @@ class _Logged(DiscreteLagrangian):
     """A scheme that logs its per-pair calls: (kind, pair, value)."""
 
     def __init__(self, inner):
-        super().__init__(inner.n, inner.name)
+        super().__init__(inner.name)
         self.inner, self.log = inner, []
 
     def value(self, s):
@@ -400,6 +402,85 @@ class TestPathNewton:
             _newton_path(Ld, x0, xN, grid, start, 1e-10, 1)
         assert info.value.iterations == 1
         assert info.value.residual_norm > 100 * loose
+
+
+class _FilledHessian(_Logged):
+    """A logging scheme whose second partials hold only ``fill`` for its
+    first ``count`` calls (every call when None), then the inner scheme's;
+    its residual scale is the inner scheme's."""
+
+    def __init__(self, inner, fill, count=None):
+        super().__init__(inner)
+        self.fill, self.count = fill, count
+
+    def second_partials(self, s):
+        if self.count == 0:
+            return super().second_partials(s)
+        if self.count is not None:
+            self.count -= 1
+        return np.full((4 * s.n, 4 * s.n), self.fill)
+
+
+class TestSingularSystem:
+    MODEL = "ddq0**2/2 + 20*cos(q0)"
+
+    def test_singular_jacobian_goes_to_the_levenberg_search(self, monkeypatch):
+        import varint.flow
+
+        grid = uniform_grid(0.0, 4.0, 10)
+        x0, xN = jet1(0.0, 0.0), jet1(3.0, 0.0)
+        start = _hermite_path(x0, xN, grid)
+        Ld = taylor_average(model_from_expr(1, self.MODEL))
+        X, R, A, _ = _newton_path(Ld, x0, xN, grid, start, 1e-10, 80)
+        # the first Jacobian sweep is exactly zero, so SuperLU finds it singular
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            Xz, Rz, Az, _ = _newton_path(_FilledHessian(Ld, 0.0, grid.N), x0, xN, grid,
+                                         start, 1e-10, 80)
+        assert caught == []
+        assert np.max(np.abs(Rz)) <= 1e-9
+        assert abs(Az - A) <= 1e-9 * abs(A) and np.allclose(Xz, X, atol=1e-6)
+        # the plain step fails, the first Levenberg shift solves
+        calls, solve = [], varint.flow._linear_solve
+
+        def logged(J, R, lam):
+            d = solve(J, R, lam)
+            calls.append((lam, d is not None))
+            return d
+
+        monkeypatch.setattr(varint.flow, "_linear_solve", logged)
+        _newton_path(_FilledHessian(Ld, 0.0, grid.N), x0, xN, grid, start, 1e-10, 80)
+        assert calls[:2] == [(0.0, False), (1e-6, True)]
+
+    def test_nan_jacobian_raises_singular_kkt(self):
+        Ld = _FilledHessian(taylor_average(model_from_expr(1, self.MODEL)), np.nan)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(SingularKKT, match="^stacked Newton system is singular$"):
+                solve_boundary_path(Ld, jet1(0.0, 0.0), jet1(3.0, 0.0),
+                                    uniform_grid(0.0, 4.0, 10))
+        assert caught == []
+
+    def test_nan_jacobian_exits_1(self, tmp_path, capsys, monkeypatch):
+        import json
+
+        import varint.cli
+
+        make = varint.cli.make_scheme
+        monkeypatch.setattr(varint.cli, "make_scheme",
+                            lambda name, L: _FilledHessian(make(name, L), np.nan))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "kind": "spline", "name": "bvp", "scheme": "taylor",
+            "grid": {"T": 1.0, "N": 10},
+            "boundary": {"q0": [0.0], "v0": [1.0], "qN": [1.0], "vN": [0.0]}}))
+        out = tmp_path / "out"
+        rc = varint.cli.main(["bvp", "--config", str(cfg), "--out", str(out)])
+        lines = capsys.readouterr().out.splitlines()
+        assert rc == 1
+        assert [json.loads(x) for x in lines] == [{"error": {
+            "message": "stacked Newton system is singular", "type": "solver"}}]
+        assert not out.exists() or list(out.iterdir()) == []
 
 
 class TestPhiValues:

@@ -13,7 +13,7 @@ import itertools
 import numpy as np
 import pytest
 import sympy as sp
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from varint import (JetPoint, LagrangianModel, PairState, SingularWd, Wd_matrix,
@@ -114,10 +114,9 @@ def test_trapezoid_velocity_step_is_singular(L, data):
     # q0 enters only the first term and q1 only the second, and L couples
     # neither to qddot, so the first block row (D13, D14) of Wd is zero: the
     # first DEL block at x1 does not depend on the next node, and the step
-    # raises wherever that block is not zero already
+    # raises, also where its start already solves the inversion
     x0, x1, h = data.draw(seeds(L.n))
     Ld = make_scheme("trapezoid-velocity", L)
     assert not np.any(Wd_matrix(Ld, PairState(x0, x1, h))[:L.n])
-    assume(np.max(np.abs(del_residual(Ld, x0, x1, x1, h)[:L.n])) > 1e-6)
     with pytest.raises(SingularWd):
         step(Ld, x0, x1, h)
