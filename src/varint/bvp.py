@@ -28,7 +28,8 @@ from numpy.polynomial import legendre as leg
 
 from .errors import SingularHessian, UnsettledSubsteps
 from .jets import JetPoint
-from .lagrangian import FD_STEP, LagrangianModel, fourth_order_rhs_raw
+from .lagrangian import (FD_STEP, LagrangianModel, fourth_order_rhs_floats,
+                         fourth_order_rhs_raw)
 from .newton import floors, newton, newton_one, solve_rows
 
 
@@ -190,6 +191,46 @@ def solve_regularized(L: LagrangianModel, q1jet: JetPoint, q2jet: JetPoint, h: f
 
 # -- shooting ---------------------------------------------------------------------
 
+#: Largest stack that :func:`_rk4` advances on Python floats.  Median cost
+#: per substep in us, Python floats / numpy columns (2-core x86-64, CPython
+#: 3.11.7, numpy 2.4.6, one BLAS thread):
+#:
+#:     rows            1        2        4        5        6        8
+#:     spline n=1    17/80    32/80    60/79    74/77    96/84   126/83
+#:     spline n=2    22/99    45/102   70/88    88/102  103/100  134/99
+#:     spline n=3    22/110   43/112   88/118  108/116  123/110  168/111
+#:
+#: The crossover is about 5 rows whatever n, as the float cost of a row and
+#: the column cost both grow slowly with n.  A shooting solve stacks 1 or
+#: 2n rows, the momentum-map check 8n to 16n.
+_FLOAT_ROWS = 4
+
+
+def _rk4_floats(rhs, value, y, h: float, substeps: int):
+    """One member of :func:`_rk4` on Python floats: the state list ``y``
+    after ``substeps`` steps over [0, h] of the right-hand side ``rhs`` (of
+    :func:`fourth_order_rhs_floats`), and its running action on the
+    generated ``value`` code (0.0 when ``value`` is None).  The stages and
+    sums are those of the stacked form, in its order."""
+    n = len(y) // 4
+    dt = float(h) / substeps
+    half, sixth, action = 0.5 * dt, dt / 6.0, 0.0
+    for _ in range(substeps):
+        k1 = y[n:] + rhs(y)
+        y2 = [a + half * b for a, b in zip(y, k1)]
+        k2 = y2[n:] + rhs(y2)
+        y3 = [a + half * b for a, b in zip(y, k2)]
+        k3 = y3[n:] + rhs(y3)
+        y4 = [a + dt * b for a, b in zip(y, k3)]
+        k4 = y4[n:] + rhs(y4)
+        if value is not None:
+            a1, a2, a3, a4 = (value(*z[:3 * n]) for z in (y, y2, y3, y4))
+            action += sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+        y = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+             for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+    return y, action
+
+
 def _rk4(L: LagrangianModel, Y, h: float, substeps: int, with_action: bool = False):
     """Classical fourth-order Runge-Kutta with fixed substeps over [0, h] on
     an (M, 4n) stack of states (q, qdot, qddot, q3), one member per row.
@@ -197,8 +238,29 @@ def _rk4(L: LagrangianModel, Y, h: float, substeps: int, with_action: bool = Fal
     Every member sees the same elementwise arithmetic as it would alone, so
     its end state and action do not depend on the rest of the stack.
     Returns the end states and the (M,) running actions (None without).
+
+    A stack of at most ``_FLOAT_ROWS`` members of a model with
+    :func:`fourth_order_rhs_floats` (and generated value code, for the
+    action) runs member by member on Python floats, which skips numpy's
+    fixed cost per operation; other stacks run on numpy columns.  Both
+    paths give the same bits.  Where Python floats raise, or end in a
+    non-finite number, the whole stack runs again on columns, so its nan,
+    inf and warnings are numpy's.
     """
     n = L.n
+    q4 = fourth_order_rhs_floats(L) if len(Y) <= _FLOAT_ROWS else None
+    generated = getattr(L.value, "generated", None)
+    if q4 is not None and (generated is not None or not with_action):
+        value = generated.floats if with_action else None
+        try:
+            runs = [_rk4_floats(q4, value, y, h, substeps) for y in Y.tolist()]
+        except (ArithmeticError, ValueError):
+            pass
+        else:
+            end = np.array([y for y, _ in runs]).reshape(Y.shape)
+            action = np.array([a for _, a in runs])
+            if np.isfinite(end).all() and np.isfinite(action).all():
+                return end, action if with_action else None
     dt = h / substeps
     action = np.zeros(len(Y)) if with_action else None
 

@@ -134,6 +134,10 @@ def _rebound(f, **names):
 _SCALAR_MATH = {"sin": math.sin, "cos": math.cos, "sqrt": math.sqrt, "_pow": math.pow}
 
 
+def _nested(rows):
+    return rows
+
+
 def _vector(r):
     return np.asarray(r, dtype=float).reshape(-1)
 
@@ -157,24 +161,29 @@ class _Generated:
     def f(self):
         return self._make()
 
-    _scalar = functools.cached_property(lambda self: _rebound(self.f, **_SCALAR_MATH))
+    @functools.cached_property
+    def floats(self):
+        """f's generated code on Python float arguments, with the
+        ``_SCALAR_MATH`` functions and ``array`` handing back its nested
+        rows, which skips numpy's per-scalar overhead.  Where Python floats
+        raise (a math domain error, ``math.pow`` overflow or a non-real
+        power, division by zero: ``ArithmeticError`` or ``ValueError``),
+        numpy scalars give nan or inf and a warning instead."""
+        return _rebound(self.f, array=_nested, **_SCALAR_MATH)
 
     @functools.cached_property
     def call(self):
         """A plain function (cheaper per call than a method) equal to
         ``f(*y)`` on numpy scalars bit for bit at a flat jet ``y``, carrying
-        this evaluator as ``generated``.  The generated code runs on
-        ``y.tolist()`` with the ``_SCALAR_MATH`` functions, which skips
-        numpy's per-scalar overhead.  Where Python floats raise instead (a
-        math domain error, ``math.pow`` overflow or a non-real power,
-        division by zero), the point is evaluated again on numpy scalars, so
-        its nan, inf and warnings are numpy's.
+        this evaluator as ``generated``.  It runs ``floats`` on
+        ``y.tolist()``; where that raises, the point is evaluated again on
+        numpy scalars, so its nan, inf and warnings are numpy's.
         """
         out = (float, _vector, _matrix)[len(self.shape)]
 
         def call(y):
             try:
-                r = self._scalar(*y.tolist())
+                r = self.floats(*y.tolist())
             except (ArithmeticError, ValueError):
                 r = self.f(*y)
             return out(r)
@@ -206,7 +215,7 @@ class _Generated:
 
     @functools.cached_property
     def _columns(self):
-        return _rebound(self.f, array=lambda rows: rows, _pow=_column_pow)
+        return _rebound(self.f, array=_nested, _pow=_column_pow)
 
     def stack(self, X):
         """f at each row of an (M, m) stack, as an (M, *shape) stack.
@@ -562,6 +571,24 @@ def hessian_W(L: LagrangianModel, jet: JetPoint):
     return W[0], bool(regular[0])
 
 
+def _minus_W_inv_times(W_inv, r):
+    """-W^-1 r for the n floats of r, from the rows of W^-1 as lists: each
+    entry is the sum over j of r_j W^-1[i, j], taken left to right from
+    0.0 (as BLAS sums, so an identity W^-1 keeps the signs of zeros)."""
+    return [-functools.reduce(operator.add, map(operator.mul, r, w), 0.0) for w in W_inv]
+
+
+def _minus_W_inv_times_rows(W_inv, R):
+    """:func:`_minus_W_inv_times` on each row of an (M, n) stack, in the
+    same order elementwise, so each row depends on its own member only: a
+    BLAS product picks its kernel, and with it the last bits, by the size
+    of the stack."""
+    Q = 0.0
+    for j in range(R.shape[1]):
+        Q = Q + R[:, j, None] * W_inv[:, j]
+    return -Q
+
+
 def fourth_order_rhs_raw(L: LagrangianModel, Y) -> np.ndarray:
     """Stacked form of :func:`fourth_order_rhs`: the q4 of each row of an
     (M, 4n) stack of (q, dq, ddq, d3q), by one stacked determinant and one
@@ -576,8 +603,28 @@ def fourth_order_rhs_raw(L: LagrangianModel, Y) -> np.ndarray:
     if R is None:
         R = np.array([el_residual_raw(L, *z.reshape(5, n)) for z in Z])
     if L._W_inv is not None:
-        return -(R @ L._W_inv.T)
+        return _minus_W_inv_times_rows(L._W_inv, R)
     return np.linalg.solve(W, -R[:, :, None])[:, :, 0]
+
+
+def fourth_order_rhs_floats(L: LagrangianModel):
+    """:func:`fourth_order_rhs_raw` on one member in Python floats, for a
+    model with a constant W and generated ``el4`` code (None for others).
+
+    The returned function maps the 4n floats (q, dq, ddq, d3q) of a list to
+    the list of the n floats of q4, bit for bit the row of the stacked
+    form.  It raises ``ArithmeticError`` or ``ValueError`` where the
+    generated code does on Python floats (see ``_Generated.floats``).
+    """
+    generated = getattr(L.el4, "generated", None)
+    if L._W_inv is None or generated is None:
+        return None
+    el4, W_inv, d4q = generated.floats, L._W_inv.tolist(), [0.0] * L.n
+
+    def rhs(y):
+        return _minus_W_inv_times(W_inv, [e for e, in el4(*y, *d4q)])
+
+    return rhs
 
 
 def fourth_order_rhs(L: LagrangianModel, jet: JetPoint) -> np.ndarray:

@@ -305,22 +305,75 @@ def scalar_rk4(L, y, h, S):
     return y, action
 
 
+@pytest.fixture(scope="module")
+def non_identity_W():
+    """A constant W = [[2, 1/2], [1/2, 2]]: W^-1 is not diagonal."""
+    return model_from_expr(2, "ddq0**2 + ddq0*ddq1/2 + ddq1**2 + q0**2*dq1")
+
+
 class TestStackedIntegration:
-    @pytest.mark.parametrize("model", ["spline1", "spline2", "spline_potential"])
+    @pytest.mark.parametrize("model", ["spline1", "spline2", "spline_potential",
+                                       "non_identity_W"])
     def test_stack_equals_single_integrations(self, model, rng, request):
+        # stacks on both sides of bvp._FLOAT_ROWS: Python floats up to it,
+        # numpy columns above, every member equal to its one-member run
         L = request.getfixturevalue(model)
-        n, M, h, S = L.n, 12, 0.3, 24
-        Y0 = rng.normal(size=(M, 4 * n)) * 10.0 ** rng.integers(-2, 3, size=(M, 4 * n))
-        Y, actions = _rk4(L, Y0, h, S, with_action=True)
-        Y_plain, no_action = _rk4(L, Y0, h, S)
-        assert no_action is None and np.array_equal(Y, Y_plain)
-        for y0, y, a in zip(Y0, Y, actions):
-            jet, action = integrate_el(L, JetPoint.from_array(y0, 3, n), h, S,
-                                       with_action=True)
-            assert np.array_equal(jet.as_array(), y)
-            assert action == a
-            y_ref, action_ref = scalar_rk4(L, y0, h, S)
-            assert np.array_equal(y_ref, y) and action_ref == a
+        n, h, S = L.n, 0.3, 24
+        for M in (1, 2, 3, 4, 5, 12):
+            Y0 = rng.normal(size=(M, 4 * n)) * 10.0 ** rng.integers(-2, 3, size=(M, 4 * n))
+            Y, actions = _rk4(L, Y0, h, S, with_action=True)
+            Y_plain, no_action = _rk4(L, Y0, h, S)
+            assert no_action is None and np.array_equal(Y, Y_plain)
+            for y0, y, a in zip(Y0, Y, actions):
+                jet0 = JetPoint.from_array(y0, 3, n)
+                jet, action = integrate_el(L, jet0, h, S, with_action=True)
+                assert np.array_equal(jet.as_array(), y) and action == a
+                assert np.array_equal(integrate_el(L, jet0, h, S).as_array(), y)
+                if model != "non_identity_W":
+                    # scalar_rk4 solves with W, exact for W = I only
+                    y_ref, action_ref = scalar_rk4(L, y0, h, S)
+                    assert np.array_equal(y_ref, y) and action_ref == a
+
+    @pytest.mark.parametrize("model, M, floats", [
+        ("spline1", 1, True), ("spline1", 2, True), ("spline1", 12, False),
+        ("lifted", 1, False),   # W depends on the jet
+    ])
+    def test_path_taken(self, model, M, floats, rng, request, monkeypatch):
+        import varint.bvp as bvp
+        L = (lift_cost(two_link_problem(N=4)) if model == "lifted"
+             else request.getfixturevalue(model))
+
+        class Columns(Exception):
+            pass
+
+        def columns(*args):
+            raise Columns
+        monkeypatch.setattr(bvp, "fourth_order_rhs_raw", columns)
+        Y0 = 0.1 * rng.normal(size=(M, 4 * L.n))
+        if floats:
+            _rk4(L, Y0, 0.3, 8, with_action=True)
+        else:
+            with pytest.raises(Columns):
+                _rk4(L, Y0, 0.3, 8)
+
+    @pytest.mark.parametrize("expr, Y0, match", [
+        # math.sqrt raises on the second row, numpy's sqrt gives nan
+        ("ddq0**2/2 + sqrt(q0)", [[1.0, 0.1, 0.2, 0.3], [-1.0, 0.1, 0.2, 0.3]],
+         "invalid value"),
+        # Python floats overflow to inf silently, numpy warns
+        ("ddq0**2/2", [[1.5e308, 1.5e308, 0.0, 0.0]], "overflow"),
+    ])
+    def test_float_failures_rerun_on_columns(self, expr, Y0, match, monkeypatch):
+        import varint.bvp as bvp
+        L, Y0 = model_from_expr(1, expr), np.array(Y0)
+        with pytest.warns(RuntimeWarning, match=match):
+            Y, actions = _rk4(L, Y0, 0.3, 8, with_action=True)
+        monkeypatch.setattr(bvp, "_FLOAT_ROWS", 0)
+        with pytest.warns(RuntimeWarning, match=match):
+            Y_ref, actions_ref = _rk4(L, Y0, 0.3, 8, with_action=True)
+        np.testing.assert_array_equal(Y, Y_ref)
+        np.testing.assert_array_equal(actions, actions_ref)
+        assert not np.isfinite(Y[-1]).all()
 
 
 class TestExactAction:

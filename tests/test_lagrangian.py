@@ -5,7 +5,8 @@ from varint import (JetPoint, LagrangianModel, MechanicalModel,
                     controlled_forces, el_residual, fourth_order_rhs,
                     hessian_W, legendre, named_lagrangian)
 from varint.errors import SingularHessian
-from varint.lagrangian import _acceleration_hessian, el_residual_raw, fourth_order_rhs_raw
+from varint.lagrangian import (_acceleration_hessian, el_residual_raw, fourth_order_rhs_floats,
+                              fourth_order_rhs_raw)
 
 from conftest import model_from_expr
 
@@ -144,6 +145,9 @@ class TestConstantAccelerationHessian:
             # 4 ulp of each member's largest entry
             tol = 4 * np.finfo(float).eps * np.max(np.abs(ref), axis=1, keepdims=True)
             assert np.all(np.abs(got - ref) <= tol)
+            # each row depends on its own member only, on floats alike
+            assert np.array_equal(got, [fourth_order_rhs_raw(L, y[None])[0] for y in Y])
+            assert np.array_equal(got, [fourth_order_rhs_floats(L)(y) for y in Y.tolist()])
 
     def test_singular_W_builds_and_raises_on_first_call(self):
         degenerate = model_from_expr(1, "ddq0*dq0")
