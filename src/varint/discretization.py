@@ -82,25 +82,67 @@ class _AffineJetScheme(DiscreteLagrangian):
             self._cache_h = (h, n)
         return self._cache
 
+    # A pair of a path sweep is answered from one evaluation of all the
+    # sweep's pairs, kept in the sweep's memo until as many calls as pairs
+    # have taken their rows, so it is not held through the solves between
+    # sweeps; a second sweep over the same pairs evaluates again.  Any other
+    # pair is evaluated on its own.  Both give the same bits: each map
+    # applies to a stack of column vectors through np.matmul (X @ P.T and
+    # einsum differ in the last bit), the model's stacks equal its pointwise
+    # calls, and the terms add up from zeros in the same order.
+
+    def _swept(self, s: PairState, kind):
+        if s._sweep is None:
+            return None
+        X, i, memo = s._sweep
+        entry = memo.get((self, kind))
+        if entry is None:
+            entry = memo[self, kind] = [self._rows(kind, X, s.h, s.n), len(X)]
+        entry[1] -= 1
+        if not entry[1]:
+            del memo[self, kind]
+        return entry[0][i]
+
+    def _rows(self, kind, X, h, n):
+        shape = {"value": (), "partials": (4 * n,), "second_partials": (4 * n, 4 * n)}
+        out = np.zeros((len(X),) + shape[kind])
+        for w, P in self._maps(h, n):
+            Y = np.matmul(P, X[:, :, None])[:, :, 0]
+            if kind == "value":
+                out += w * self.L.value_stack(Y)
+            elif kind == "partials":
+                out += w * np.matmul(P.T, self.L.grad_stack(Y)[:, :, None])[:, :, 0]
+            else:
+                out += w * np.matmul(np.matmul(P.T, self.L.hess_stack(Y)), P)
+        out.setflags(write=False)
+        return out
+
     def value(self, s: PairState) -> float:
-        x, f = pack(s), self.L.value
-        v = 0
-        for w, P in self._maps(s.h, s.n):
-            v += w * f(P @ x)
+        v = self._swept(s, "value")
+        if v is None:
+            x, f = pack(s), self.L.value
+            v = 0
+            for w, P in self._maps(s.h, s.n):
+                v += w * f(P @ x)
         return float(v)
 
     def partials(self, s: PairState):
-        n, x, f = s.n, pack(s), self.L.grad
-        g = np.zeros(4 * n)
-        for w, P in self._maps(s.h, n):
-            g += w * (P.T @ f(P @ x))
+        n, g = s.n, self._swept(s, "partials")
+        if g is None:
+            x, f = pack(s), self.L.grad
+            g = np.zeros(4 * n)
+            for w, P in self._maps(s.h, n):
+                g += w * (P.T @ f(P @ x))
         return g[:n], g[n:2 * n], g[2 * n:3 * n], g[3 * n:]
 
     def second_partials(self, s: PairState) -> np.ndarray:
-        n, x, f = s.n, pack(s), self.L.hess
-        H = np.zeros((4 * n, 4 * n))
-        for w, P in self._maps(s.h, n):
-            H += w * (P.T @ f(P @ x) @ P)
+        """The (4n, 4n) matrix; read-only for a pair of a path sweep."""
+        H = self._swept(s, "second_partials")
+        if H is None:
+            n, x, f = s.n, pack(s), self.L.hess
+            H = np.zeros((4 * n, 4 * n))
+            for w, P in self._maps(s.h, n):
+                H += w * (P.T @ f(P @ x) @ P)
         return H
 
     def _fd_noise_scale(self, s: PairState) -> float:

@@ -112,12 +112,16 @@ def _hermite_path(x0: JetPoint, xN: JetPoint, grid: Grid) -> np.ndarray:
 
 def _pairs_of(nodes, h):
     """The pair states of consecutive rows of the (N+1, 2n) ``nodes``, one
-    at a time; pair i is row i of one read-only packed array."""
+    at a time; pair i is row i of one read-only packed array, and knows it,
+    so a scheme can evaluate each sweep over the pairs once, on the array."""
     n = nodes.shape[1] // 2
     X = np.hstack([nodes[:-1], nodes[1:]])
     X.setflags(write=False)
-    for x in X:
-        yield unpack(x, 2, n, h)
+    memo = {}
+    for i, x in enumerate(X):
+        s = unpack(x, 2, n, h)
+        object.__setattr__(s, "_sweep", (X, i, memo))
+        yield s
 
 
 def _path_residual(Ld, pairs):
@@ -209,6 +213,8 @@ def _newton_path(Ld, x0, xN, grid, interior, tol, max_iter):
         rnorm = np.max(np.abs(R))
         if rnorm <= tight:
             return X, R.reshape(N - 1, 2 * n), A, it
+        # drop the last iterate's Jacobian first: two would set the memory peak
+        J = None
         J = _path_jacobian(Ld, P)
         trial = None
         # fast path: an undamped step that halves the residual is always taken,

@@ -79,11 +79,17 @@ class PairState:
     for k = 2 it carries (q0, v0, q1, v1).  The state is stored packed, as
     the read-only vector :func:`pack` returns; ``left`` and ``right`` are
     built from it on first access.  :func:`unpack` is the cheap constructor.
+
+    A pair of a path sweep also knows the read-only pair array whose row it
+    is: ``_sweep`` is (array, row, memo), with one ``memo`` dict shared by
+    the array's pairs, where schemes keep what they evaluate for all rows
+    at once.  Only ``flow._pairs_of`` sets it; every other pair has None.
     """
 
     _packed: np.ndarray
     k: int
     h: float
+    _sweep = None
 
     def __init__(self, left: JetPoint, right: JetPoint, h: float):
         if left.order != right.order:

@@ -323,9 +323,29 @@ def _starts_sweep(s, x0):
 class TestPathNewton:
     def test_climbing_fast_trial_evaluates_no_residual(self):
         Ld = _Logged(taylor_average(model_from_expr(1, "ddq0**2/2 + 20*cos(q0)")))
+        evaluations, evaluate = [], Ld.inner._rows
+
+        def rows_of(kind, X, h, n):
+            evaluations.append((kind, id(X)))
+            return evaluate(kind, X, h, n)
+
+        Ld.inner._rows = rows_of
         x0, xN = jet1(0.0, 0.0), jet1(3.0, 0.0)
         grid = uniform_grid(0.0, 4.0, 10)
-        _newton_path(Ld, x0, xN, grid, _hermite_path(x0, xN, grid), 1e-10, 80)
+        *_, iterations = _newton_path(Ld, x0, xN, grid, _hermite_path(x0, xN, grid),
+                                      1e-10, 80)
+        # every sweep still calls the scheme once per pair, in row order, and
+        # the inner scheme answers it from one evaluation on the pair array
+        # (the first is residual_scale's, which is not logged); the Jacobian
+        # sweeps are the iterations the benchmark counts
+        rows = {}
+        for kind, s, _ in Ld.log:
+            X, i, _ = s._sweep
+            rows.setdefault((kind, id(X)), []).append(i)
+        assert all(r == list(range(grid.N)) for r in rows.values())
+        first = id(Ld.log[0][1]._sweep[0])
+        assert evaluations == [("second_partials", first)] + list(rows)
+        assert sum(kind == "second_partials" for kind, _ in rows) == iterations >= 1
         # one sweep per (kind, trial point); every point's pairs start at x0
         sweeps = []
         for kind, s, v in Ld.log:

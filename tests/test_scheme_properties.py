@@ -17,10 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from varint import (JetPoint, LagrangianModel, PairState, SingularWd, Wd_matrix,
-                    del_residual, fminus, fplus, hamiltonian_step, make_scheme,
+                    del_residual, fminus, fplus, hamiltonian_step, lift_cost, make_scheme,
                     named_lagrangian, phi_values, run, step, symplectic_defect,
-                    uniform_grid)
-from varint.discretization import SCHEMES
+                    two_link_problem, uniform_grid)
+from varint.discretization import SCHEMES, _AffineJetScheme
+from varint.flow import _pairs_of
+from varint.jets import pack, unpack
+
+from conftest import model_from_expr
 
 
 def polynomial_model(n, seed):
@@ -120,3 +124,50 @@ def test_trapezoid_velocity_step_is_singular(L, data):
     assert not np.any(Wd_matrix(Ld, PairState(x0, x1, h))[:L.n])
     with pytest.raises(SingularWd):
         step(Ld, x0, x1, h)
+
+
+#: the lifted two-link model, which the swing-up solves, and a sympy model
+#: with a transcendental term
+SWEPT = [lift_cost(two_link_problem(N=4)),
+         model_from_expr(2, "ddq0**2/2 + ddq1**2/2 + cos(q0)*dq1**2")]
+AFFINE = [name for name in SCHEMES if name != "spline-exact"]
+
+
+def _bytes(r):
+    return np.concatenate(r).tobytes() if isinstance(r, tuple) else np.float64(r).tobytes()
+
+
+@pytest.mark.parametrize("N", [2, 3, 25, 200])
+@pytest.mark.parametrize("L", SWEPT, ids=lambda L: L.name)
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), T=st.floats(0.5, 10.0))
+def test_sweep_rows_equal_per_pair_calls(L, N, seed, T):
+    # the pairs of a path sweep are answered from one evaluation on their
+    # pair array; each row has the bytes of the per-pair code, run on a
+    # copy of the row and on a PairState built from jets
+    nodes = np.random.default_rng(seed).normal(size=(N + 1, 2 * L.n))
+    h, n = T / N, L.n
+    for name in AFFINE:
+        Ld = make_scheme(name, L)
+        assert isinstance(Ld, _AffineJetScheme)
+        evaluations, evaluate = [], Ld._rows
+
+        def rows_of(kind, *args):
+            evaluations.append(kind)
+            return evaluate(kind, *args)
+
+        Ld._rows = rows_of
+        for method, kind in [("value", "value"), ("partials", "partials"),
+                             ("second_partials", "second_partials"),
+                             ("residual_scale", "second_partials")]:
+            pairs = list(_pairs_of(nodes, h))
+            swept = [_bytes(getattr(Ld, method)(s)) for s in pairs]
+            assert evaluations == [kind]
+            evaluations.clear()
+            for s, b in zip(pairs, swept):
+                x = pack(s).copy()
+                jets = (JetPoint.from_array(x[:2 * n], 1, n),
+                        JetPoint.from_array(x[2 * n:], 1, n))
+                for alone in (unpack(x, 2, n, h), PairState(*jets, h)):
+                    assert alone._sweep is None
+                    assert _bytes(getattr(Ld, method)(alone)) == b, (name, method)
