@@ -8,11 +8,16 @@ value against its tolerance.
 
 from __future__ import annotations
 
+import functools
+import os
+import pickle
+import signal
+
 import numpy as np
 
 from .bvp import exact_Ld, solve_regularized
 from .discretization import midpoint_difference, spline_exact, taylor_average
-from .errors import ConfigError
+from .errors import ConfigError, VarintError
 from .flow import run
 from .jets import JetPoint, PairState, uniform_grid
 from .lagrangian import named_lagrangian, spline_lagrangian
@@ -118,29 +123,121 @@ def check_order(rng):
     return ok, "; ".join(lines)
 
 
+#: The suites by measured cost, longest first (phi 0.35 s, legendre-match
+#: 0.24, oracles 0.10, spline-exactness 0.04, symplectic 0.02, order 0.01),
+#: the order in which ``run_suites`` hands them out.
 SUITES = {
-    "spline-exactness": check_spline_exactness,
-    "legendre-match": check_legendre_match,
     "phi": check_phi,
-    "symplectic": check_symplectic,
+    "legendre-match": check_legendre_match,
     "oracles": check_oracles,
+    "spline-exactness": check_spline_exactness,
+    "symplectic": check_symplectic,
     "order": check_order,
 }
 
 
-def run_suites(names=None, seed: int = 0) -> int:
-    """Run the named suites (all by default); print one line per suite.
+def _cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
 
-    Unknown names raise :class:`ConfigError` before any suite runs.
+
+def _outcomes(claims, seed):
+    """Run the claimed suites (each an index into SUITES) and yield each
+    index with its outcome: ``(passed, details)`` or the exception raised."""
+    suites = list(SUITES.values())
+    for i in claims:
+        try:
+            outcome = suites[i](np.random.default_rng(seed))
+        except Exception as exc:  # raised where the requested order reaches it
+            outcome = exc
+        yield i, outcome
+
+
+def _claimed(fd):
+    """Suite indices claimed one byte at a time from a pipe until it is empty."""
+    return (b[0] for b in iter(functools.partial(os.read, fd, 1), b""))
+
+
+def _received(pipe):
+    """The pickled (index, outcome) pairs a pipe carries until it ends; a
+    pair cut short by its sender's death is dropped."""
+    while True:
+        try:
+            yield pickle.load(pipe)
+        except (EOFError, pickle.UnpicklingError):
+            return
+
+
+def _forked(claims: bytes, seed: int) -> dict:
+    """The outcomes of the claimed suites, run by this process and one
+    forked child, each claiming the next suite from one pipe when it is
+    free.  The child pickles each outcome into a second pipe; it is reaped
+    on every path, and killed first if this process raises."""
+    claim_r, claim_w = os.pipe()
+    result_r, result_w = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child never returns into its caller
+        try:
+            os.close(claim_w)
+            os.close(result_r)
+            with open(result_w, "wb") as out:
+                for pair in _outcomes(_claimed(claim_r), seed):
+                    out.write(pickle.dumps(pair))
+                    out.flush()
+        finally:
+            os._exit(0)
+    os.close(result_w)
+    with open(claim_r, "rb", buffering=0) as claim_in, open(result_r, "rb") as results:
+        try:
+            with open(claim_w, "wb") as out:
+                out.write(claims)
+            outcomes = dict(_outcomes(_claimed(claim_in.fileno()), seed))
+            outcomes.update(_received(results))
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            os.waitpid(pid, 0)
+    return outcomes
+
+
+def run_suites(names=None, seed: int = 0) -> int:
+    """Run the named suites (all by default); print one line per suite, in
+    sorted order or the order requested, repeats kept.
+
+    Unknown names raise :class:`ConfigError` before any suite runs.  Each
+    suite runs on its own ``np.random.default_rng(seed)``, so the suites are
+    independent: with two or more suites, two or more CPUs and ``os.fork``,
+    this process and one forked child share them, each claiming the next
+    suite, longest first, when it is free; otherwise they run here.  The
+    lines are printed once all have run, the same bytes either way, and a
+    suite's exception is raised after the lines before it.  A child that
+    ends without sending what it ran raises :class:`VarintError`.  Python
+    3.12 and later warn when a process with other threads forks; the CLI
+    has none under one-thread BLAS.
     """
     names = list(names) if names else sorted(SUITES)
     unknown = [n for n in names if n not in SUITES]
     if unknown:
         raise ConfigError(f"unknown suites: {unknown}; available: {sorted(SUITES)}")
+    index = {name: i for i, name in enumerate(SUITES)}
+    claims = bytes(sorted(index[name] for name in names))
+    if len(names) > 1 and _cpus() > 1 and hasattr(os, "fork"):
+        outcomes = _forked(claims, seed)
+    else:
+        outcomes = dict(_outcomes(claims, seed))
     failures = 0
     for name in names:
-        rng = np.random.default_rng(seed)
-        passed, details = SUITES[name](rng)
+        if index[name] not in outcomes:
+            held = sorted({n for n in names if index[n] not in outcomes})
+            raise VarintError(f"check: the child process running suites {held} "
+                              "ended without their results")
+        outcome = outcomes[index[name]]
+        if isinstance(outcome, Exception):
+            raise outcome
+        passed, details = outcome
         print(f"{'PASS' if passed else 'FAIL'} {name}: {details}")
         failures += 0 if passed else 1
     return 0 if failures == 0 else 1

@@ -21,9 +21,8 @@ solvers evaluate the model through these stacks.
 
 from __future__ import annotations
 
-import ast
+import dis
 import functools
-import inspect
 import itertools
 import math
 import operator
@@ -117,9 +116,15 @@ def _lambdify(args, expr):
 
 
 def _column_pow(b, e):
-    # numpy scalars, so overflow and domain errors behave as in scalar code
-    pairs = np.broadcast(b, e)
-    return np.array([x ** y for x, y in pairs], dtype=float).reshape(pairs.shape)
+    # the C pow per element, as on numpy float64 scalars: math.pow on Python
+    # floats, or, where that raises, numpy scalars for the whole call, so
+    # overflow and domain errors give numpy's results and warnings
+    b, e = np.broadcast_arrays(b, e)
+    try:
+        powers = list(map(math.pow, b.ravel().tolist(), e.ravel().tolist()))
+    except (ArithmeticError, ValueError):
+        powers = [x ** y for x, y in np.broadcast(b, e)]
+    return np.array(powers, dtype=float).reshape(b.shape)
 
 
 def _rebound(f, **names):
@@ -196,21 +201,21 @@ class _Generated:
         # Below this many rows a loop of pointwise calls is faster.  On
         # columns each generated operation pays numpy's fixed cost once per
         # call (about 1 us), on rows a Python-float cost once per row.
-        # Measured crossovers by operation count (operators and calls in
-        # the generated source): one row for a constant f (one operation),
-        # 2-3 for the spline family's el4 (1-4), 5-6 and 12-15 for a
-        # 21-operation Hessian and a 37-operation el4, 27-37 for the lifted
-        # two-link Hessian and el4 (306 and 461).  Values cross at 9 rows
-        # or never: a power on columns runs element by element, about
-        # 0.4 us per row, as much as a whole pointwise value.  The rule
-        # 1 + floor(log2(ops)) fits the short code and sends long code and
-        # values to columns early.  It stays: shootings of the lifted model
-        # stack 1 or 2n = 4 rows, below either crossover, and of the 94k
-        # stacked calls in ``varint check`` only 1.2k (spline-family values
-        # of 4 and 32 rows, about 10 ms) fall in the gap.
-        tree = ast.parse(inspect.getsource(self.f))
-        ops = sum(isinstance(node, (ast.BinOp, ast.UnaryOp, ast.Call))
-                  for node in ast.walk(tree))
+        # Measured crossovers by operation count (operator and call
+        # instructions in the generated bytecode): one row for a constant f
+        # (one operation), 2-3 for the spline family's el4 (1-3), 5-6 and
+        # 12-15 for an 18-operation Hessian and a 35-operation el4, 27-37
+        # for the lifted two-link Hessian and el4 (284 and 444).  Values
+        # crossed at 9 rows or never while a power on columns took 0.4 us
+        # per element on numpy scalars (``_column_pow`` now takes less).
+        # The rule 1 + floor(log2(ops)) fits the short code and sends long
+        # code and values to columns early.  It stays: shootings of the
+        # lifted model stack 1 or 2n = 4 rows, below either crossover, and
+        # of the 94k stacked calls in ``varint check`` only 1.2k
+        # (spline-family values of 4 and 32 rows, about 10 ms) fall in the
+        # gap.  Counting bytecode builds no syntax tree of the source.
+        ops = sum(i.opname.startswith(("BINARY_", "UNARY_", "CALL"))
+                  for i in dis.get_instructions(self.f))
         return ops.bit_length()
 
     @functools.cached_property
