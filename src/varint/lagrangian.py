@@ -115,16 +115,27 @@ def _lambdify(args, expr):
                        printer=_PowPrinter, cse=True)
 
 
+def _flat(a, pairs):
+    # a's entries broadcast to the shape of ``pairs``, as one flat list
+    if isinstance(a, np.ndarray) and a.ndim:
+        return (a if a.shape == pairs.shape else np.broadcast_to(a, pairs.shape)).ravel().tolist()
+    return [a] * pairs.size
+
+
 def _column_pow(b, e):
     # the C pow per element, as on numpy float64 scalars: math.pow on Python
-    # floats, or, where that raises, numpy scalars for the whole call, so
-    # overflow and domain errors give numpy's results and warnings
-    b, e = np.broadcast_arrays(b, e)
+    # floats, or numpy scalars for the whole call where math.pow raises or
+    # gives a nan, so overflow and domain errors give numpy's results and
+    # warnings, and a nan numpy's sign (math.pow hands back a nan base as it
+    # is, where the C pow of a negative nan to an odd power is positive)
+    pairs = np.broadcast(b, e)
     try:
-        powers = list(map(math.pow, b.ravel().tolist(), e.ravel().tolist()))
+        powers = list(map(math.pow, _flat(b, pairs), _flat(e, pairs)))
     except (ArithmeticError, ValueError):
-        powers = [x ** y for x, y in np.broadcast(b, e)]
-    return np.array(powers, dtype=float).reshape(b.shape)
+        powers = None
+    if powers is None or math.isnan(sum(powers)):
+        powers = [x ** y for x, y in pairs]
+    return np.array(powers, dtype=float).reshape(pairs.shape)
 
 
 def _rebound(f, **names):

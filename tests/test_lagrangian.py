@@ -527,12 +527,13 @@ _EXPONENTS = st.one_of(st.sampled_from([2, 3, 4, -2, -3, 0, 0.5, 1.5, -1.5, 1 / 
 
 @settings(max_examples=400, deadline=None)
 @given(pairs=st.lists(st.tuples(_BASES, _EXPONENTS), min_size=1, max_size=12),
-       column_exponent=st.booleans())
-def test_column_pow_equals_numpy_scalars(pairs, column_exponent):
-    # bytes and warnings alike, overflow, domain errors, +-0, +-inf, nan,
-    # subnormals and negative bases under fractional exponents included
-    b = np.array([x for x, _ in pairs])
-    e = np.array([y for _, y in pairs]) if column_exponent else pairs[0][1]
+       columns=st.sampled_from(["base", "exponent", "both"]))
+def test_column_pow_equals_numpy_scalars(pairs, columns):
+    # bytes and warnings alike, overflow, domain errors, +-0, +-inf, nans of
+    # either sign, subnormals and negative bases under fractional exponents
+    # included; a column meets a number or another column
+    b, e = (np.array(column) if columns in (side, "both") else column[0]
+            for side, column in zip(("base", "exponent"), zip(*pairs)))
 
     def run(power):
         with warnings.catch_warnings(record=True) as seen:
