@@ -506,6 +506,7 @@ def _log_jets(rng, M, m):
     """M flat jets of length m, magnitudes log-uniform in [1e-3, 1e3], either sign."""
     return rng.choice([-1.0, 1.0], size=(M, m)) * 10.0 ** rng.uniform(-3, 3, size=(M, m))
 
+
 def _scalar_pow(b, e):
     # the power per element on numpy float64 scalars
     pairs = np.broadcast(b, e)
@@ -513,8 +514,8 @@ def _scalar_pow(b, e):
 
 
 def _quiet(x):
-    # math.pow hands a signaling nan back as it is, numpy quiets it and
-    # warns; no arithmetic makes one, so the draws leave them out
+    # math.pow gives 1.0 for a signaling nan to the power 0, numpy a nan
+    # and a warning; no arithmetic makes one, so the draws leave them out
     return x == x or struct.pack(">d", x)[1] & 0x08
 
 
