@@ -73,6 +73,8 @@ class _AffineJetScheme(DiscreteLagrangian):
         super().__init__(name)
         self.L = L
         self._terms = terms
+        self._calls = {"value": (L.value, L.value_stack), "partials": (L.grad, L.grad_stack),
+                       "second_partials": (L.hess, L.hess_stack)}
         self._cache_h = None
         self._cache = None
 
@@ -86,10 +88,10 @@ class _AffineJetScheme(DiscreteLagrangian):
     # sweep's pairs, kept in the sweep's memo until as many calls as pairs
     # have taken their rows, so it is not held through the solves between
     # sweeps; a second sweep over the same pairs evaluates again.  Any other
-    # pair is evaluated on its own.  Both give the same bits: each map
-    # applies to a stack of column vectors through np.matmul (X @ P.T and
-    # einsum differ in the last bit), the model's stacks equal its pointwise
-    # calls, and the terms add up from zeros in the same order.
+    # pair is evaluated on its own, by the same sum with the same bits:
+    # np.matvec maps each row of a stack as it maps one vector (X @ P.T and
+    # einsum differ in the last bit), and the model's stacks equal its
+    # pointwise calls.
 
     def _swept(self, s: PairState, kind):
         if s._sweep is None:
@@ -97,53 +99,42 @@ class _AffineJetScheme(DiscreteLagrangian):
         X, i, memo = s._sweep
         entry = memo.get((self, kind))
         if entry is None:
-            entry = memo[self, kind] = [self._rows(kind, X, s.h, s.n), len(X)]
+            entry = memo[self, kind] = [self._sum(kind, X, s.h, s.n), len(X)]
+            entry[0].setflags(write=False)
         entry[1] -= 1
         if not entry[1]:
             del memo[self, kind]
         return entry[0][i]
 
-    def _rows(self, kind, X, h, n):
-        shape = {"value": (), "partials": (4 * n,), "second_partials": (4 * n, 4 * n)}
-        out = np.zeros((len(X),) + shape[kind])
+    def _sum(self, kind, x, h, n):
+        """The terms of ``kind`` at one packed pair ``x`` (4n,), by the
+        model's pointwise call, or at each row of a sweep's pair array
+        (N, 4n), by its stack, added up from 0 in term order."""
+        f = self._calls[kind][x.ndim - 1]
+        out = 0
         for w, P in self._maps(h, n):
-            Y = np.matmul(P, X[:, :, None])[:, :, 0]
-            if kind == "value":
-                out += w * self.L.value_stack(Y)
-            elif kind == "partials":
-                out += w * np.matmul(P.T, self.L.grad_stack(Y)[:, :, None])[:, :, 0]
-            else:
-                out += w * np.matmul(np.matmul(P.T, self.L.hess_stack(Y)), P)
-        out.setflags(write=False)
+            F = f(np.matvec(P, x))
+            if kind == "partials":
+                F = np.matvec(P.T, F)
+            elif kind == "second_partials":
+                F = P.T @ F @ P
+            out += w * F
         return out
 
     def value(self, s: PairState) -> float:
         v = self._swept(s, "value")
-        if v is None:
-            x, f = pack(s), self.L.value
-            v = 0
-            for w, P in self._maps(s.h, s.n):
-                v += w * f(P @ x)
-        return float(v)
+        return float(self._sum("value", pack(s), s.h, s.n) if v is None else v)
 
     def partials(self, s: PairState):
         n, g = s.n, self._swept(s, "partials")
         if g is None:
-            x, f = pack(s), self.L.grad
-            g = np.zeros(4 * n)
-            for w, P in self._maps(s.h, n):
-                g += w * (P.T @ f(P @ x))
+            g = self._sum("partials", pack(s), s.h, n)
         return g[:n], g[n:2 * n], g[2 * n:3 * n], g[3 * n:]
 
     def second_partials(self, s: PairState) -> np.ndarray:
         """The (4n, 4n) matrix; read-only for a pair of a path sweep."""
         H = self._swept(s, "second_partials")
-        if H is None:
-            n, x, f = s.n, pack(s), self.L.hess
-            H = np.zeros((4 * n, 4 * n))
-            for w, P in self._maps(s.h, n):
-                H += w * (P.T @ f(P @ x) @ P)
-        return H
+        return self._sum("second_partials", pack(s), s.h, s.n) if H is None else H
 
     def _fd_noise_scale(self, s: PairState) -> float:
         return 0.0 if self.L.analytic_grad else super()._fd_noise_scale(s)

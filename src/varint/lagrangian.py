@@ -144,10 +144,18 @@ def _rebound(f, **names):
     return types.FunctionType(f.__code__, dict(own, **names))
 
 
+def _float_pow(b, e):
+    # math.pow where it gives no nan, whose sign numpy's C pow may not share
+    r = math.pow(b, e)
+    if r != r:
+        raise ValueError("nan power")
+    return r
+
+
 #: Python-float twins of the numpy functions in generated code, for those
 #: that agree with numpy on float64 scalars bit for bit (checked from 1e-3 to
 #: 1e3; exp, log, tan, arctan, tanh and cosh do not, so they stay numpy's).
-_SCALAR_MATH = {"sin": math.sin, "cos": math.cos, "sqrt": math.sqrt, "_pow": math.pow}
+_SCALAR_MATH = {"sin": math.sin, "cos": math.cos, "sqrt": math.sqrt, "_pow": _float_pow}
 
 
 def _nested(rows):
@@ -170,8 +178,6 @@ class _Generated:
 
     def __init__(self, make, shape=()):
         self._make, self.shape = make, shape
-        self._template = self._varying = None
-        self._constant = {}          # output of a constant f per stack size
 
     @functools.cached_property
     def f(self):
@@ -182,8 +188,8 @@ class _Generated:
         """f's generated code on Python float arguments, with the
         ``_SCALAR_MATH`` functions and ``array`` handing back its nested
         rows, which skips numpy's per-scalar overhead.  Where Python floats
-        raise (a math domain error, ``math.pow`` overflow or a non-real
-        power, division by zero: ``ArithmeticError`` or ``ValueError``),
+        raise (a math domain error, ``math.pow`` overflow, a non-real or
+        nan power, division by zero: ``ArithmeticError`` or ``ValueError``),
         numpy scalars give nan or inf and a warning instead."""
         return _rebound(self.f, array=_nested, **_SCALAR_MATH)
 
@@ -234,34 +240,17 @@ class _Generated:
         return _rebound(self.f, array=_nested, _pow=_column_pow)
 
     def stack(self, X):
-        """f at each row of an (M, m) stack, as an (M, *shape) stack.
+        """f at each row of an (M, m) stack, as a new (M, *shape) stack.
 
         f's generated code runs once on the argument columns, with ``array``
         handing back the nested entries and ``_pow`` taking the scalar power
-        per element.  Entries that do not depend on the arguments come back
-        as numbers; the first call keeps them in a template that fills each
-        output in one broadcast, so only the varying entries are copied one
-        by one, and a constant f is not run again: its output is a read-only
-        broadcast.
+        per element.  Each entry, a column or a number that does not depend
+        on the arguments, fills its own output column.
         """
-        if self._varying == []:
-            out = self._constant.get(len(X))
-            if out is None:
-                out = self._constant[len(X)] = np.broadcast_to(
-                    self._template.reshape(self.shape), (len(X),) + self.shape)
-            return out
         vals = self._columns(*X.T)
-        rows = vals if self.shape else [[vals]]
-        if self._varying is None:
-            entries = [(i, j, e) for i, row in enumerate(rows) for j, e in enumerate(row)]
-            self._template = np.array([0.0 if isinstance(e, np.ndarray) else e
-                                       for _, _, e in entries], dtype=float)
-            self._varying = [(k, i, j) for k, (i, j, e) in enumerate(entries)
-                             if isinstance(e, np.ndarray)]
-        out = np.empty((len(X), self._template.size))
-        out[:] = self._template
-        for k, i, j in self._varying:
-            out[:, k] = rows[i][j]
+        out = np.empty((len(X), math.prod(self.shape)))
+        for k, e in enumerate(itertools.chain.from_iterable(vals if self.shape else [[vals]])):
+            out[:, k] = e
         return out.reshape((len(X),) + self.shape)
 
 

@@ -191,6 +191,32 @@ class TestBlockPartials:
         fd.value = Ld.value
         assert np.allclose(H, fd.second_partials(s), rtol=1e-5, atol=1e-5)
 
+    @pytest.mark.parametrize("N,xN", [(8, ([1.0], [0.0])), (6, ([2.0, -1.0], [1.0, 0.5]))])
+    def test_value_only_scheme_solves_a_boundary_problem(self, N, xN):
+        # the base class differences the partials and second partials, and
+        # its residual scale holds their noise, at which the path Newton stops
+        from varint import solve_boundary_path, spline_lagrangian, uniform_grid
+        from varint.discretization import DiscreteLagrangian
+        from varint.lagrangian import FD_STEP
+
+        class TaylorValue(DiscreteLagrangian):
+            def value(self, s):
+                # the taylor scheme of L = 1/2 |qddot|^2 in closed form
+                q0, v0, q1, v1 = pack(s).reshape(4, s.n)
+                h = s.h
+                a0, a1 = 2.0 / h**2 * (q1 - q0 - h * v0), 2.0 / h**2 * (q0 - q1 + h * v1)
+                return float(np.sum(h / 4.0 * (a0 * a0 + a1 * a1)))
+
+        n = len(xN[0])
+        x0, xN = JetPoint(np.zeros(n), (np.ones(n),)), JetPoint(xN[0], (xN[1],))
+        grid = uniform_grid(0.0, 1.0, N)
+        Ld, s = TaylorValue("taylor-value"), PairState(x0, xN, grid.h)
+        assert Ld._fd_noise_scale(s) == max(1.0, abs(Ld.value(s))) / FD_STEP
+        assert Ld.residual_scale(s) > Ld._fd_noise_scale(s)
+        got = solve_boundary_path(Ld, x0, xN, grid)
+        ref = solve_boundary_path(taylor_average(spline_lagrangian(n)), x0, xN, grid)
+        assert np.max(np.abs(got.nodes - ref.nodes)) <= 1e-9
+
 
 class TestBaselines:
     @pytest.mark.parametrize("name", ["taylor", "taylor-midpoint",

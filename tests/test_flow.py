@@ -323,13 +323,14 @@ def _starts_sweep(s, x0):
 class TestPathNewton:
     def test_climbing_fast_trial_evaluates_no_residual(self):
         Ld = _Logged(taylor_average(model_from_expr(1, "ddq0**2/2 + 20*cos(q0)")))
-        evaluations, evaluate = [], Ld.inner._rows
+        evaluations, evaluate = [], Ld.inner._sum
 
         def rows_of(kind, X, h, n):
-            evaluations.append((kind, id(X)))
+            if X.ndim == 2:
+                evaluations.append((kind, id(X)))
             return evaluate(kind, X, h, n)
 
-        Ld.inner._rows = rows_of
+        Ld.inner._sum = rows_of
         x0, xN = jet1(0.0, 0.0), jet1(3.0, 0.0)
         grid = uniform_grid(0.0, 4.0, 10)
         *_, iterations = _newton_path(Ld, x0, xN, grid, _hermite_path(x0, xN, grid),
@@ -422,6 +423,45 @@ class TestPathNewton:
             _newton_path(Ld, x0, xN, grid, start, 1e-10, 1)
         assert info.value.iterations == 1
         assert info.value.residual_norm > 100 * loose
+
+    def test_exhausted_line_search_stalls(self):
+        # an action that is +inf at every point but the start fails the
+        # fast step and all of the Armijo search's trials, which leaves
+        # the nodes where they were and ends the level
+        from varint.errors import NoConvergence
+        from varint.newton import floors
+        inner = taylor_average(model_from_expr(1, "ddq0**2/2 + cos(q0)"))
+        x0, xN = jet1(0.0, 0.0), jet1(2.0, 0.0)
+        grid = uniform_grid(0.0, 1.0, 10)
+        start = _hermite_path(x0, xN, grid)
+        pairs = list(_pairs_of(np.vstack([[0.0, 0.0], start, [2.0, 0.0]]), grid.h))
+        Ld = _Walled(inner, pairs)
+        loose = floors(1e-10, max(Ld.residual_scale(p) for p in pairs))[1]
+        with pytest.raises(NoConvergence, match="^path Newton stalled$") as info:
+            solve_boundary_path(Ld, x0, xN, grid, guess=start)
+        assert info.value.iterations == 0
+        assert info.value.residual_norm > 100 * loose
+        # the start's action, then those of the fast trial and 49 halved steps
+        actions = []
+        for kind, s, v in Ld.log:
+            if kind == "value":
+                if _starts_sweep(s, x0):
+                    actions.append(0.0)
+                actions[-1] += v
+        assert np.isfinite(actions[0]) and actions[1:] == [np.inf] * 50
+
+
+class _Walled(_Logged):
+    """A logging scheme whose action is +inf away from the pairs ``home``."""
+
+    def __init__(self, inner, home):
+        super().__init__(inner)
+        self.home = {pack(s).tobytes() for s in home}
+
+    def value(self, s):
+        v = self.inner.value(s) if pack(s).tobytes() in self.home else np.inf
+        self.log.append(("value", s, v))
+        return v
 
 
 class _FilledHessian(_Logged):

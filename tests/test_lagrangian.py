@@ -1,3 +1,4 @@
+import functools
 import math
 import struct
 import warnings
@@ -383,6 +384,25 @@ class TestStackedCalls:
         assert [getattr(lifted, d).generated.min_rows
                 for d in ("value", "grad", "hess", "el4")] == [6, 7, 9, 9]
 
+    @pytest.mark.parametrize("rows", [1, "min_rows", 21])
+    def test_stacks_are_new_arrays(self, stacked_models, rows, rng):
+        # a stack whose entries are all constant (the spline Hessian), some
+        # constant (its gradient) and none (the lifted Hessian): each row
+        # has the pointwise bytes, and each stack is a new writable array
+        models = dict(stacked_models)
+        spline, lifted = models["spline1"], models["lifted-two-link"]
+        for L, call, varying in [(spline, spline.hess, {False}),
+                                 (spline, spline.grad, {False, True}),
+                                 (lifted, lifted.hess, {True})]:
+            generated = call.generated
+            X = rng.normal(size=(generated.min_rows if rows == "min_rows" else rows, 3 * L.n))
+            vals = generated._columns(*X.T)
+            assert {isinstance(e, np.ndarray) for row in vals for e in row} == varying
+            a, b = generated.stack(X), generated.stack(X)
+            assert _same_bits(a, [call(x) for x in X])
+            assert a.flags.writeable and b.flags.writeable
+            assert not np.shares_memory(a, b)
+
     def test_action_assembler_equals_pointwise_loops(self, stacked_models, rng):
         # the spectral solver's action, gradient and Hessian take their node
         # values from the stacks, with the sums of per-node pointwise calls
@@ -543,6 +563,42 @@ def test_column_pow_equals_numpy_scalars(pairs, columns):
         return out.shape, out.tobytes(), [(w.category, str(w.message)) for w in seen]
 
     assert run(_column_pow) == run(_scalar_pow)
+
+
+@functools.cache
+def _power_model(k):
+    # the powers k, k - 1 and k - 2 of q0 run through the value, gradient,
+    # Hessian and el4; W is constant, so the model has a float q4 too
+    return model_from_expr(1, f"q0**({k}) + ddq0**2/2")
+
+
+#: quiet nans of either sign and any payload
+_NANS = st.builds(lambda sign, payload: struct.unpack(
+    ">d", struct.pack(">Q", sign << 63 | 0x7FF8 << 48 | payload))[0],
+    st.integers(0, 1), st.integers(0, 2**51 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.sampled_from(["3", "5", "-3", "2", "4", "-2", "3/2", "7/3", "-5/2"]), q=_NANS,
+       rest=st.lists(st.floats(-1e3, 1e3), min_size=4, max_size=4))
+def test_nan_powers_equal_numpy_scalars(k, q, rest):
+    # a nan base to odd, even and fractional powers: the call on Python
+    # floats, f on numpy scalars and stacks of 1 and min_rows rows give the
+    # same bytes, and the float q4 raises or gives the stacked row's
+    L, y = _power_model(k), np.array([q, *rest])
+    with np.errstate(all="ignore"):
+        for call, z in [(L.value, y[:3]), (L.grad, y[:3]), (L.hess, y[:3]), (L.el4, y)]:
+            generated = call.generated
+            ref = np.asarray(generated.f(*z), dtype=float).reshape(generated.shape)
+            assert _same_bits(call(z), ref)
+            for M in (1, generated.min_rows):
+                assert _same_bits(generated.stack(np.repeat(z[None], M, axis=0)),
+                                  np.repeat(ref[None], M, axis=0))
+        try:
+            q4 = fourth_order_rhs_floats(L)(y[:4].tolist())
+        except (ArithmeticError, ValueError):
+            return
+        assert _same_bits(q4, fourth_order_rhs_raw(L, y[None, :4])[0])
 
 
 def _same_bits(a, b):
