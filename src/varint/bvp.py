@@ -357,8 +357,11 @@ def shooting_bvp(L: LagrangianModel, q1jet: JetPoint, q2jet: JetPoint, h: float,
     doubles until a solve with twice the resolution moves the answer by at
     most 1e-11 (relative to the jet scale), or by at most 1e-9 after less
     than a 4-fold shrink from the doubling before: that is the solves' own
-    stopping noise, as RK4's error shrinks 16-fold.  At the cap of 1024 a
-    move still shrinking issues :class:`UnsettledSubsteps`.
+    stopping noise, as RK4's error shrinks 16-fold.  It also stops where
+    the move shrank at least 12-fold from the doubling before and RK4's
+    prediction of the next move, a 16th of this one, is at most 1e-11
+    (Richardson's error estimate).  At the cap of 1024 a move still
+    shrinking issues :class:`UnsettledSubsteps`.
     """
     _check_h(h)
     c2, c3 = _hermite_coeffs(q1jet, q2jet, h)
@@ -372,6 +375,8 @@ def shooting_bvp(L: LagrangianModel, q1jet: JetPoint, q2jet: JetPoint, h: float,
         moved, size = np.max(np.abs(x2 - x)), 1.0 + np.max(np.abs(x2))
         x, S = x2, 2 * S
         if moved <= 1e-11 * size or moved <= 1e-9 * size and 4.0 * moved / size > last:
+            break
+        if last < np.inf and 12.0 * moved / size <= last and moved / size / 16.0 <= 1e-11:
             break
         last = moved / size
         if S >= 1024:

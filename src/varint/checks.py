@@ -123,15 +123,24 @@ def check_order(rng):
     return ok, "; ".join(lines)
 
 
-#: The suites by measured cost, longest first (seconds on a 2-core x86-64
-#: host: phi 0.35, legendre-match 0.24, oracles 0.10, spline-exactness
-#: 0.04, symplectic 0.02, order 0.01), the order in which ``run_suites``
-#: hands them out.
+#: The suites in the order in which ``run_suites`` hands them out.  Medians
+#: of eight first runs in a fresh process, in seconds on a 2-core x86-64
+#: host: phi 0.25, legendre-match 0.23, oracles 0.11, spline-exactness
+#: 0.07, symplectic 0.05, order 0.06 (warm: 0.19, 0.17, 0.06, 0.03, 0.012,
+#: 0.008).  The calling process claims phi, and the forked child oracles,
+#: spline-exactness and then legendre-match, while the caller takes
+#: symplectic and order: the two shares end within about 0.05 s of each
+#: other.  The caller goes on to the CLI's other commands, and it keeps
+#: the suites that add least to its peak memory: after the three spline
+#: commands, a caller that also ran oracles peaked 0.3 to 0.5 MB higher
+#: than one that ran phi alone, spline-exactness 0.2 MB, symplectic
+#: 0.1 MB and order nothing.  Longest first would leave oracles to
+#: whichever of phi and legendre-match ends first.
 SUITES = {
     "phi": check_phi,
-    "legendre-match": check_legendre_match,
     "oracles": check_oracles,
     "spline-exactness": check_spline_exactness,
+    "legendre-match": check_legendre_match,
     "symplectic": check_symplectic,
     "order": check_order,
 }
@@ -212,7 +221,7 @@ def run_suites(names=None, seed: int = 0) -> int:
     suite runs on its own ``np.random.default_rng(seed)``, so the suites are
     independent: with two or more suites, two or more CPUs and ``os.fork``,
     this process and one forked child share them, each claiming the next
-    suite, longest first, when it is free; otherwise they run here.  The
+    suite in ``SUITES`` order when it is free; otherwise they run here.  The
     lines are printed once all have run, the same bytes either way, and a
     suite's exception is raised after the lines before it.  A child that
     ends without sending what it ran raises :class:`VarintError`.  Python

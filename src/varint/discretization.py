@@ -53,9 +53,12 @@ class DiscreteLagrangian:
         the state magnitude, plus difference noise when the partials
         themselves come from finite differences.
         """
+        return self._residual_scale(s, self.second_partials(s))
+
+    def _residual_scale(self, s: PairState, DD) -> float:
+        # the scale of s from its second partials DD, for callers that hold them
         x = max(1.0, float(np.max(np.abs(pack(s)))))
-        dd = float(np.linalg.norm(self.second_partials(s), np.inf))
-        return dd * x + self._fd_noise_scale(s)
+        return float(np.linalg.norm(DD, np.inf)) * x + self._fd_noise_scale(s)
 
     def _fd_noise_scale(self, s: PairState) -> float:
         return max(1.0, abs(self.value(s))) / FD_STEP

@@ -45,16 +45,20 @@ def step(Ld: DiscreteLagrangian, prev: JetPoint, cur: JetPoint, h: float) -> Jet
     of (prev, cur).  Solvability is the regularity of the cross-derivative
     block matrix of the forward pair.
     """
-    return JetPoint.from_array(_next_node(Ld, prev.as_array(), cur.as_array(), h),
+    return JetPoint.from_array(_next_node(Ld, prev.as_array(), cur.as_array(), h)[0],
                                1, cur.dim)
 
 
-def _next_node(Ld, prev, cur, h):
-    """:func:`step` on the nodes' (q, v) rows."""
+def _next_node(Ld, prev, cur, h, momenta=None):
+    """:func:`step` on the nodes' (q, v) rows: the next node and the plus
+    map (D3, D4) of the pair (cur, next node).  ``momenta`` is the plus map
+    of the pair (prev, cur) where the caller has it, as the step before
+    returns it; otherwise it is evaluated here."""
     n = cur.size // 2
-    _, _, D3, D4 = Ld.partials(unpack(np.concatenate([prev, cur]), 2, n, h))
-    s = _invert(Ld, cur, np.concatenate([D3, D4]), h, 2.0 * cur - prev, plus=False)
-    return pack(s)[2 * n:]
+    if momenta is None:
+        momenta = np.concatenate(Ld.partials(unpack(np.concatenate([prev, cur]), 2, n, h))[2:])
+    s, D = _invert(Ld, cur, momenta, h, 2.0 * cur - prev, plus=False)
+    return pack(s)[2 * n:], D[2 * n:]
 
 
 def phi_values(path: DiscretePath) -> np.ndarray:
@@ -78,9 +82,10 @@ def run(Ld: DiscreteLagrangian, x0: JetPoint, x1: JetPoint,
     h = grid.h
     X = np.empty((grid.N + 1, 2 * x0.dim))
     X[0], X[1] = x0.as_array(), x1.as_array()
+    momenta = None
     for k in range(1, grid.N):
         try:
-            X[k + 1] = _next_node(Ld, X[k - 1], X[k], h)
+            X[k + 1], momenta = _next_node(Ld, X[k - 1], X[k], h, momenta)
         except NoConvergence as exc:
             exc.step_index = k
             raise

@@ -584,21 +584,30 @@ def _minus_W_inv_times(W_inv, r):
 
 
 def _minus_W_inv_times_rows(W_inv, R):
-    """:func:`_minus_W_inv_times` on each row of an (M, n) stack, in the
-    same order elementwise, so each row depends on its own member only: a
-    BLAS product picks its kernel, and with it the last bits, by the size
-    of the stack."""
+    """:func:`_minus_W_inv_times` on each member of a stack, with r_j the
+    column in row j of the nested ``R`` (the (n, 1) rows of generated
+    ``el4`` code), in the same order elementwise, so each row depends on
+    its own member only: a BLAS product picks its kernel, and with it the
+    last bits, by the size of the stack.  At a constant regular W every
+    entry of ``el4`` depends on q4, so its code gives a column, not a
+    number, for each."""
     Q = 0.0
-    for j in range(R.shape[1]):
-        Q = Q + R[:, j, None] * W_inv[:, j]
+    for (r,), w in zip(R, W_inv.T):
+        Q = Q + r[:, None] * w
     return -Q
 
 
 def fourth_order_rhs_raw(L: LagrangianModel, Y) -> np.ndarray:
     """Stacked form of :func:`fourth_order_rhs`: the q4 of each row of an
     (M, 4n) stack of (q, dq, ddq, d3q), by one stacked determinant and one
-    stacked solve, or by the stored inverse of a constant W."""
+    stacked solve, or by the stored inverse of a constant W.  For a
+    constant W and a stack of at least ``min_rows`` rows, generated el4
+    code runs once on the columns of Y and n zero columns for q4."""
     n = L.n
+    generated = getattr(L.el4, "generated", None)
+    if L._W_inv is not None and generated is not None and len(Y) >= generated.min_rows:
+        R = generated._columns(*Y.T, *[np.zeros(len(Y))] * n)
+        return _minus_W_inv_times_rows(L._W_inv, R)
     if L._W_inv is None:
         W, regular = _acceleration_hessian(L, Y[:, :3 * n])
         if not regular.all():
@@ -608,7 +617,7 @@ def fourth_order_rhs_raw(L: LagrangianModel, Y) -> np.ndarray:
     if R is None:
         R = np.array([el_residual_raw(L, *z.reshape(5, n)) for z in Z])
     if L._W_inv is not None:
-        return _minus_W_inv_times_rows(L._W_inv, R)
+        return _minus_W_inv_times_rows(L._W_inv, R.T[:, None])
     return np.linalg.solve(W, -R[:, :, None])[:, :, 0]
 
 

@@ -45,7 +45,7 @@ def fminus_inverse(Ld: DiscreteLagrangian, m: MomentaState, h: float,
     from the straight-line one (q + h v, v).
     """
     z0 = None if guess is None else np.concatenate([guess.q, guess.deriv(1)])
-    return _invert(Ld, *np.split(m.as_array(), 2), h, z0, plus=False)
+    return _invert(Ld, *np.split(m.as_array(), 2), h, z0, plus=False)[0]
 
 
 def fplus_inverse(Ld: DiscreteLagrangian, m: MomentaState, h: float) -> PairState:
@@ -54,17 +54,21 @@ def fplus_inverse(Ld: DiscreteLagrangian, m: MomentaState, h: float) -> PairStat
     Newton (at most 50 steps) starts from the straight-line left point
     (q - h v, v).
     """
-    return _invert(Ld, *np.split(m.as_array(), 2), h, None, plus=True)
+    return _invert(Ld, *np.split(m.as_array(), 2), h, None, plus=True)[0]
 
 
 def _invert(Ld, node, target, h, z0, plus):
     """Pair state with the (q, v) ``node`` on its right (``plus``) or left
-    whose plus map (D3, D4) or minus map (-D1, -D2) equals ``target``.
+    whose plus map (D3, D4) or minus map (-D1, -D2) equals ``target``, and
+    the (4n,) partials (D1, D2, D3, D4) there.
 
     Newton (at most 50 steps) runs on the other node from ``z0``, or from
     the straight-line one.  The residual differences cancelling partials, so
     its stop levels are the :func:`floors` of 1e-12 at the larger of the
     scheme's sensitivity scale at the start and the size of the target.
+    The start's second partials serve both that scale (unless the scheme
+    has its own ``residual_scale``) and the first Jacobian, and the partials
+    of the last residual are those of the root unless the solve stalled.
     A singular cross block raises :class:`SingularWd`, also where the start
     already meets the floor.
     """
@@ -77,16 +81,28 @@ def _invert(Ld, node, target, h, z0, plus):
     def pair(z):
         return unpack(np.concatenate([z, node] if plus else [node, z]), 2, n, h)
 
+    last = None
+
     def residual(z):
-        D = np.concatenate(Ld.partials(pair(z)))
+        nonlocal last
+        s = pair(z)
+        D = np.concatenate(Ld.partials(s))
+        last = z, s, D
         return (D[k:] if plus else -D[:k]) - target
 
+    start, start_bytes = pair(z0), z0.tobytes()
+    DD0 = Ld.second_partials(start)
+
     def jacobian(z, r):
-        DD = Ld.second_partials(pair(z))
+        DD = DD0 if z.tobytes() == start_bytes else Ld.second_partials(pair(z))
         return DD[k:, :k] if plus else -DD[:k, k:]
 
     what = f"{'plus' if plus else 'minus'}-map inversion"
-    scale = max(Ld.residual_scale(pair(z0)), float(np.max(np.abs(target))))
+    if getattr(Ld.residual_scale, "__func__", None) is DiscreteLagrangian.residual_scale:
+        scale = Ld._residual_scale(start, DD0)
+    else:
+        scale = Ld.residual_scale(start)
+    scale = max(scale, float(np.max(np.abs(target))))
     z, r = newton_one(residual, jacobian, z0, *floors(1e-12, scale), 50, SingularWd, what)
     if np.array_equal(z, z0):
         # a start that meets the floor leaves the Newton without factoring
@@ -95,7 +111,10 @@ def _invert(Ld, node, target, h, z0, plus):
             np.linalg.solve(jacobian(z, r), r)
         except np.linalg.LinAlgError as exc:
             raise SingularWd(f"{what}: Jacobian is singular") from exc
-    return pair(z)
+    if last[0] is z:
+        return last[1], last[2]
+    s = pair(z)
+    return s, np.concatenate(Ld.partials(s))
 
 
 def hamiltonian_step(Ld: DiscreteLagrangian, m: MomentaState, h: float,
@@ -112,9 +131,8 @@ def hamiltonian_step(Ld: DiscreteLagrangian, m: MomentaState, h: float,
 def _step_map(Ld, x, h, z0):
     """:func:`hamiltonian_step` on the flat vector (q, v, p, pt)."""
     k = x.size // 2
-    s = _invert(Ld, x[:k], x[k:], h, z0, plus=False)
-    _, _, D3, D4 = Ld.partials(s)
-    return np.concatenate([pack(s)[k:], D3, D4])
+    s, D = _invert(Ld, x[:k], x[k:], h, z0, plus=False)
+    return np.concatenate([pack(s)[k:], D[k:]])
 
 
 def symplectic_defect(Ld: DiscreteLagrangian, m: MomentaState, h: float) -> float:
@@ -127,7 +145,7 @@ def symplectic_defect(Ld: DiscreteLagrangian, m: MomentaState, h: float) -> floa
     """
     n = m.n
     x = m.as_array()
-    warm = pack(_invert(Ld, x[:2 * n], x[2 * n:], h, None, plus=False))[2 * n:]
+    warm = pack(_invert(Ld, x[:2 * n], x[2 * n:], h, None, plus=False)[0])[2 * n:]
     J = _central_diff(lambda X: [_step_map(Ld, y, h, warm) for y in X], x, 1e-6).T
     I = np.eye(2 * n)
     Z = np.zeros((2 * n, 2 * n))

@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import settings
 
 from varint import LagrangianModel, named_lagrangian, spline_lagrangian
+
+# ``--hypothesis-profile=ci`` (as CI runs Tier-1) draws each property test's
+# examples from a seed fixed by the test, so a failure in CI fails the same
+# way locally, and prints the ``@reproduce_failure`` blob that replays it
+settings.register_profile("ci", derandomize=True, print_blob=True)
 
 
 @pytest.fixture(scope="session")

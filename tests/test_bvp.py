@@ -267,12 +267,27 @@ class TestShooting:
         out = integrate_el(lifted, jet, 0.05, 512)
         assert np.max(np.abs(out.as_array()[:4] - end.as_array()[:4])) <= 1e-10
 
-    def test_substep_cap_reached_unsettled_warns(self):
+    def test_settles_by_prediction(self):
         # a stiff potential: the doubling from 512 to 1024 substeps still
-        # moves the answer by about 2.7e-11 (relative), above 1e-11
+        # moves the answer by about 2.7e-11 (relative), above 1e-11, but 16x
+        # less than the one before, so RK4 predicts about 1.7e-12 for the
+        # next doubling and the shooting stops at 1024, silently
         stiff = model_from_expr(1, "ddq0**2/2 + 1e4*q0**2/2")
-        with pytest.warns(UnsettledSubsteps, match=r"S = 1024 .* by 2\.\d+e-11") as record:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UnsettledSubsteps)
             jet, S = shooting_bvp(stiff, jet1(0.0, 1.0), jet1(0.1, 0.5), 1.0,
+                                  return_substeps=True)
+        assert S == 1024 and np.all(np.isfinite(jet.as_array()))
+
+    def test_substep_cap_reached_unsettled_warns(self, spline1, monkeypatch):
+        # answers whose moves shrink only 8-fold per doubling, from 8.7e-4
+        # (relative) down to 2.7e-8 from 512 to 1024 substeps: neither the
+        # noise floor nor RK4's prediction settles them before the cap
+        import varint.bvp as bvp
+        monkeypatch.setattr(bvp, "_shoot", lambda L, left, target, h, S, *rest:
+                            np.array([[1e-3 * (16.0 / S) ** 3, 0.0]]))
+        with pytest.warns(UnsettledSubsteps, match=r"S = 1024 .* by 2\.67e-08") as record:
+            jet, S = shooting_bvp(spline1, jet1(0.0, 1.0), jet1(0.1, 0.5), 1.0,
                                   return_substeps=True)
         assert S == 1024 and np.all(np.isfinite(jet.as_array()))
         # the warning names shooting_bvp's own line, whichever layer called it

@@ -630,7 +630,7 @@ class TestGoldenOutputs:
     CHECK_SEED_0 = (
         "PASS legendre-match: spline max err 2.376e-10 (tol 1e-08), "
         "with potential 2.341e-09 (tol 1e-06)\n"
-        "PASS oracles: action agreement 1.041e-12 (tol 1e-08), "
+        "PASS oracles: action agreement 1.637e-11 (tol 1e-08), "
         "cubic recovery 0.000e+00 (tol 1e-12)\n"
         "PASS order: taylor: r_hat=2.000/2.000; midpoint-difference: r_hat=2.000/2.000\n"
         "PASS phi: max drift over N=1000: 1.322e-13 (tol 1e-12)\n"

@@ -1,3 +1,4 @@
+import collections
 import warnings
 
 import numpy as np
@@ -5,9 +6,9 @@ import pytest
 
 from varint import (JetPoint, PairState, Wd_matrix, del_residual, initial_pair,
                     pack, phi_values, run, solve_boundary_path, spline_exact, step,
-                    taylor_average, uniform_grid)
-from varint.discretization import DiscreteLagrangian
-from varint.errors import SingularKKT, SingularWd
+                    taylor_average, uniform_grid, unpack)
+from varint.discretization import SCHEMES, DiscreteLagrangian, make_scheme
+from varint.errors import NoConvergence, SingularKKT, SingularWd, VarintError
 from varint.flow import (_hermite_path, _newton_path, _pairs_of, _path_jacobian,
                          _path_residual)
 from varint.order import cubic_trajectory
@@ -186,6 +187,103 @@ class TestRun:
         assert path.nodes.tobytes() == np.array(
             [x.as_array() for x in states]).tobytes()
 
+    @pytest.mark.parametrize("model, name", [
+        (model, name) for model in ("spline1", "spline2", "spline_potential")
+        for name in SCHEMES if (model, name) != ("spline_potential", "spline-exact")])
+    def test_run_equals_chained_steps_for_every_scheme(self, model, name, request,
+                                                       monkeypatch):
+        # run carries each step's plus map into the next one; a loop of
+        # step calls evaluates it again every time, with the same bytes,
+        # and fails at the same step with the same error
+        import varint.flow as flow
+        L = request.getfixturevalue(model)
+        Ld, n = make_scheme(name, L), L.n
+        grid = uniform_grid(0.0, 2.5, 40)
+        traj = cubic_trajectory(np.array([[0.2, -0.1], [0.5, 0.3], [-0.4, 0.2],
+                                          [0.6, -0.5]])[:, :n])
+        x0, x1 = traj(0.0), traj(grid.h)
+        states = [x0, x1]
+        try:
+            for k in range(1, grid.N):
+                states.append(step(Ld, states[-2], states[-1], grid.h))
+        except VarintError as exc:
+            chained = type(exc), str(exc), k
+        else:
+            chained = np.array([x.as_array() for x in states]).tobytes()
+        steps, next_node = [], flow._next_node    # steps run starts, from 1
+        monkeypatch.setattr(flow, "_next_node",
+                            lambda *args: steps.append(len(steps) + 1) or next_node(*args))
+        try:
+            path = run(Ld, x0, x1, grid)
+        except VarintError as exc:
+            if isinstance(exc, NoConvergence):
+                assert exc.step_index == steps[-1]
+            assert (type(exc), str(exc), steps[-1]) == chained
+        else:
+            assert path.nodes.tobytes() == chained
+        if name in ("midpoint-difference", "trapezoid-velocity") and model != "spline_potential":
+            assert chained[:1] == (SingularWd,)
+
+    def test_one_iteration_step_evaluates_each_partial_once(self, spline2):
+        # a step of the spline's taylor scheme is linear: one Newton
+        # iteration.  The carried plus map and the start's second partials,
+        # shared by the residual scale and the first Jacobian, leave one
+        # partials call per Newton residual and one second_partials call
+        import varint.flow as flow
+        Ld = _Counted(taylor_average(spline2))
+        grid = uniform_grid(0.0, 1.0, 12)
+        traj = cubic_trajectory(np.array([[0.1, -0.2], [0.3, 0.5], [0.2, 0.1], [-0.3, 0.4]]))
+        X = [traj(k * grid.h).as_array() for k in range(3)]
+        _, momenta = flow._next_node(Ld, X[0], X[1], grid.h)
+        Ld.calls.clear()
+        flow._next_node(Ld, X[1], X[2], grid.h, momenta)
+        assert Ld.calls == {"partials": 2, "second_partials": 1}
+        Ld.calls.clear()
+        flow._next_node(Ld, X[1], X[2], grid.h)
+        assert Ld.calls == {"partials": 3, "second_partials": 1}
+        # the whole run: N - 1 steps, one plus map for the first, and one
+        # partials sweep over the N pairs for the diagnostics
+        Ld.calls.clear()
+        run(Ld, traj(0.0), traj(grid.h), grid)
+        N = grid.N
+        assert Ld.calls == {"partials": 1 + 2 * (N - 1) + N, "second_partials": N - 1}
+        # a scheme with its own residual scale is asked for it once a step
+        scaled = _CountedScale(taylor_average(spline2))
+        flow._next_node(scaled, X[1], X[2], grid.h, momenta)
+        assert scaled.calls == {"residual_scale": 1, "partials": 2, "second_partials": 1}
+        # a nonlinear step: one Jacobian per iteration, the first one at the
+        # start, and one residual more than Jacobians (no halvings here)
+        bent = _Counted(make_scheme("midpoint-difference", model_from_expr(
+            1, "ddq0**2/2 + dq0**2/2 + 4*cos(q0)")))
+        x0, x1 = np.array([0.3, 2.0]), np.array([0.7, 2.1])
+        _, momenta = flow._next_node(bent, x0, x1, 0.2)
+        bent.calls.clear()
+        flow._next_node(bent, x1, 2.0 * x1 - x0, 0.2, momenta)
+        assert bent.calls == {"partials": 4, "second_partials": 3}
+
+    def test_a_stalled_inversion_hands_back_its_roots_partials(self, spline2,
+                                                              monkeypatch):
+        # a stalled Newton ends at an iterate away from its last trial
+        # point; the partials _invert hands back (which run carries into
+        # the next step) are still those of the pair it returns
+        import varint.momentum as momentum
+        solve, roots = momentum.newton_one, []
+
+        def stalling(residual, jacobian, z0, *args):
+            z, r = solve(residual, jacobian, z0, *args)
+            residual(z + 1e-3)      # a last trial that failed
+            roots.append(z)
+            return z, r
+
+        monkeypatch.setattr(momentum, "newton_one", stalling)
+        Ld = taylor_average(spline2)
+        node, h = np.array([0.1, -0.2, 0.3, 0.5]), 0.1
+        target = -np.concatenate(Ld.partials(unpack(
+            np.concatenate([node, node + 0.05]), 2, 2, h)))[:4]
+        s, D = momentum._invert(Ld, node, target, h, None, plus=False)
+        assert pack(s).tobytes() == np.concatenate([node, roots[0]]).tobytes()
+        assert D.tobytes() == np.concatenate(Ld.partials(s)).tobytes()
+
     def test_initial_pair_seeds_on_trajectory(self, spline1):
         traj = cubic_trajectory(np.array([[0.3], [-0.7], [1.1], [0.9]]))
         j0 = traj(0.0)
@@ -310,6 +408,36 @@ class _Logged(DiscreteLagrangian):
         return self.inner.second_partials(s)
 
     def residual_scale(self, s):
+        return self.inner.residual_scale(s)
+
+
+class _Counted(DiscreteLagrangian):
+    """A scheme that counts its partials and second_partials calls."""
+
+    def __init__(self, inner):
+        super().__init__(inner.name)
+        self.inner, self.calls = inner, collections.Counter()
+
+    def value(self, s):
+        return self.inner.value(s)
+
+    def partials(self, s):
+        self.calls["partials"] += 1
+        return self.inner.partials(s)
+
+    def second_partials(self, s):
+        self.calls["second_partials"] += 1
+        return self.inner.second_partials(s)
+
+    def _fd_noise_scale(self, s):
+        return self.inner._fd_noise_scale(s)
+
+
+class _CountedScale(_Counted):
+    """:class:`_Counted` with a residual scale of its own."""
+
+    def residual_scale(self, s):
+        self.calls["residual_scale"] += 1
         return self.inner.residual_scale(s)
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from varint.errors import NoConvergence, SingularWd
 from varint.newton import floors, newton, newton_one
@@ -141,3 +143,127 @@ def test_floors_rise_above_tol_only_for_roundoff():
     assert floors(1e-10, 1.0) == (1e-10, 1e-10)
     assert floors(1e-12, 1e3) == (1e-12, 64.0 * eps * 1e3)
     assert floors(0.0, 1e6) == (2.0 * eps * 1e6, 64.0 * eps * 1e6)
+
+
+# -- newton_one against newton on one-row stacks ------------------------------------
+
+def _family(kind, c, m):
+    """(residual, jacobian) on vectors: ``c`` is the root, ``m`` a family
+    parameter (power, Jacobian factor or residual floor)."""
+    if kind == "power":        # z^m = c^m, from anywhere: full steps or halvings
+        return (lambda z: z ** m - c ** m, lambda z, r: np.diag(m * z ** (m - 1)))
+    if kind == "arctan":       # overshoots from |z - c| > 1.4: halvings
+        return (lambda z: np.arctan(z - c), lambda z, r: np.diag(1.0 / (1.0 + (z - c) ** 2)))
+    if kind == "floor":        # cannot drop below m: a stall at iteration 1 or 2
+        return (lambda z: np.maximum(np.abs(z - c), m), lambda z, r: np.eye(z.size))
+    if kind == "wrong":        # a Jacobian m times too large: linear convergence
+        return (lambda z: z - c, lambda z, r: m * np.eye(z.size))
+    if kind == "creep":        # 1 at distance m from c and beyond, 2 within m/4,
+        # and 1 - 7.5e-5 between: from c + m, the full step fails and the half
+        # step passes the decrease test at alpha = 1/2 (1 - 5e-5), not at 1
+        def residual(z):
+            d = np.abs(z - c)
+            return np.where(d >= 0.9 * m, 1.0, np.where(d < 0.25 * m, 2.0, 1.0 - 7.5e-5))
+        return residual, lambda z, r: np.eye(z.size) / m
+    return (lambda z: z - c, lambda z, r: np.outer(z * 0.0 + 1.0, z * 0.0 + m))  # singular
+
+
+def _solves(kind, c, m, z0, tight, loose, max_iter):
+    """The outcomes of newton_one and of newton on the one-row stack, each
+    with the points its residual was evaluated at, and the exit the solo
+    solve took."""
+    residual, jacobian = _family(kind, np.asarray(c, dtype=float), m)
+    calls = {"residual": 0, "jacobian": 0}
+
+    def outcome(solve):
+        seen = []
+
+        def seen_residual(z):
+            seen.append(z.tobytes())
+            return residual(z)
+
+        try:
+            z, r = solve(seen_residual)
+        except (NoConvergence, SingularWd) as exc:
+            return (type(exc), str(exc), getattr(exc, "iterations", None),
+                    getattr(exc, "residual_norm", None), type(exc.__cause__), seen)
+        return z.tobytes(), r.tobytes(), seen
+
+    def counted_jacobian(z, r):
+        calls["jacobian"] += 1
+        return jacobian(z, r)
+
+    def stacked(residual):
+        Z, R, failures = newton(lambda Z, rows: residual(Z[0])[None],
+                                lambda Z, R, rows: jacobian(Z[0], R[0])[None],
+                                z0[None], tight, loose, max_iter, SingularWd, "toy")
+        if failures[0] is not None:
+            raise failures[0]
+        return Z[0], R[0]
+
+    z0 = np.asarray(z0, dtype=float)
+    with np.errstate(all="ignore"):    # far starts of the powers overflow
+        one = outcome(lambda residual: newton_one(residual, counted_jacobian, z0, tight,
+                                                  loose, max_iter, SingularWd, "toy"))
+        two = outcome(stacked)
+    calls["residual"] = len(one[-1])
+
+    if one[0] is SingularWd:
+        exit = "singular"
+    elif one[0] is NoConvergence:
+        exit = "stall-raises" if one[1] == "toy stalled" else "max-iter-raises"
+    elif not np.abs(np.frombuffer(one[1])).max() <= tight:
+        exit = "stall-accepted" if calls["residual"] >= 30 else "max-iter-accepted"
+    elif calls["jacobian"] == 0:
+        exit = "converged-start"
+    else:
+        exit = "halvings" if calls["residual"] > calls["jacobian"] + 1 else "full-steps"
+    return one, two, exit
+
+
+# (exit, (kind, root, parameter, start, tight, loose, max_iter))
+EXITS = [
+    ("converged-start", ("power", [1.5, 2.0], 2, [1.5, 2.0], 1e-12, 1e-12, 50)),
+    ("full-steps", ("power", [1.5, 2.0], 2, [1.0, 3.0], 1e-12, 1e-12, 50)),
+    ("halvings", ("arctan", [0.5], 0, [3.0], 1e-12, 1e-12, 50)),
+    ("stall-accepted", ("floor", [1.0], 1e-9, [1.5], 1e-12, 1e-8, 50)),
+    ("stall-raises", ("floor", [1.0], 1e-9, [1.5], 1e-12, 1e-10, 50)),
+    ("max-iter-accepted", ("wrong", [1.0, -2.0], 2.0, [0.0, 0.0], 1e-12, 0.2, 4)),
+    # one iteration, whose half step decreases the residual by 7.5e-5 only
+    ("max-iter-accepted", ("creep", [0.0], 1.0, [1.0], 1e-12, 1.0, 1)),
+    ("max-iter-raises", ("wrong", [1.0, -2.0], 2.0, [0.0, 0.0], 1e-12, 1e-3, 4)),
+    ("singular", ("singular", [1.0, 2.0], 1.0, [0.0, 0.0], 1e-12, 1e-12, 50)),
+]
+
+
+@pytest.mark.parametrize("exit, case", EXITS)
+def test_one_member_loop_takes_each_exit_as_the_stack(exit, case):
+    one, stacked, taken = _solves(*case)
+    assert taken == exit
+    assert one == stacked
+    if exit == "singular":
+        assert one[4] is np.linalg.LinAlgError
+    if case[0] == "creep":
+        assert np.frombuffer(one[0]).tolist() == [0.5]
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(["power", "arctan", "floor", "wrong", "creep", "singular"]),
+       k=st.integers(1, 3), data=st.data(),
+       tight=st.sampled_from([0.0, 1e-14, 1e-12, 1e-9]),
+       loose=st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, 1e-2, 1.0]),
+       max_iter=st.integers(0, 20))
+def test_one_member_loop_equals_the_one_row_stack(kind, k, data, tight, loose, max_iter):
+    c = np.array(data.draw(st.lists(st.floats(-4.0, 4.0), min_size=k, max_size=k)))
+    # the start at the root, or off it by 0.05 to 4 in each entry
+    offset = st.floats(0.05, 4.0) | st.floats(-4.0, -0.05)
+    z0 = c if data.draw(st.integers(0, 9)) == 7 else c + data.draw(
+        st.lists(offset, min_size=k, max_size=k))
+    m = {"power": data.draw(st.sampled_from([2, 3])), "arctan": 0,
+         "floor": data.draw(st.sampled_from([1e-12, 1e-9, 1e-6])),
+         "wrong": data.draw(st.floats(1.2, 4.0)),
+         "creep": data.draw(st.floats(0.1, 4.0)),
+         "singular": data.draw(st.floats(-2.0, 2.0))}[kind]
+    one, stacked, exit = _solves(kind, c, m, z0, tight, loose, max_iter)
+    event(exit)
+    assert one == stacked
