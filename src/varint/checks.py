@@ -127,20 +127,19 @@ def check_order(rng):
 #: of eight first runs in a fresh process, in seconds on a 2-core x86-64
 #: host: phi 0.25, legendre-match 0.23, oracles 0.11, spline-exactness
 #: 0.07, symplectic 0.05, order 0.06 (warm: 0.19, 0.17, 0.06, 0.03, 0.012,
-#: 0.008).  The calling process claims phi, and the forked child oracles,
-#: spline-exactness and then legendre-match, while the caller takes
-#: symplectic and order: the two shares end within about 0.05 s of each
-#: other.  The caller goes on to the CLI's other commands, and it keeps
-#: the suites that add least to its peak memory: after the three spline
-#: commands, a caller that also ran oracles peaked 0.3 to 0.5 MB higher
-#: than one that ran phi alone, spline-exactness 0.2 MB, symplectic
-#: 0.1 MB and order nothing.  Longest first would leave oracles to
-#: whichever of phi and legendre-match ends first.
+#: 0.008).  The calling process claims phi, and the forked child oracles
+#: and then legendre-match, while the caller takes the short suites.
+#: Longest first would leave oracles to whichever of phi and legendre-match
+#: ends first, and a caller that also ran oracles peaks 0.3 to 0.5 MB
+#: higher after the CLI's spline commands, which it goes on to run.
+#: Handing the child spline-exactness as well, before legendre-match, cut
+#: the caller's peak by another 0.04 MB but made an invocation of those
+#: commands 0.04 s slower (medians of ten alternating benchmark pairs).
 SUITES = {
     "phi": check_phi,
     "oracles": check_oracles,
-    "spline-exactness": check_spline_exactness,
     "legendre-match": check_legendre_match,
+    "spline-exactness": check_spline_exactness,
     "symplectic": check_symplectic,
     "order": check_order,
 }
