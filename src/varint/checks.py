@@ -20,9 +20,13 @@ from .discretization import midpoint_difference, spline_exact, taylor_average
 from .errors import ConfigError, VarintError
 from .flow import run
 from .jets import JetPoint, PairState, uniform_grid
-from .lagrangian import named_lagrangian, spline_lagrangian
+from .lagrangian import named_lagrangian
 from .momentum import fminus, legendre_match_errors, symplectic_defect
 from .order import cubic_trajectory, estimate_order
+
+
+#: The named models, each built once in this process for every suite it runs
+_model = functools.cache(named_lagrangian)
 
 
 def _spline_closed_form(q0, v0, q1, v1, h):
@@ -47,7 +51,7 @@ def _nearby_pairs(rng, count, n=1, h=0.3):
 
 def check_spline_exactness(rng):
     """Scheme values against the closed forms of the spline problem."""
-    L = spline_lagrangian(1)
+    L = _model("spline")
     Ld = taylor_average(L)
     worst = 0.0
     for a, b, h in _nearby_pairs(rng, 200):
@@ -61,8 +65,7 @@ def check_legendre_match(rng):
     """Momentum maps of the exact one-step action vs the continuous map."""
     worst = [max(max(legendre_match_errors(L, a, b, step))
                  for a, b, step in _nearby_pairs(rng, 5, h=h))
-             for L, h in ((spline_lagrangian(1), 0.3),
-                          (named_lagrangian("spline-potential", 1), 0.1))]
+             for L, h in ((_model("spline"), 0.3), (_model("spline-potential"), 0.1))]
     return worst[0] <= 1e-8 and worst[1] <= 1e-6, (
         f"spline max err {worst[0]:.3e} (tol 1e-08), "
         f"with potential {worst[1]:.3e} (tol 1e-06)")
@@ -70,7 +73,7 @@ def check_legendre_match(rng):
 
 def check_phi(rng):
     """Drift of the conserved per-step quantity over long runs."""
-    L = spline_lagrangian(1)
+    L = _model("spline")
     h = 1.0 / 64.0
     grid = uniform_grid(0.0, 1000 * h, 1000)
     traj = cubic_trajectory(np.array([[0.2], [0.05], [4e-3], [1.5e-3]]))
@@ -85,7 +88,7 @@ def check_phi(rng):
 
 def check_symplectic(rng):
     """Step-map symplectic defect, with a corrupted negative control."""
-    L = spline_lagrangian(1)
+    L = _model("spline")
     worst = max(symplectic_defect(Ld, fminus(Ld, PairState(a, b, h)), h)
                 for Ld in (spline_exact(), taylor_average(L))
                 for a, b, h in _nearby_pairs(rng, 5, h=0.4))
@@ -94,9 +97,8 @@ def check_symplectic(rng):
 
 def check_oracles(rng):
     """Spectral and shooting actions agree; connecting cubic recovered exactly."""
-    spline = spline_lagrangian(1)
-    problems = [(spline, 8), (named_lagrangian("spline-potential", 1), 10),
-                (named_lagrangian("spline-velocity", 1), 10)]
+    spline = _model("spline")
+    problems = [(spline, 8), (_model("spline-potential"), 10), (_model("spline-velocity"), 10)]
     worst = max(abs(exact_Ld(L, a, b, h, method="regularized", degree=degree)
                     - exact_Ld(L, a, b, h, method="shooting"))
                 for L, degree in problems for a, b, h in _nearby_pairs(rng, 2, h=0.1))
@@ -109,7 +111,7 @@ def check_oracles(rng):
 
 def check_order(rng):
     """Measured orders of the approximating schemes on the spline problem."""
-    L = spline_lagrangian(1)
+    L = _model("spline")
     traj = cubic_trajectory(np.array([[0.1], [0.4], [0.6], [1.1]]))
     lines = []
     ok = True

@@ -27,7 +27,7 @@ from .control import (JointLimitPenalty, OCProblem, TwoLinkParams,
                       solution_table, two_link_forces, two_link_model)
 from .discretization import SCHEMES, make_scheme
 from .errors import ConfigError, VarintError
-from .flow import initial_pair, phi_values, run as run_flow, solve_boundary_path
+from .flow import initial_pair, run as run_flow, solve_boundary_path
 from .jets import JetPoint, uniform_grid
 from .lagrangian import named_lagrangian
 from .order import cubic_trajectory, estimate_order
@@ -113,7 +113,7 @@ def _solved(cfg, path, table=None, **extra):
     if table is None:
         table = (["t"] + [f"q{i}" for i in range(n)] + [f"v{i}" for i in range(n)],
                  np.column_stack([path.grid.times, path.nodes]))
-    phi = phi_values(path)
+    phi = path.diagnostics["phi"]
     return {
         "kind": cfg["kind"],
         "scheme": cfg["scheme"],

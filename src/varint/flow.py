@@ -1,8 +1,8 @@
 """The implicit two-point recursion of a discrete Lagrangian and its solvers.
 
-``step`` advances one node through the momentum maps, (F-)^{-1} o F+, so its
-solve is the minus-map inversion of :mod:`varint.momentum`; ``run`` iterates
-it along a grid, filling the path's (N+1, 2n) node array row by row.
+``step`` advances one node through the momentum-space step map of
+:mod:`varint.momentum`, F+ o (F-)^{-1}; ``run`` iterates that map along a
+grid, filling the path's (N+1, 2n) node array row by row.
 ``solve_boundary_path`` solves the whole-path two-point problem (both endpoint
 states pinned) with a damped Newton on the stacked residual and a sparse
 block-tridiagonal Jacobian, which stays well-behaved where the step recursion
@@ -20,9 +20,9 @@ import scipy.sparse.linalg as spla
 from .bvp import _hermite_coeffs, integrate_el
 from .discretization import DiscreteLagrangian
 from .errors import NoConvergence, SingularKKT
-from .jets import DiscretePath, Grid, JetPoint, pack, unpack
+from .jets import DiscretePath, Grid, JetPoint, PairState, unpack
 from .lagrangian import LagrangianModel
-from .momentum import _invert
+from .momentum import _step_map
 from .newton import floors
 
 
@@ -33,32 +33,26 @@ def del_residual(Ld: DiscreteLagrangian, prev: JetPoint, cur: JetPoint,
     Zero iff (D3 + D1, D4 + D2) vanish across the two adjacent pairs, which
     is the condition for the summed action to be stationary at ``cur``.
     """
-    nodes = np.array([x.as_array() for x in (prev, cur, nxt)])
-    return _path_residual(Ld, _pairs_of(nodes, h))[0]
+    a, b = (np.concatenate(Ld.partials(PairState(x, y, h))) for x, y in ((prev, cur), (cur, nxt)))
+    return a[a.size // 2:] + b[:b.size // 2]
 
 
 def step(Ld: DiscreteLagrangian, prev: JetPoint, cur: JetPoint, h: float) -> JetPoint:
     """Next node of the recursion: the discrete flow (F-)^{-1} o F+.
 
     The plus map of the pair (prev, cur) gives the momenta at ``cur``; the
-    minus map is inverted from them, starting from the linear extrapolation
-    of (prev, cur).  Solvability is the regularity of the cross-derivative
-    block matrix of the forward pair.
+    momentum-space step map inverts the minus map from them, starting from
+    the linear extrapolation of (prev, cur).  Solvability is the regularity
+    of the cross-derivative block matrix of the forward pair.
     """
-    return JetPoint.from_array(_next_node(Ld, prev.as_array(), cur.as_array(), h)[0],
-                               1, cur.dim)
+    y = _step_map(Ld, _plus_state(Ld, prev, cur, h), h, 2.0 * cur.as_array() - prev.as_array())[0]
+    return JetPoint.from_array(y[:2 * cur.dim], 1, cur.dim)
 
 
-def _next_node(Ld, prev, cur, h, momenta=None):
-    """:func:`step` on the nodes' (q, v) rows: the next node and the plus
-    map (D3, D4) of the pair (cur, next node).  ``momenta`` is the plus map
-    of the pair (prev, cur) where the caller has it, as the step before
-    returns it; otherwise it is evaluated here."""
-    n = cur.size // 2
-    if momenta is None:
-        momenta = np.concatenate(Ld.partials(unpack(np.concatenate([prev, cur]), 2, n, h))[2:])
-    s, D = _invert(Ld, cur, momenta, h, 2.0 * cur - prev, plus=False)
-    return pack(s)[2 * n:], D[2 * n:]
+def _plus_state(Ld, prev, cur, h):
+    """The flat (q, v, p, pt) at ``cur``: its node and the plus map (D3, D4)
+    of the pair (prev, cur)."""
+    return np.concatenate([cur.as_array(), *Ld.partials(PairState(prev, cur, h))[2:]])
 
 
 def phi_values(path: DiscretePath) -> np.ndarray:
@@ -73,23 +67,26 @@ def phi_values(path: DiscretePath) -> np.ndarray:
 
 def run(Ld: DiscreteLagrangian, x0: JetPoint, x1: JetPoint,
         grid: Grid) -> DiscretePath:
-    """Iterate the one-step solve from two seed states along the grid.
+    """Iterate the momentum-space step map on the flat (q, v, p, pt) state
+    from two seed states along the grid.
 
     Initial guesses extrapolate linearly.  Failures carry the step index.
-    Diagnostics record every interior residual norm and the per-step
-    conserved-quantity samples.
+    Diagnostics record every interior residual norm (the carried plus map
+    plus the (D1, D2) of the solved pair) and the per-step conserved-quantity
+    samples.
     """
-    h = grid.h
-    X = np.empty((grid.N + 1, 2 * x0.dim))
+    m = 2 * x0.dim
+    X, R = np.empty((grid.N + 1, m)), np.empty((grid.N - 1, m))
     X[0], X[1] = x0.as_array(), x1.as_array()
-    momenta = None
+    x = _plus_state(Ld, x0, x1, grid.h)
     for k in range(1, grid.N):
         try:
-            X[k + 1], momenta = _next_node(Ld, X[k - 1], X[k], h, momenta)
+            y, D = _step_map(Ld, x, grid.h, 2.0 * X[k] - X[k - 1])
         except NoConvergence as exc:
             exc.step_index = k
             raise
-    return _with_diagnostics(grid, X, _path_residual(Ld, _pairs_of(X, h)))
+        R[k - 1], X[k + 1], x = x[m:] + D[:m], y[:m], y
+    return _with_diagnostics(grid, X, R)
 
 
 def initial_pair(L: LagrangianModel, jet3: JetPoint, h: float):

@@ -37,15 +37,13 @@ def Wd_matrix(Ld: DiscreteLagrangian, s: PairState) -> np.ndarray:
     return Ld.second_partials(s)[:2 * n, 2 * n:]
 
 
-def fminus_inverse(Ld: DiscreteLagrangian, m: MomentaState, h: float,
-                   guess: JetPoint = None) -> PairState:
+def fminus_inverse(Ld: DiscreteLagrangian, m: MomentaState, h: float) -> PairState:
     """Pair state whose minus map equals ``m`` (left point is fixed by m).
 
-    Newton (at most 50 steps) starts from ``guess`` for the right point, or
-    from the straight-line one (q + h v, v).
+    Newton (at most 50 steps) starts from the straight-line right point
+    (q + h v, v).
     """
-    z0 = None if guess is None else np.concatenate([guess.q, guess.deriv(1)])
-    return _invert(Ld, *np.split(m.as_array(), 2), h, z0, plus=False)[0]
+    return _invert(Ld, *np.split(m.as_array(), 2), h, None, plus=False)[0]
 
 
 def fplus_inverse(Ld: DiscreteLagrangian, m: MomentaState, h: float) -> PairState:
@@ -117,22 +115,23 @@ def _invert(Ld, node, target, h, z0, plus):
     return s, np.concatenate(Ld.partials(s))
 
 
-def hamiltonian_step(Ld: DiscreteLagrangian, m: MomentaState, h: float,
-                     guess: JetPoint = None) -> MomentaState:
+def hamiltonian_step(Ld: DiscreteLagrangian, m: MomentaState, h: float) -> MomentaState:
     """Momentum-space step: plus map after inverting the minus map.
 
     In coordinates this sends (q0, v0, -D1, -D2) of the solved pair to
-    (q1, v1, D3, D4) of the same pair.
+    (q1, v1, D3, D4) of the same pair.  The inversion starts from the
+    straight-line node (q0 + h v0, v0).
     """
-    z0 = None if guess is None else np.concatenate([guess.q, guess.deriv(1)])
-    return MomentaState.from_array(_step_map(Ld, m.as_array(), h, z0), m.n)
+    return MomentaState.from_array(_step_map(Ld, m.as_array(), h, None)[0], m.n)
 
 
 def _step_map(Ld, x, h, z0):
-    """:func:`hamiltonian_step` on the flat vector (q, v, p, pt)."""
+    """:func:`hamiltonian_step` on the flat vector (q, v, p, pt), with its
+    inversion started from the node ``z0`` (None: the straight-line one):
+    the image and the (4n,) partials (D1, D2, D3, D4) of the solved pair."""
     k = x.size // 2
     s, D = _invert(Ld, x[:k], x[k:], h, z0, plus=False)
-    return np.concatenate([pack(s)[k:], D[k:]])
+    return np.concatenate([pack(s)[k:], D[k:]]), D
 
 
 def symplectic_defect(Ld: DiscreteLagrangian, m: MomentaState, h: float) -> float:
@@ -145,8 +144,8 @@ def symplectic_defect(Ld: DiscreteLagrangian, m: MomentaState, h: float) -> floa
     """
     n = m.n
     x = m.as_array()
-    warm = pack(_invert(Ld, x[:2 * n], x[2 * n:], h, None, plus=False)[0])[2 * n:]
-    J = _central_diff(lambda X: [_step_map(Ld, y, h, warm) for y in X], x, 1e-6).T
+    warm = _step_map(Ld, x, h, None)[0][:2 * n]
+    J = _central_diff(lambda X: [_step_map(Ld, y, h, warm)[0] for y in X], x, 1e-6).T
     I = np.eye(2 * n)
     Z = np.zeros((2 * n, 2 * n))
     Omega = np.block([[Z, I], [-I, Z]])

@@ -2,6 +2,7 @@
 forked child: the same stdout and exit code as the inline loop on every
 path, and no child left behind."""
 
+import collections
 import json
 import os
 import re
@@ -12,6 +13,7 @@ import pytest
 from varint import checks
 from varint.cli import main
 from varint.errors import NoConvergence
+from varint.lagrangian import LagrangianModel
 
 
 @pytest.fixture(autouse=True)
@@ -64,6 +66,22 @@ def test_one_suite_runs_inline(monkeypatch, capsys):
     _cpus(monkeypatch, 2)
     assert main(["check", "order", "--seed", "0"]) == 0
     assert capsys.readouterr().out.startswith("PASS order:")
+
+
+def test_inline_suites_build_each_model_once(monkeypatch, capsys):
+    # the six suites run on three models: each is derived and lambdified once
+    built, make = collections.Counter(), LagrangianModel.from_sympy.__func__
+
+    def counted(cls, n, expr, *args, name=None, **kwargs):
+        built[name, n] += 1
+        return make(cls, n, expr, *args, name=name, **kwargs)
+
+    monkeypatch.setattr(LagrangianModel, "from_sympy", classmethod(counted))
+    checks._model.cache_clear()
+    _cpus(monkeypatch, 1)
+    assert checks.run_suites(seed=0) == 0
+    assert len(capsys.readouterr().out.splitlines()) == len(checks.SUITES)
+    assert built == {("spline", 1): 1, ("spline-potential", 1): 1, ("spline-velocity", 1): 1}
 
 
 def test_repeats_keep_the_requested_order(monkeypatch, capsys):

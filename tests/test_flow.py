@@ -162,7 +162,7 @@ class TestRun:
         import varint.flow as flow
         from varint.errors import NoConvergence
         Ld = taylor_average(spline1)
-        orig = flow._next_node
+        orig = flow._step_map
         calls = {"n": 0}
 
         def flaky(*args, **kwargs):
@@ -171,7 +171,7 @@ class TestRun:
                 raise NoConvergence("forced", iterations=1, residual_norm=1.0)
             return orig(*args, **kwargs)
 
-        monkeypatch.setattr(flow, "_next_node", flaky)
+        monkeypatch.setattr(flow, "_step_map", flaky)
         grid = uniform_grid(0.0, 1.0, 10)
         with pytest.raises(NoConvergence) as info:
             flow.run(Ld, jet1(0, 1), jet1(grid.h, 1), grid)
@@ -210,9 +210,9 @@ class TestRun:
             chained = type(exc), str(exc), k
         else:
             chained = np.array([x.as_array() for x in states]).tobytes()
-        steps, next_node = [], flow._next_node    # steps run starts, from 1
-        monkeypatch.setattr(flow, "_next_node",
-                            lambda *args: steps.append(len(steps) + 1) or next_node(*args))
+        steps, step_map = [], flow._step_map    # steps run starts, from 1
+        monkeypatch.setattr(flow, "_step_map",
+                            lambda *args: steps.append(len(steps) + 1) or step_map(*args))
         try:
             path = run(Ld, x0, x1, grid)
         except VarintError as exc:
@@ -229,37 +229,68 @@ class TestRun:
         # iteration.  The carried plus map and the start's second partials,
         # shared by the residual scale and the first Jacobian, leave one
         # partials call per Newton residual and one second_partials call
-        import varint.flow as flow
+        from varint.flow import _plus_state, _step_map
+
+        def carried(Ld, x0, x1, x2, h):
+            # the step from x2 (after x1) with the plus map that the step
+            # from x1 (after x0) hands on
+            momenta = _step_map(Ld, _plus_state(Ld, jet1(*np.split(x0, 2)),
+                                                jet1(*np.split(x1, 2)), h),
+                                h, 2.0 * x1 - x0)[0][x1.size:]
+            Ld.calls.clear()
+            _step_map(Ld, np.concatenate([x2, momenta]), h, 2.0 * x2 - x1)
+            return Ld.calls
+
         Ld = _Counted(taylor_average(spline2))
         grid = uniform_grid(0.0, 1.0, 12)
         traj = cubic_trajectory(np.array([[0.1, -0.2], [0.3, 0.5], [0.2, 0.1], [-0.3, 0.4]]))
         X = [traj(k * grid.h).as_array() for k in range(3)]
-        _, momenta = flow._next_node(Ld, X[0], X[1], grid.h)
+        assert carried(Ld, *X, grid.h) == {"partials": 2, "second_partials": 1}
         Ld.calls.clear()
-        flow._next_node(Ld, X[1], X[2], grid.h, momenta)
-        assert Ld.calls == {"partials": 2, "second_partials": 1}
-        Ld.calls.clear()
-        flow._next_node(Ld, X[1], X[2], grid.h)
+        step(Ld, traj(grid.h), traj(2 * grid.h), grid.h)
         assert Ld.calls == {"partials": 3, "second_partials": 1}
-        # the whole run: N - 1 steps, one plus map for the first, and one
-        # partials sweep over the N pairs for the diagnostics
+        # the whole run: N - 1 steps and one plus map for the first; the
+        # diagnostics reuse the partials of the pairs the steps solved
         Ld.calls.clear()
         run(Ld, traj(0.0), traj(grid.h), grid)
         N = grid.N
-        assert Ld.calls == {"partials": 1 + 2 * (N - 1) + N, "second_partials": N - 1}
+        assert Ld.calls == {"partials": 1 + 2 * (N - 1), "second_partials": N - 1}
         # a scheme with its own residual scale is asked for it once a step
         scaled = _CountedScale(taylor_average(spline2))
-        flow._next_node(scaled, X[1], X[2], grid.h, momenta)
-        assert scaled.calls == {"residual_scale": 1, "partials": 2, "second_partials": 1}
+        assert carried(scaled, *X, grid.h) == {
+            "residual_scale": 1, "partials": 2, "second_partials": 1}
         # a nonlinear step: one Jacobian per iteration, the first one at the
         # start, and one residual more than Jacobians (no halvings here)
         bent = _Counted(make_scheme("midpoint-difference", model_from_expr(
             1, "ddq0**2/2 + dq0**2/2 + 4*cos(q0)")))
         x0, x1 = np.array([0.3, 2.0]), np.array([0.7, 2.1])
-        _, momenta = flow._next_node(bent, x0, x1, 0.2)
-        bent.calls.clear()
-        flow._next_node(bent, x1, 2.0 * x1 - x0, 0.2, momenta)
-        assert bent.calls == {"partials": 4, "second_partials": 3}
+        assert carried(bent, x0, x1, 2.0 * x1 - x0, 0.2) == {
+            "partials": 4, "second_partials": 3}
+
+    @pytest.mark.parametrize("model, name", [
+        (model, name) for model in ("spline1", "spline2", "spline_potential")
+        for name in SCHEMES if (model, name) != ("spline_potential", "spline-exact")])
+    def test_residuals_equal_the_path_sweep(self, model, name, request):
+        # run forms each interior residual from the partials its steps
+        # solved at, and del_residual from its two pairs' partials; both
+        # equal the residual of one sweep over the path's pairs bit for bit
+        L = request.getfixturevalue(model)
+        Ld, n = make_scheme(name, L), L.n
+        grid = uniform_grid(0.0, 2.5, 40)
+        traj = cubic_trajectory(np.array([[0.2, -0.1], [0.5, 0.3], [-0.4, 0.2],
+                                          [0.6, -0.5]])[:, :n])
+        try:
+            path = run(Ld, traj(0.0), traj(grid.h), grid)
+            nodes = path.nodes
+        except SingularWd:      # the schemes whose spline steps are singular
+            path, nodes = None, np.array([traj(t).as_array() for t in grid.times])
+        R = _path_residual(Ld, _pairs_of(nodes, grid.h))
+        if path is not None:
+            assert (path.diagnostics["del_residual"].tobytes()
+                    == np.max(np.abs(R), axis=1).tobytes())
+        jets = [JetPoint.from_array(x, 1, n) for x in nodes]
+        for k in range(1, grid.N):
+            assert del_residual(Ld, *jets[k - 1:k + 2], grid.h).tobytes() == R[k - 1].tobytes()
 
     def test_a_stalled_inversion_hands_back_its_roots_partials(self, spline2,
                                                               monkeypatch):
