@@ -219,23 +219,23 @@ def run_suites(names=None, seed: int = 0) -> int:
     sorted order or the order requested, repeats kept.
 
     Unknown names raise :class:`ConfigError` before any suite runs.  Each
-    suite runs on its own ``np.random.default_rng(seed)``, so the suites are
-    independent: with two or more suites, two or more CPUs and ``os.fork``,
-    this process and one forked child share them, each claiming the next
-    suite in ``SUITES`` order when it is free; otherwise they run here.  The
-    lines are printed once all have run, the same bytes either way, and a
-    suite's exception is raised after the lines before it.  A child that
-    ends without sending what it ran raises :class:`VarintError`.  Python
-    3.12 and later warn when a process with other threads forks; the CLI
-    has none under one-thread BLAS.
+    distinct suite runs once, on its own ``np.random.default_rng(seed)``, so
+    the suites are independent: with two or more distinct suites, two or
+    more CPUs and ``os.fork``, this process and one forked child share them,
+    each claiming the next suite in ``SUITES`` order when it is free;
+    otherwise they run here.  The lines are printed once all have run, the
+    same bytes either way, and a suite's exception is raised after the lines
+    before it.  A child that ends without sending what it ran raises
+    :class:`VarintError`.  Python 3.12 and later warn when a process with
+    other threads forks; the CLI has none under one-thread BLAS.
     """
     names = list(names) if names else sorted(SUITES)
     unknown = [n for n in names if n not in SUITES]
     if unknown:
         raise ConfigError(f"unknown suites: {unknown}; available: {sorted(SUITES)}")
     index = {name: i for i, name in enumerate(SUITES)}
-    claims = bytes(sorted(index[name] for name in names))
-    if len(names) > 1 and _cpus() > 1 and hasattr(os, "fork"):
+    claims = bytes(sorted({index[name] for name in names}))
+    if len(claims) > 1 and _cpus() > 1 and hasattr(os, "fork"):
         outcomes = _forked(claims, seed)
     else:
         outcomes = dict(_outcomes(claims, seed))

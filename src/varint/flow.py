@@ -22,19 +22,21 @@ from .discretization import DiscreteLagrangian
 from .errors import NoConvergence, SingularKKT
 from .jets import DiscretePath, Grid, JetPoint, PairState, unpack
 from .lagrangian import LagrangianModel
-from .momentum import _step_map
+from .momentum import _step_map, fminus, fplus
 from .newton import floors
 
 
 def del_residual(Ld: DiscreteLagrangian, prev: JetPoint, cur: JetPoint,
                  nxt: JetPoint, h: float) -> np.ndarray:
-    """Stacked stationarity residual at the middle node.
+    """Stationarity residual at the middle node: the momenta of the plus map
+    of (prev, cur) less those of the minus map of (cur, nxt).
 
     Zero iff (D3 + D1, D4 + D2) vanish across the two adjacent pairs, which
     is the condition for the summed action to be stationary at ``cur``.
     """
-    a, b = (np.concatenate(Ld.partials(PairState(x, y, h))) for x, y in ((prev, cur), (cur, nxt)))
-    return a[a.size // 2:] + b[:b.size // 2]
+    a = fplus(Ld, PairState(prev, cur, h)).as_array()
+    b = fminus(Ld, PairState(cur, nxt, h)).as_array()
+    return a[a.size // 2:] - b[b.size // 2:]
 
 
 def step(Ld: DiscreteLagrangian, prev: JetPoint, cur: JetPoint, h: float) -> JetPoint:
@@ -45,14 +47,9 @@ def step(Ld: DiscreteLagrangian, prev: JetPoint, cur: JetPoint, h: float) -> Jet
     the linear extrapolation of (prev, cur).  Solvability is the regularity
     of the cross-derivative block matrix of the forward pair.
     """
-    y = _step_map(Ld, _plus_state(Ld, prev, cur, h), h, 2.0 * cur.as_array() - prev.as_array())[0]
+    x = fplus(Ld, PairState(prev, cur, h)).as_array()
+    y = _step_map(Ld, x, h, 2.0 * cur.as_array() - prev.as_array())[0]
     return JetPoint.from_array(y[:2 * cur.dim], 1, cur.dim)
-
-
-def _plus_state(Ld, prev, cur, h):
-    """The flat (q, v, p, pt) at ``cur``: its node and the plus map (D3, D4)
-    of the pair (prev, cur)."""
-    return np.concatenate([cur.as_array(), *Ld.partials(PairState(prev, cur, h))[2:]])
 
 
 def phi_values(path: DiscretePath) -> np.ndarray:
@@ -78,7 +75,7 @@ def run(Ld: DiscreteLagrangian, x0: JetPoint, x1: JetPoint,
     m = 2 * x0.dim
     X, R = np.empty((grid.N + 1, m)), np.empty((grid.N - 1, m))
     X[0], X[1] = x0.as_array(), x1.as_array()
-    x = _plus_state(Ld, x0, x1, grid.h)
+    x = fplus(Ld, PairState(x0, x1, grid.h)).as_array()
     for k in range(1, grid.N):
         try:
             y, D = _step_map(Ld, x, grid.h, 2.0 * X[k] - X[k - 1])

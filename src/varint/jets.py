@@ -133,8 +133,8 @@ def _fill(s: PairState, x: np.ndarray, k: int, h: float) -> PairState:
 class Grid:
     """Uniform time grid with nodes t0 + i*h for i = 0..N.
 
-    Node times come from the closed formula, never from accumulation, so
-    ``node(i)`` is bit-identical no matter how often it is evaluated.
+    ``times`` is the one node-time formula: the closed form, never an
+    accumulation, so node i is ``t0 + i * h`` bit for bit.
     """
 
     t0: float
@@ -149,9 +149,6 @@ class Grid:
         object.__setattr__(self, "t0", float(self.t0))
         object.__setattr__(self, "h", float(self.h))
         object.__setattr__(self, "N", int(self.N))
-
-    def node(self, i: int) -> float:
-        return self.t0 + i * self.h
 
     @property
     def times(self) -> np.ndarray:

@@ -3,8 +3,9 @@
 The two momentum maps send a pair state to the cotangent bundle over
 velocity phase space: the minus map attaches (-D1, -D2) at the earlier
 point, the plus map (D3, D4) at the later one, so that along the recursion
-``fplus(s) == fminus(next pair)``.  Their composition F+ o (F-)^{-1} is the
-momentum-space step map, implemented by Newton inversion.
+``fplus(s) == fminus(next pair)``; ``flow.del_residual`` is their
+difference.  F+ o (F-)^{-1} is the momentum-space step map, implemented by
+Newton inversion.
 """
 
 from __future__ import annotations
@@ -22,13 +23,15 @@ from .newton import floors, newton_one
 def fplus(Ld: DiscreteLagrangian, s: PairState) -> MomentaState:
     """Momenta (D3, D4) attached at the later point of the pair."""
     _, _, D3, D4 = Ld.partials(s)
-    return MomentaState(s.right.q, s.right.deriv(1), D3, D4)
+    x, n = pack(s), s.n
+    return MomentaState(x[2 * n:3 * n], x[3 * n:], D3, D4)
 
 
 def fminus(Ld: DiscreteLagrangian, s: PairState) -> MomentaState:
     """Momenta (-D1, -D2) attached at the earlier point of the pair."""
     D1, D2, _, _ = Ld.partials(s)
-    return MomentaState(s.left.q, s.left.deriv(1), -D1, -D2)
+    x, n = pack(s), s.n
+    return MomentaState(x[:n], x[n:2 * n], -D1, -D2)
 
 
 def Wd_matrix(Ld: DiscreteLagrangian, s: PairState) -> np.ndarray:

@@ -66,6 +66,33 @@ def test_one_suite_runs_inline(monkeypatch, capsys):
     _cpus(monkeypatch, 2)
     assert main(["check", "order", "--seed", "0"]) == 0
     assert capsys.readouterr().out.startswith("PASS order:")
+    # one suite named twice prints two lines from one run, with no fork
+    calls, order = [], checks.SUITES["order"]
+    monkeypatch.setitem(checks.SUITES, "order", lambda rng: calls.append(rng) or order(rng))
+    assert main(["check", "order", "order", "--seed", "0"]) == 0
+    first, second = capsys.readouterr().out.splitlines()
+    assert first == second and first.startswith("PASS order:") and len(calls) == 1
+
+
+def test_each_distinct_suite_runs_once(monkeypatch, capsys, tmp_path):
+    # a repeated name prints its line again but runs its suite once, in
+    # whichever process claims it
+    ran = tmp_path / "ran"
+
+    def suite(name):
+        def run(rng):
+            with open(ran, "a") as out:
+                out.write(name)
+            return True, name
+        return run
+
+    monkeypatch.setattr(checks, "SUITES", {name: suite(name) for name in "abcd"})
+    for cpus in (1, 2):
+        ran.write_text("")
+        _cpus(monkeypatch, cpus)
+        assert checks.run_suites(["d", "a", "d", "b"]) == 0
+        assert capsys.readouterr().out == "PASS d: d\nPASS a: a\nPASS d: d\nPASS b: b\n"
+        assert sorted(ran.read_text()) == ["a", "b", "d"]
 
 
 def test_inline_suites_build_each_model_once(monkeypatch, capsys):

@@ -229,14 +229,13 @@ class TestRun:
         # iteration.  The carried plus map and the start's second partials,
         # shared by the residual scale and the first Jacobian, leave one
         # partials call per Newton residual and one second_partials call
-        from varint.flow import _plus_state, _step_map
+        from varint.momentum import _step_map, fplus
 
         def carried(Ld, x0, x1, x2, h):
             # the step from x2 (after x1) with the plus map that the step
             # from x1 (after x0) hands on
-            momenta = _step_map(Ld, _plus_state(Ld, jet1(*np.split(x0, 2)),
-                                                jet1(*np.split(x1, 2)), h),
-                                h, 2.0 * x1 - x0)[0][x1.size:]
+            plus = fplus(Ld, PairState(jet1(*np.split(x0, 2)), jet1(*np.split(x1, 2)), h))
+            momenta = _step_map(Ld, plus.as_array(), h, 2.0 * x1 - x0)[0][x1.size:]
             Ld.calls.clear()
             _step_map(Ld, np.concatenate([x2, momenta]), h, 2.0 * x2 - x1)
             return Ld.calls

@@ -28,8 +28,7 @@ class TestUniformGrid:
     def test_nodes_bit_identical(self):
         g = uniform_grid(0.3, 7.7, 97)
         for i in (0, 1, 42, 97):
-            assert g.node(i) == g.node(i)
-            assert g.node(i) == g.times[i]
+            assert g.times[i] == g.t0 + i * g.h
 
 
 class TestDiscretePath:

@@ -92,6 +92,27 @@ def test_recursion_along_run(L, name, data):
         assert np.max(np.abs(phi - phi[0])) <= 1e-12
 
 
+#: every scheme on the spline models, spline-exact only on 1/2 |qddot|^2
+SPLINE_SCHEMES = [(L, name) for L in SPLINES + [named_lagrangian("spline-potential")]
+                  for name in SCHEMES if (L.name, name) != ("spline-potential", "spline-exact")]
+
+
+@pytest.mark.parametrize("L, name", SPLINE_SCHEMES,
+                         ids=[f"{L.name}-{L.n}-{name}" for L, name in SPLINE_SCHEMES])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_del_residual_is_the_sum_of_both_pairs_partials(L, name, data):
+    # the momenta of F+ at (prev, cur) less those of F- at (cur, nxt) are,
+    # bit for bit, (D3 + D1, D4 + D2) from the partials of the two pairs
+    vector = st.lists(st.floats(-1.0, 1.0), min_size=L.n, max_size=L.n).map(np.array)
+    prev, cur, nxt = (JetPoint(data.draw(vector), (data.draw(vector),)) for _ in range(3))
+    h = data.draw(st.floats(0.05, 0.5))
+    Ld = make_scheme(name, L)
+    a, b = (np.concatenate(Ld.partials(PairState(x, y, h))) for x, y in ((prev, cur), (cur, nxt)))
+    expected = a[a.size // 2:] + b[:b.size // 2]
+    assert del_residual(Ld, prev, cur, nxt, h).tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("L, name", REGULAR, ids=IDS)
 @settings(max_examples=6, deadline=None)
 @given(data=st.data())
