@@ -23,15 +23,13 @@ from .newton import floors, newton_one
 def fplus(Ld: DiscreteLagrangian, s: PairState) -> MomentaState:
     """Momenta (D3, D4) attached at the later point of the pair."""
     _, _, D3, D4 = Ld.partials(s)
-    x, n = pack(s), s.n
-    return MomentaState(x[2 * n:3 * n], x[3 * n:], D3, D4)
+    return MomentaState(s.right.q, s.right.deriv(1), D3, D4)
 
 
 def fminus(Ld: DiscreteLagrangian, s: PairState) -> MomentaState:
     """Momenta (-D1, -D2) attached at the earlier point of the pair."""
     D1, D2, _, _ = Ld.partials(s)
-    x, n = pack(s), s.n
-    return MomentaState(x[:n], x[n:2 * n], -D1, -D2)
+    return MomentaState(s.left.q, s.left.deriv(1), -D1, -D2)
 
 
 def Wd_matrix(Ld: DiscreteLagrangian, s: PairState) -> np.ndarray:
