@@ -125,18 +125,13 @@ def check_order(rng):
     return ok, "; ".join(lines)
 
 
-#: The suites in the order in which ``run_suites`` hands them out.  Medians
-#: of eight first runs in a fresh process, in seconds on a 2-core x86-64
-#: host: phi 0.25, legendre-match 0.23, oracles 0.11, spline-exactness
-#: 0.07, symplectic 0.05, order 0.06 (warm: 0.19, 0.17, 0.06, 0.03, 0.012,
-#: 0.008).  The calling process claims phi, and the forked child oracles
-#: and then legendre-match, while the caller takes the short suites.
-#: Longest first would leave oracles to whichever of phi and legendre-match
-#: ends first, and a caller that also ran oracles peaks 0.3 to 0.5 MB
-#: higher after the CLI's spline commands, which it goes on to run.
-#: Handing the child spline-exactness as well, before legendre-match, cut
-#: the caller's peak by another 0.04 MB but made an invocation of those
-#: commands 0.04 s slower (medians of ten alternating benchmark pairs).
+#: The suites that the forked child of ``run_suites`` runs, the caller
+#: running the rest.  Cold, in seconds on a 2-core x86-64 host: phi 0.25,
+#: legendre-match 0.23, oracles 0.11; after phi, the caller's short suites
+#: take 0.05 to 0.10 s, so the two processes end together.  A caller that
+#: ran oracles peaked 0.3 to 0.5 MB higher after the CLI's spline commands.
+_CHILD = ("oracles", "legendre-match")
+
 SUITES = {
     "phi": check_phi,
     "oracles": check_oracles,
@@ -154,25 +149,19 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _outcomes(claims, seed):
-    """Run the claimed suites (each an index into SUITES) and yield each
-    index with its outcome: ``(passed, details)`` or the exception raised."""
-    suites = list(SUITES.values())
-    for i in claims:
+def _outcomes(names, seed):
+    """Run the named suites and yield each name with its outcome:
+    ``(passed, details)`` or the exception raised."""
+    for name in names:
         try:
-            outcome = suites[i](np.random.default_rng(seed))
+            outcome = SUITES[name](np.random.default_rng(seed))
         except Exception as exc:  # raised where the requested order reaches it
             outcome = exc
-        yield i, outcome
-
-
-def _claimed(fd):
-    """Suite indices claimed one byte at a time from a pipe until it is empty."""
-    return (b[0] for b in iter(functools.partial(os.read, fd, 1), b""))
+        yield name, outcome
 
 
 def _received(pipe):
-    """The pickled (index, outcome) pairs a pipe carries until it ends; a
+    """The pickled (name, outcome) pairs a pipe carries until it ends; a
     pair cut short by its sender's death is dropped."""
     while True:
         try:
@@ -181,30 +170,26 @@ def _received(pipe):
             return
 
 
-def _forked(claims: bytes, seed: int) -> dict:
-    """The outcomes of the claimed suites, run by this process and one
-    forked child, each claiming the next suite from one pipe when it is
-    free.  The child pickles each outcome into a second pipe; it is reaped
-    on every path, and killed first if this process raises."""
-    claim_r, claim_w = os.pipe()
+def _forked(mine, theirs, seed: int) -> dict:
+    """The outcomes of the suites ``mine``, run by this process, and
+    ``theirs``, run by one forked child that pickles each outcome into a
+    pipe.  The child is reaped on every path, and killed first if this
+    process raises."""
     result_r, result_w = os.pipe()
     pid = os.fork()
     if pid == 0:  # the child never returns into its caller
         try:
-            os.close(claim_w)
             os.close(result_r)
             with open(result_w, "wb") as out:
-                for pair in _outcomes(_claimed(claim_r), seed):
+                for pair in _outcomes(theirs, seed):
                     out.write(pickle.dumps(pair))
                     out.flush()
         finally:
             os._exit(0)
     os.close(result_w)
-    with open(claim_r, "rb", buffering=0) as claim_in, open(result_r, "rb") as results:
+    with open(result_r, "rb") as results:
         try:
-            with open(claim_w, "wb") as out:
-                out.write(claims)
-            outcomes = dict(_outcomes(_claimed(claim_in.fileno()), seed))
+            outcomes = dict(_outcomes(mine, seed))
             outcomes.update(_received(results))
         except BaseException:
             os.kill(pid, signal.SIGKILL)
@@ -220,12 +205,12 @@ def run_suites(names=None, seed: int = 0) -> int:
 
     Unknown names raise :class:`ConfigError` before any suite runs.  Each
     distinct suite runs once, on its own ``np.random.default_rng(seed)``, so
-    the suites are independent: with two or more distinct suites, two or
-    more CPUs and ``os.fork``, this process and one forked child share them,
-    each claiming the next suite in ``SUITES`` order when it is free;
-    otherwise they run here.  The lines are printed once all have run, the
-    same bytes either way, and a suite's exception is raised after the lines
-    before it.  A child that ends without sending what it ran raises
+    the suites are independent: if the request holds suites both in and
+    out of ``_CHILD``, two or more CPUs are available and ``os.fork``
+    exists, one forked child runs those in ``_CHILD`` and this process the
+    rest; otherwise all run here.  The lines are printed once all have run,
+    the same bytes either way, and a suite's exception is raised after the
+    lines before it.  A child that ends without sending what it ran raises
     :class:`VarintError`.  Python 3.12 and later warn when a process with
     other threads forks; the CLI has none under one-thread BLAS.
     """
@@ -233,19 +218,20 @@ def run_suites(names=None, seed: int = 0) -> int:
     unknown = [n for n in names if n not in SUITES]
     if unknown:
         raise ConfigError(f"unknown suites: {unknown}; available: {sorted(SUITES)}")
-    index = {name: i for i, name in enumerate(SUITES)}
-    claims = bytes(sorted({index[name] for name in names}))
-    if len(claims) > 1 and _cpus() > 1 and hasattr(os, "fork"):
-        outcomes = _forked(claims, seed)
+    distinct = [n for n in SUITES if n in names]
+    theirs = [n for n in distinct if n in _CHILD]
+    mine = [n for n in distinct if n not in _CHILD]
+    if mine and theirs and _cpus() > 1 and hasattr(os, "fork"):
+        outcomes = _forked(mine, theirs, seed)
     else:
-        outcomes = dict(_outcomes(claims, seed))
+        outcomes = dict(_outcomes(distinct, seed))
     failures = 0
     for name in names:
-        if index[name] not in outcomes:
-            held = sorted({n for n in names if index[n] not in outcomes})
+        if name not in outcomes:
+            held = sorted(set(names) - set(outcomes))
             raise VarintError(f"check: the child process running suites {held} "
                               "ended without their results")
-        outcome = outcomes[index[name]]
+        outcome = outcomes[name]
         if isinstance(outcome, Exception):
             raise outcome
         passed, details = outcome

@@ -294,7 +294,9 @@ def prepare_scenario(cfg: dict, command: str, outdir: Path):
 
     def run():
         t_start = time.perf_counter()
-        summary, header, rows = solve()
+        # no numpy warnings on stderr; errstate is per thread, so set it here
+        with np.errstate(all="ignore"):
+            summary, header, rows = solve()
         summary.update(name=name, outputs=[str(csv_path)],
                        timings={"solve_s": time.perf_counter() - t_start})
         text = json.dumps(summary, sort_keys=True, indent=2) + "\n"
@@ -350,7 +352,8 @@ def main(argv=None) -> int:
     try:
         if args.command == "check":
             _require(args.seed >= 0, "--seed must be a non-negative integer")
-            return checks.run_suites(args.suites or None, seed=args.seed)
+            with np.errstate(all="ignore"):
+                return checks.run_suites(args.suites or None, seed=args.seed)
         scenarios = load_scenarios(args.config)
         outdir = Path(args.out)
         _require(not any(p.exists() and not p.is_dir() for p in (outdir, *outdir.parents)),

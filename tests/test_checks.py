@@ -1,6 +1,6 @@
-"""``varint check`` shares its suites between the calling process and one
-forked child: the same stdout and exit code as the inline loop on every
-path, and no child left behind."""
+"""``varint check`` runs the suites of ``checks._CHILD`` in one forked child
+and the rest in the calling process: the same stdout and exit code as the
+inline loop on every path, and no child left behind."""
 
 import collections
 import json
@@ -28,9 +28,9 @@ def _cpus(monkeypatch, count):
 
 
 def _suites(monkeypatch, outcome):
-    """Four suites of 0.1 s each, run on two CPUs, so that each process runs
-    some; ``outcome(name, here)`` gives a suite's outcome, where ``here``
-    says whether it runs in the calling process."""
+    """Four suites of 0.1 s each, run on two CPUs, the child running b and
+    c; ``outcome(name, here)`` gives a suite's outcome, where ``here`` says
+    whether it runs in the calling process."""
     caller = os.getpid()
 
     def suite(name):
@@ -40,6 +40,7 @@ def _suites(monkeypatch, outcome):
         return run
 
     monkeypatch.setattr(checks, "SUITES", {name: suite(name) for name in "abcd"})
+    monkeypatch.setattr(checks, "_CHILD", ("b", "c"))
     _cpus(monkeypatch, 2)
 
 
@@ -76,7 +77,7 @@ def test_one_suite_runs_inline(monkeypatch, capsys):
 
 def test_each_distinct_suite_runs_once(monkeypatch, capsys, tmp_path):
     # a repeated name prints its line again but runs its suite once, in
-    # whichever process claims it
+    # the process whose share it is
     ran = tmp_path / "ran"
 
     def suite(name):
@@ -87,6 +88,7 @@ def test_each_distinct_suite_runs_once(monkeypatch, capsys, tmp_path):
         return run
 
     monkeypatch.setattr(checks, "SUITES", {name: suite(name) for name in "abcd"})
+    monkeypatch.setattr(checks, "_CHILD", ("b", "c"))
     for cpus in (1, 2):
         ran.write_text("")
         _cpus(monkeypatch, cpus)
@@ -167,8 +169,9 @@ def test_a_child_that_dies_raises_naming_its_suite(monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     err = json.loads(lines[-1])["error"]
     assert err["type"] == "solver"
-    held = re.search(r"suites \['(\w)'\] ended without their results", err["message"])
-    assert lines[:-1] == [f"PASS {name}: here" for name in "abcd" if name < held.group(1)]
+    # the caller does not take up the dead child's share
+    assert "suites ['b', 'c'] ended without their results" in err["message"]
+    assert lines[:-1] == ["PASS a: here"]
 
 
 def test_an_interrupt_kills_and_reaps_the_child(monkeypatch):
@@ -183,3 +186,19 @@ def test_an_interrupt_kills_and_reaps_the_child(monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         checks.run_suites()
     assert time.monotonic() - start < 30
+
+
+def test_a_request_inside_one_share_runs_inline(monkeypatch, capsys):
+    # each share alone prints the lines it prints in the full run, unforked
+    _cpus(monkeypatch, 2)
+    assert main(["check", "--seed", "0"]) == 0
+    full = capsys.readouterr().out.splitlines()
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked for one share"))
+    for request in (["phi", "order"], ["oracles", "legendre-match"]):
+        assert main(["check", *request, "--seed", "0"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            line for name in request for line in full if line.startswith(f"PASS {name}:")]
+
+
+def test_the_child_share_names_suites():
+    assert set(checks._CHILD) <= set(checks.SUITES)

@@ -259,7 +259,6 @@ def test_empty_penalty_is_the_default_penalty(tmp_path, capsys, monkeypatch):
     assert [p.penalty for p in problems] == [JointLimitPenalty(n=2)]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("command, cfg", [
     ("simulate", _edit(SIM_CFG, ["grid", "T"], 1e300)),
     ("bvp", _edit(BVP_CFG, ["grid", "T"], 1e300)),
@@ -274,6 +273,41 @@ def test_overflowing_grid_exits_1(tmp_path, capsys, command, cfg):
     assert rc == 1
     assert len(lines) == 1
     assert json.loads(lines[0])["error"]["type"] == "solver"
+    assert list(out.iterdir()) == []
+
+
+OVERFLOWING = {
+    "simulate": {"kind": "spline", "name": "x", "scheme": "spline-exact", "n": 1,
+                 "grid": {"t0": 0.0, "T": 1.0, "N": 4},
+                 "initial": {"q0": [0.0], "v0": [0.0], "q1": [0.1], "v1": [1e308]}},
+    "bvp": {"kind": "spline", "name": "x", "scheme": "taylor", "n": 1,
+            "grid": {"t0": 0.0, "T": 1.0, "N": 5},
+            "boundary": {"q0": [0.0], "v0": [1e308], "qN": [-1e308], "vN": [0.0]}},
+    "order": {"kind": "spline", "name": "x", "scheme": "taylor", "n": 1,
+              "h_values": [0.64, 0.32, 0.16, 0.08],
+              "trajectory": {"kind": "cubic",
+                             "coeffs": [[0.1], [1e300], [0.6], [1e308]]}},
+}
+
+
+@pytest.mark.parametrize("command, doc, workers", [
+    *((command, cfg, 1) for command, cfg in OVERFLOWING.items()),
+    ("bvp", {"scenarios": [OVERFLOWING["bvp"], dict(OVERFLOWING["bvp"], name="y")]}, 2),
+], ids=[*OVERFLOWING, "bvp-batch-workers-2"])
+def test_overflowing_numbers_exit_1_with_nothing_on_stderr(tmp_path, capfd, command,
+                                                           doc, workers):
+    # numbers that overflow inside a solve end in one JSON line and exit 1,
+    # without numpy's floating-point warnings: pytest turns any warning into
+    # an error, and capfd sees whatever reaches stderr, in a worker thread too
+    out = tmp_path / "out"
+    out.mkdir()
+    rc = main([command, "--config", write_config(tmp_path, doc), "--out", str(out),
+               "--workers", str(workers)])
+    captured = capfd.readouterr()
+    assert rc == 1
+    assert len(captured.out.splitlines()) == 1
+    assert json.loads(captured.out)["error"]["type"] == "solver"
+    assert captured.err == ""
     assert list(out.iterdir()) == []
 
 
