@@ -164,7 +164,9 @@ def solve_regularized(L: LagrangianModel, q1jet: JetPoint, q2jet: JetPoint, h: f
     :func:`_basis_tables`.  The first two rows are pinned to the endpoint
     data w; Newton (damped by a halving line search, warm-started from the
     connecting cubic, i.e. zero free rows) drives the remaining rows of the
-    action gradient below 1e-12.
+    action gradient to the :func:`floors` of 1e-12 at the roundoff scale
+    ||H0||_inf max(1, max |w|), H0 being the start's Hessian, where that
+    scale is finite.
     """
     _check_h(h)
     if q1jet.order != 1:
@@ -181,11 +183,19 @@ def solve_regularized(L: LagrangianModel, q1jet: JetPoint, q2jet: JetPoint, h: f
     def residual(z):
         return asm.gradient(coeffs_of(z))[2:].reshape(-1)
 
-    def jacobian(z, r):
+    def hessian(z):
         return asm.hessian(coeffs_of(z))[2 * n:, 2 * n:]
 
-    z, _ = newton_one(residual, jacobian, np.zeros((degree - 1) * n), 1e-12,
-                      1e-12, max_iter, SingularHessian, "regularized Newton")
+    # Newton's first residual and step are at the start: its gradient, and
+    # its Hessian unless it meets every floor already, are handed to them
+    z0 = np.zeros((degree - 1) * n)
+    r0 = [residual(z0)]
+    H0 = [] if np.abs(r0[0]).max() <= 1e-12 else [hessian(z0)]
+    scale = np.linalg.norm(H0[0], np.inf) * max(1.0, np.max(np.abs(w))) if H0 else 0.0
+    z, _ = newton_one(lambda z: r0.pop() if r0 else residual(z),
+                      lambda z, r: H0.pop() if H0 else hessian(z), z0,
+                      *floors(1e-12, scale if np.isfinite(scale) else 0.0), max_iter,
+                      SingularHessian, "regularized Newton")
     return coeffs_of(z)
 
 
@@ -396,13 +406,17 @@ def exact_Ld(L: LagrangianModel, q1jet: JetPoint, q2jet: JetPoint, h: float,
     ``method="regularized"`` reports h times the quadrature action of the
     solved spectral curve; ``method="shooting"`` integrates the Lagrangian
     along the flow of the solved initial jet.  The two agree to solver
-    tolerance and cross-validate each other.
+    tolerance and cross-validate each other.  A non-finite action raises
+    :class:`OverflowError`.
     """
     if method == "regularized":
         coeffs = solve_regularized(L, q1jet, q2jet, h, degree)
-        return h * _ActionAssembler(L, degree, q1jet, h).action(coeffs)
-    if method == "shooting":
+        action = h * _ActionAssembler(L, degree, q1jet, h).action(coeffs)
+    elif method == "shooting":
         jet, S = shooting_bvp(L, q1jet, q2jet, h, return_substeps=True)
         _, action = integrate_el(L, jet, h, S, with_action=True)
-        return action
-    raise ValueError(f"unknown method {method!r}")
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    if not math.isfinite(action):
+        raise OverflowError(f"{method} action is not finite: {action}")
+    return action

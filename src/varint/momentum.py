@@ -66,8 +66,8 @@ def _invert(Ld, node, target, h, z0, plus):
     its stop levels are the :func:`floors` of 1e-12 at the larger of the
     scheme's sensitivity scale at the start and the size of the target.
     The start's second partials serve both that scale (unless the scheme
-    has its own ``residual_scale``) and the first Jacobian, and the partials
-    of the last residual are those of the root unless the solve stalled.
+    has its own ``residual_scale``) and the first step, which is at the
+    start; the partials of the last residual are the root's unless it stalled.
     A singular cross block raises :class:`SingularWd`, also where the start
     already meets the floor.
     """
@@ -89,21 +89,21 @@ def _invert(Ld, node, target, h, z0, plus):
         last = z, s, D
         return (D[k:] if plus else -D[:k]) - target
 
-    start, start_bytes = pair(z0), z0.tobytes()
-    DD0 = Ld.second_partials(start)
+    start = pair(z0)
+    first = [Ld.second_partials(start)]
 
     def jacobian(z, r):
-        DD = DD0 if z.tobytes() == start_bytes else Ld.second_partials(pair(z))
+        DD = first.pop() if first else Ld.second_partials(pair(z))
         return DD[k:, :k] if plus else -DD[:k, k:]
 
     what = f"{'plus' if plus else 'minus'}-map inversion"
     if getattr(Ld.residual_scale, "__func__", None) is DiscreteLagrangian.residual_scale:
-        scale = Ld._residual_scale(start, DD0)
+        scale = Ld._residual_scale(start, first[0])
     else:
         scale = Ld.residual_scale(start)
     scale = max(scale, float(np.max(np.abs(target))))
     z, r = newton_one(residual, jacobian, z0, *floors(1e-12, scale), 50, SingularWd, what)
-    if np.array_equal(z, z0):
+    if first:
         # a start that meets the floor leaves the Newton without factoring
         # the block, so factor it here
         try:

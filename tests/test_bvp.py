@@ -429,6 +429,15 @@ class TestExactAction:
         sho = exact_Ld(spline_potential, a, b, h, method="shooting")
         assert abs(reg - sho) <= 1e-8
 
+    @pytest.mark.parametrize("size", [1e5, 1e7])
+    def test_methods_agree_on_large_data(self, spline1, size):
+        # the spectral solver's residual cancels terms of the data's size,
+        # so its stop floors must rise with them, as the shooting solver's do
+        a, b = jet1(size, size), jet1(1.3 * size, 0.7 * size)
+        reg = exact_Ld(spline1, a, b, 0.5)
+        sho = exact_Ld(spline1, a, b, 0.5, method="shooting")
+        assert abs(reg - sho) <= 1e-12 * abs(sho)
+
     def test_unknown_method(self, spline1):
         with pytest.raises(ValueError):
             exact_Ld(spline1, jet1(0, 0), jet1(1, 0), 1.0, method="nope")

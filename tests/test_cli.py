@@ -311,6 +311,18 @@ def test_overflowing_numbers_exit_1_with_nothing_on_stderr(tmp_path, capfd, comm
     assert list(out.iterdir()) == []
 
 
+def test_order_on_large_data_fits_the_scheme_order(tmp_path, capsys):
+    # a cubic of size 1e5: the exact actions come from the spectral solver,
+    # whose stop floors rise with the data
+    cfg = _edit(ORDER_CFG, ["trajectory", "coeffs"], [[1e5], [1e5], [1e5], [1e5]])
+    out = tmp_path / "out"
+    out.mkdir()
+    rc = main(["order", "--config", write_config(tmp_path, cfg), "--out", str(out)])
+    assert rc == 0, capsys.readouterr().out
+    assert json.loads((out / "order_order.json").read_text())["r_hat"] == \
+        pytest.approx(2.0, abs=0.1)
+
+
 @pytest.mark.parametrize("scheme", ["trapezoid-velocity", "midpoint-difference"])
 def test_singular_wd_exits_1(tmp_path, capsys, scheme):
     # on 1/2 |qddot|^2 the Wd of both schemes has rank 1 of 2, and the

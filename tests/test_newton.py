@@ -138,6 +138,17 @@ def test_stacked_members_match_their_solo_solves():
     assert len(iterations) >= 4
 
 
+def test_a_failed_members_rows_hold_nan():
+    residual, jacobian, _ = _recorded(MEMBERS)
+    Z, R, failures = newton(residual, jacobian, [m[2] for m in MEMBERS],
+                            np.array([m[3] for m in MEMBERS]),
+                            np.array([m[4] for m in MEMBERS]), 12, SingularWd, "toy")
+    failed = np.array([f is not None for f in failures])
+    assert failed.any() and not failed.all()
+    assert np.isnan(Z[failed]).all() and np.isnan(R[failed]).all()
+    assert not np.isnan(Z[~failed]).any() and not np.isnan(R[~failed]).any()
+
+
 def test_floors_rise_above_tol_only_for_roundoff():
     eps = np.finfo(float).eps
     assert floors(1e-10, 1.0) == (1e-10, 1e-10)
@@ -267,3 +278,57 @@ def test_one_member_loop_equals_the_one_row_stack(kind, k, data, tight, loose, m
     one, stacked, exit = _solves(kind, c, m, z0, tight, loose, max_iter)
     event(exit)
     assert one == stacked
+
+
+# -- what the drivers call ------------------------------------------------------------
+
+def _logged(raise_at=None):
+    """Stacked residual and Jacobian of arctan(z - 0.5) = 0 (halved steps
+    from 3, then quadratic convergence) that log their calls; the residual
+    call number ``raise_at`` raises."""
+    calls = []
+
+    def residual(Z, rows):
+        calls.append("residual")
+        if calls.count("residual") == raise_at:
+            raise KeyError("residual")
+        return np.arctan(Z - 0.5)
+
+    def jacobian(Z, R, rows):
+        calls.append("jacobian")
+        return np.array([np.diag(1.0 / (1.0 + (z - 0.5) ** 2)) for z in Z])
+
+    return residual, jacobian, calls
+
+
+def _solve_one(residual, jacobian):
+    return newton_one(lambda z: residual(z[None], [0])[0],
+                      lambda z, r: jacobian(z[None], r[None], [0])[0],
+                      np.array([3.0]), 1e-12, 1e-12, 50, SingularWd, "toy")
+
+
+def test_a_stack_of_copies_makes_the_calls_of_one_solve():
+    residual, jacobian, one = _logged()
+    z, r = _solve_one(residual, jacobian)
+    residual, jacobian, stacked = _logged()
+    Z, R, failures = newton(residual, jacobian, np.full((8, 1), 3.0), 1e-12, 1e-12, 50,
+                            SingularWd, "toy")
+    assert failures == [None] * 8
+    assert (Z == z).all() and (R == r).all()
+    # one stacked call per round, in the order of the single solve's calls
+    assert stacked == one
+    assert one.count("residual") > one.count("jacobian") + 1 > 2
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["newton_one", "newton"])
+@pytest.mark.parametrize("raise_at", [1, 2, 4])
+def test_a_raising_residual_propagates_at_once(stacked, raise_at):
+    residual, jacobian, calls = _logged(raise_at)
+    with pytest.raises(KeyError, match="residual"):
+        if stacked:
+            newton(residual, jacobian, np.full((3, 1), 3.0), 1e-12, 1e-12, 50,
+                   SingularWd, "toy")
+        else:
+            _solve_one(residual, jacobian)
+    # the raising call was the last one
+    assert calls[-1] == "residual" and calls.count("residual") == raise_at
