@@ -21,15 +21,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.polynomial import legendre as leg
 
 from .errors import SingularHessian, UnsettledSubsteps
 from .jets import JetPoint
-from .lagrangian import (FD_STEP, LagrangianModel, fourth_order_rhs_floats,
-                         fourth_order_rhs_raw)
+from .lagrangian import FD_STEP, LagrangianModel, fourth_order_rhs_raw
 from .newton import floors, newton, newton_one, solve_rows
 
 
@@ -119,16 +118,21 @@ class _ActionAssembler:
         return (h * h * self.B2.T @ (W * G[:, :n]) + h * self.B1.T @ (W * G[:, n:2 * n])
                 + self.B0.T @ (W * G[:, 2 * n:]))
 
+    @cached_property
+    def _node_maps(self):
+        # per Gauss node, the map from the coefficients to the node's jet,
+        # built for all nodes at once and copied apart, so each product
+        # runs on a contiguous (3n, (degree + 1) n) array of its own
+        h, I = self.h, np.eye(self.L.n)
+        maps = np.concatenate([h * h * np.kron(self.B2[:, None], I),
+                               h * np.kron(self.B1[:, None], I),
+                               np.kron(self.B0[:, None], I)], axis=1)
+        return [m.copy() for m in maps]
+
     def hessian(self, coeffs) -> np.ndarray:
-        h = self.h
-        n = self.L.n
-        m1 = self.B0.shape[1]
-        H = np.zeros((m1 * n, m1 * n))
-        I = np.eye(n)
-        for g, (w, Hf) in enumerate(zip(self.wq, self.L.hess_stack(self.jets(coeffs)))):
-            Bg = np.vstack([h * h * np.kron(self.B2[g], I),
-                            h * np.kron(self.B1[g], I),
-                            np.kron(self.B0[g], I)])
+        m = self.B0.shape[1] * self.L.n
+        H = np.zeros((m, m))
+        for w, Hf, Bg in zip(self.wq, self.L.hess_stack(self.jets(coeffs)), self._node_maps):
             H += w * (Bg.T @ Hf @ Bg)
         return H
 
@@ -201,38 +205,43 @@ def solve_regularized(L: LagrangianModel, q1jet: JetPoint, q2jet: JetPoint, h: f
 
 # -- shooting ---------------------------------------------------------------------
 
-#: Largest stack that :func:`_rk4` advances on Python floats.  Median cost
-#: per substep in us, Python floats / numpy columns (2-core x86-64, CPython
-#: 3.11.7, numpy 2.4.6, one BLAS thread):
+#: Largest stack that :func:`_rk4` advances on Python floats.  Least cost
+#: per substep in us over 15 interleaved repeats, Python floats / numpy
+#: columns, through the generated q4 code (2-core x86-64, CPython 3.11.7,
+#: numpy 2.4.6, one BLAS thread):
 #:
 #:     rows            1        2        4        5        6        8
-#:     spline n=1    17/80    32/80    60/79    74/77    96/84   126/83
-#:     spline n=2    22/99    45/102   70/88    88/102  103/100  134/99
-#:     spline n=3    22/110   43/112   88/118  108/116  123/110  168/111
+#:     spline n=1     6/26    11/26    21/26    28/25    33/26    43/26
+#:     spline n=2     7/28    15/30    28/29    35/28    43/30    58/29
+#:     spline n=3     9/33    18/33    34/32    44/33    52/33    71/33
 #:
-#: The crossover is about 5 rows whatever n, as the float cost of a row and
-#: the column cost both grow slowly with n.  A shooting solve stacks 1 or
-#: 2n rows, the momentum-map check 8n to 16n.
+#: The crossover is about 4 to 5 rows whatever n, as the float cost of a
+#: row and the column cost both grow slowly with n.  A shooting solve
+#: stacks 1 or 2n rows, the momentum-map check 8n to 16n.
 _FLOAT_ROWS = 4
 
 
-def _rk4_floats(rhs, value, y, h: float, substeps: int):
+def _rk4_floats(q4, value, y, h: float, substeps: int):
     """One member of :func:`_rk4` on Python floats: the state list ``y``
-    after ``substeps`` steps over [0, h] of the right-hand side ``rhs`` (of
-    :func:`fourth_order_rhs_floats`), and its running action on the
-    generated ``value`` code (0.0 when ``value`` is None).  The stages and
-    sums are those of the stacked form, in its order."""
+    after ``substeps`` steps over [0, h] of the float form ``q4`` of a
+    model's generated q4 code (its nested rows flattened), and its running
+    action on the generated ``value`` code (0.0 when ``value`` is None).
+    The stages and sums are those of the stacked form, in its order."""
     n = len(y) // 4
     dt = float(h) / substeps
     half, sixth, action = 0.5 * dt, dt / 6.0, 0.0
+
+    def rhs(z):
+        return z[n:] + [e for e, in q4(*z)]
+
     for _ in range(substeps):
-        k1 = y[n:] + rhs(y)
+        k1 = rhs(y)
         y2 = [a + half * b for a, b in zip(y, k1)]
-        k2 = y2[n:] + rhs(y2)
+        k2 = rhs(y2)
         y3 = [a + half * b for a, b in zip(y, k2)]
-        k3 = y3[n:] + rhs(y3)
+        k3 = rhs(y3)
         y4 = [a + dt * b for a, b in zip(y, k3)]
-        k4 = y4[n:] + rhs(y4)
+        k4 = rhs(y4)
         if value is not None:
             a1, a2, a3, a4 = (value(*z[:3 * n]) for z in (y, y2, y3, y4))
             action += sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
@@ -249,21 +258,22 @@ def _rk4(L: LagrangianModel, Y, h: float, substeps: int, with_action: bool = Fal
     its end state and action do not depend on the rest of the stack.
     Returns the end states and the (M,) running actions (None without).
 
-    A stack of at most ``_FLOAT_ROWS`` members of a model with
-    :func:`fourth_order_rhs_floats` (and generated value code, for the
-    action) runs member by member on Python floats, which skips numpy's
-    fixed cost per operation; other stacks run on numpy columns.  Both
-    paths give the same bits.  Where Python floats raise, or end in a
-    non-finite number, the whole stack runs again on columns, so its nan,
-    inf and warnings are numpy's.
+    A stack of at most ``_FLOAT_ROWS`` members of a model with a generated
+    ``q4`` (and generated value code, for the action) runs member by member
+    on the Python-float form of that code, which skips numpy's fixed cost
+    per operation; other stacks run on numpy columns.  Both paths give the
+    same bits, as each generated call does pointwise and stacked.  Where
+    Python floats raise, or end in a non-finite number, the whole stack
+    runs again on columns, so its nan, inf and warnings are numpy's.
     """
     n = L.n
-    q4 = fourth_order_rhs_floats(L) if len(Y) <= _FLOAT_ROWS else None
+    q4 = L.q4 if len(Y) <= _FLOAT_ROWS else None
     generated = getattr(L.value, "generated", None)
     if q4 is not None and (generated is not None or not with_action):
         value = generated.floats if with_action else None
         try:
-            runs = [_rk4_floats(q4, value, y, h, substeps) for y in Y.tolist()]
+            runs = [_rk4_floats(q4.generated.floats, value, y, h, substeps)
+                    for y in Y.tolist()]
         except (ArithmeticError, ValueError):
             pass
         else:

@@ -354,6 +354,7 @@ def main(argv=None) -> int:
             _require(args.seed >= 0, "--seed must be a non-negative integer")
             with np.errstate(all="ignore"):
                 return checks.run_suites(args.suites or None, seed=args.seed)
+        _require(args.workers >= 1, "--workers must be a positive integer")
         scenarios = load_scenarios(args.config)
         outdir = Path(args.out)
         _require(not any(p.exists() and not p.is_dir() for p in (outdir, *outdir.parents)),

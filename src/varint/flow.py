@@ -302,18 +302,25 @@ def solve_boundary_path(Ld: DiscreteLagrangian, x0: JetPoint, xN: JetPoint,
     sparse).  Fine grids are reached by solving a coarsened grid first, from
     the cubic interpolant of the boundary data, and refining by
     interpolation, which keeps the expensive levels warm-started; a caller's
-    ``guess`` for the interior nodes is the one level of its own
-    continuation.  The path's diagnostics list the Newton iterations of each
-    level (``newton_iterations``), coarsest first, and hold the summed
-    discrete action of the solved path (``action``).
+    ``guess`` for the interior nodes, a finite (N - 1, 2n) array, is the
+    one level of its own continuation.  The path's diagnostics list the
+    Newton iterations of each level (``newton_iterations``), coarsest
+    first, and hold the summed discrete action of the solved path
+    (``action``).
     """
     N = grid.N
     if N < 2:
         raise ValueError("boundary solve needs at least N = 2 steps")
+    if guess is not None:
+        guess, shape = np.asarray(guess, dtype=float), (N - 1, 2 * x0.dim)
+        if guess.shape != shape:
+            raise ValueError(f"guess must have shape (N - 1, 2n) = {shape}, got {guess.shape}")
+        if not np.isfinite(guess).all():
+            raise ValueError(f"guess of shape (N - 1, 2n) = {shape} must be finite")
     X, prev, iterations = None, None, []
     for Nc in _continuation_levels(N) if guess is None else [N]:
         g = grid if Nc == N else Grid(grid.t0, grid.h * N / Nc, Nc)
-        start = (np.asarray(guess, dtype=float) if guess is not None
+        start = (guess if guess is not None
                  else _hermite_path(x0, xN, g) if X is None
                  else _refine_interior(X, prev, g))
         X, R, A, it = _newton_path(Ld, x0, xN, g, start, tol, max_iter)

@@ -16,7 +16,9 @@ Internally every call takes one flat jet (the blocks concatenated); the
 block-argument ``*_at`` methods are thin wrappers for callers at the API
 edge.  Every call, the gradient included, has a stacked twin on jets, one
 per row, with the pointwise results bit for bit; the spectral and shooting
-solvers evaluate the model through these stacks.
+solvers evaluate the model through these stacks.  A sympy model whose
+acceleration Hessian W is constant and regular also generates its explicit
+top derivative q4 = -W^-1 el4 at q4 = 0, which the shooting solver runs.
 """
 
 from __future__ import annotations
@@ -220,17 +222,17 @@ class _Generated:
         # call (about 1 us), on rows a Python-float cost once per row.
         # Measured crossovers by operation count (operator and call
         # instructions in the generated bytecode): one row for a constant f
-        # (one operation), 2-3 for the spline family's el4 (1-3), 5-6 and
-        # 12-15 for an 18-operation Hessian and a 35-operation el4, 27-37
-        # for the lifted two-link Hessian and el4 (284 and 444).  Values
-        # crossed at 9 rows or never while a power on columns took 0.4 us
-        # per element on numpy scalars (``_column_pow`` now takes less).
+        # (one operation), 2-3 for the spline family's el4 and 1-3 for its
+        # q4 (both 1-3), 5-6 and 12-15 for an 18-operation Hessian and a
+        # 35-operation el4, 27-37 for the lifted two-link Hessian and el4
+        # (284 and 444), 16-32 for spline-family values (2-3).
         # The rule 1 + floor(log2(ops)) fits the short code and sends long
         # code and values to columns early.  It stays: shootings of the
         # lifted model stack 1 or 2n = 4 rows, below either crossover, and
-        # of the 94k stacked calls in ``varint check`` only 1.2k
-        # (spline-family values of 4 and 32 rows, about 10 ms) fall in the
-        # gap.  Counting bytecode builds no syntax tree of the source.
+        # of the 12.4k stacked calls in an inline ``varint check`` (10.5k
+        # of them q4 stacks of 6 to 16 rows) only the 0.2k spline-family
+        # values of 9 to 15 rows, under 1 ms, fall in the gap.  Counting
+        # bytecode builds no syntax tree of the source.
         ops = sum(i.opname.startswith(("BINARY_", "UNARY_", "CALL"))
                   for i in dis.get_instructions(self.f))
         return ops.bit_length()
@@ -268,8 +270,9 @@ def _from_sympy(cls, n, expr, blocks, **kw):
 
     ``blocks`` holds the jet variables, ``cls.order + 1`` sequences of n
     symbols each; ``kw`` goes to the constructor.  Each derivative (value,
-    gradient, Hessian and, at order 2, ``el4``) is derived and lambdified on
-    its first call, all from one cached list of the gradient's expressions.
+    gradient, Hessian and, at order 2, ``el4`` and a constant W's ``q4``) is
+    derived and lambdified on its first call, all from one cached list of
+    the gradient's expressions.
     """
     blocks = [list(b) for b in blocks]
     args = [s for b in blocks for s in b]
@@ -289,17 +292,20 @@ def _from_sympy(cls, n, expr, blocks, **kw):
                          **kw)
     model.sympy_data = (expr, *blocks)
     if cls.order == 2:
-        # W does not depend on the jet: invert it once if it is regular.  Its
-        # entries are read up to the first that depends on the jet, each as
-        # the number the generated Hessian code computes.
+        # W does not depend on the jet: where it is regular, q4 is generated
+        # as -W^-1 el4 at q4 = 0.  Its entries are read up to the first that
+        # depends on the jet, and tested as the numbers the generated Hessian
+        # code computes.
         W = list(itertools.takewhile(lambda d: not d.free_symbols, (
             sp.diff(g, s) for g in grads()[2 * n:] for s in blocks[2])))
         if len(W) == n * n:
             printer, names = _PowPrinter(), dict(vars(np), **_SCALAR_MATH)
-            W = np.reshape([eval(printer.doprint(d), names) for d in W], (1, n, n))
-            W, regular = _regular(W)
+            _, regular = _regular(np.reshape([eval(printer.doprint(d), names) for d in W],
+                                             (1, n, n)))
             if regular[0]:
-                model._W_inv = np.linalg.inv(W[0])
+                model.q4 = generated(
+                    lambda: -sp.Matrix(n, n, W).inv() * _el4_exprs(grads(), *jet[:4], [0] * n),
+                    (n,), [s for b in jet[:4] for s in b])
     return model
 
 
@@ -324,7 +330,9 @@ class LagrangianModel:
     ``value``, ``grad``, ``hess`` and ``el4`` take one flat jet, the
     ``order + 1`` blocks concatenated (``el4`` five blocks); ``grad`` returns
     the flat first partials.  The ``*_at`` methods take the blocks as
-    separate arguments.
+    separate arguments.  ``q4`` maps the four blocks (q, dq, ddq, d3q) to
+    the q4 solving the equation of motion where it is generated (a sympy
+    model with a constant, regular W) and is None otherwise.
 
     Parameters
     ----------
@@ -379,8 +387,7 @@ class LagrangianModel:
         self.poly_degree = poly_degree
         self.name = name or "lagrangian"
         self.sympy_data = None
-        # W^-1 of a model whose W is constant and regular
-        self._W_inv = None
+        self.q4 = None
 
     def _fd_hess_of_grad(self, y):
         J = _central_diff(lambda Y: [self.grad(z) for z in Y], y)
@@ -454,13 +461,11 @@ class LagrangianModel:
         def el4(y):
             return base.el4(y) + np.asarray(df(y[:n]), dtype=float)
 
-        model = type(self)._of_flat(n, value,
-                                    grad=grad if base.analytic_grad else None,
-                                    hess=hess if base.analytic_hess else None,
-                                    el4=el4 if base.el4 is not None else None,
-                                    name=name or f"{base.name}+penalty")
-        model._W_inv = base._W_inv    # f(q) leaves W alone
-        return model
+        return type(self)._of_flat(n, value,
+                                   grad=grad if base.analytic_grad else None,
+                                   hess=hess if base.analytic_hess else None,
+                                   el4=el4 if base.el4 is not None else None,
+                                   name=name or f"{base.name}+penalty")
 
 
 class MechanicalModel(LagrangianModel):
@@ -576,69 +581,22 @@ def hessian_W(L: LagrangianModel, jet: JetPoint):
     return W[0], bool(regular[0])
 
 
-def _minus_W_inv_times(W_inv, r):
-    """-W^-1 r for the n floats of r, from the rows of W^-1 as lists: each
-    entry is the sum over j of r_j W^-1[i, j], taken left to right from
-    0.0 (as BLAS sums, so an identity W^-1 keeps the signs of zeros)."""
-    return [-functools.reduce(operator.add, map(operator.mul, r, w), 0.0) for w in W_inv]
-
-
-def _minus_W_inv_times_rows(W_inv, R):
-    """:func:`_minus_W_inv_times` on each member of a stack, with r_j the
-    column in row j of the nested ``R`` (the (n, 1) rows of generated
-    ``el4`` code), in the same order elementwise, so each row depends on
-    its own member only: a BLAS product picks its kernel, and with it the
-    last bits, by the size of the stack.  At a constant regular W every
-    entry of ``el4`` depends on q4, so its code gives a column, not a
-    number, for each."""
-    Q = 0.0
-    for (r,), w in zip(R, W_inv.T):
-        Q = Q + r[:, None] * w
-    return -Q
-
-
 def fourth_order_rhs_raw(L: LagrangianModel, Y) -> np.ndarray:
     """Stacked form of :func:`fourth_order_rhs`: the q4 of each row of an
-    (M, 4n) stack of (q, dq, ddq, d3q), by one stacked determinant and one
-    stacked solve, or by the stored inverse of a constant W.  For a
-    constant W and a stack of at least ``min_rows`` rows, generated el4
-    code runs once on the columns of Y and n zero columns for q4."""
+    (M, 4n) stack of (q, dq, ddq, d3q).  A model with a generated ``q4``
+    (a constant, regular W) runs it on the stack; others take W at each
+    row, one stacked determinant and one stacked solve."""
+    if L.q4 is not None:
+        return _stacked(L.q4, Y)
     n = L.n
-    generated = getattr(L.el4, "generated", None)
-    if L._W_inv is not None and generated is not None and len(Y) >= generated.min_rows:
-        R = generated._columns(*Y.T, *[np.zeros(len(Y))] * n)
-        return _minus_W_inv_times_rows(L._W_inv, R)
-    if L._W_inv is None:
-        W, regular = _acceleration_hessian(L, Y[:, :3 * n])
-        if not regular.all():
-            raise SingularHessian(f"acceleration Hessian of {L.name} is singular at this jet")
+    W, regular = _acceleration_hessian(L, Y[:, :3 * n])
+    if not regular.all():
+        raise SingularHessian(f"acceleration Hessian of {L.name} is singular at this jet")
     Z = np.concatenate([Y, np.zeros((len(Y), n))], axis=1)
     R = L.el4_stack(Z)
     if R is None:
         R = np.array([el_residual_raw(L, *z.reshape(5, n)) for z in Z])
-    if L._W_inv is not None:
-        return _minus_W_inv_times_rows(L._W_inv, R.T[:, None])
     return np.linalg.solve(W, -R[:, :, None])[:, :, 0]
-
-
-def fourth_order_rhs_floats(L: LagrangianModel):
-    """:func:`fourth_order_rhs_raw` on one member in Python floats, for a
-    model with a constant W and generated ``el4`` code (None for others).
-
-    The returned function maps the 4n floats (q, dq, ddq, d3q) of a list to
-    the list of the n floats of q4, bit for bit the row of the stacked
-    form.  It raises ``ArithmeticError`` or ``ValueError`` where the
-    generated code does on Python floats (see ``_Generated.floats``).
-    """
-    generated = getattr(L.el4, "generated", None)
-    if L._W_inv is None or generated is None:
-        return None
-    el4, W_inv, d4q = generated.floats, L._W_inv.tolist(), [0.0] * L.n
-
-    def rhs(y):
-        return _minus_W_inv_times(W_inv, [e for e, in el4(*y, *d4q)])
-
-    return rhs
 
 
 def fourth_order_rhs(L: LagrangianModel, jet: JetPoint) -> np.ndarray:

@@ -168,6 +168,25 @@ class TestActionGradient:
             ref = (asm.gradient(cp) - asm.gradient(cm))[:, 0] / (2 * step)
             assert np.allclose(H[:, i], ref, atol=1e-6)
 
+    @pytest.mark.parametrize("n, expr", [(1, "ddq0**2/2 + q0**2/2"),
+                                         (2, "ddq0**2 + ddq0*ddq1/2 + ddq1**2 + q0**2*dq1"),
+                                         (2, "ddq0**2/2 + ddq1**2/2 + cos(q0)*dq1**2")])
+    def test_hessian_bytes_equal_the_per_node_formula(self, n, expr, rng):
+        # the node maps, built once per assembler, give the bytes of the
+        # maps built per node on every call, summed in the same order
+        L = model_from_expr(n, expr)
+        h, degree = 0.6, 6
+        asm = _ActionAssembler(L, degree, JetPoint(rng.normal(size=n), (rng.normal(size=n),)), h)
+        I = np.eye(n)
+        for _ in range(3):
+            coeffs = rng.normal(size=(degree + 1, n))
+            ref = np.zeros(((degree + 1) * n, (degree + 1) * n))
+            for g, (w, Hf) in enumerate(zip(asm.wq, L.hess_stack(asm.jets(coeffs)))):
+                Bg = np.vstack([h * h * np.kron(asm.B2[g], I), h * np.kron(asm.B1[g], I),
+                                np.kron(asm.B0[g], I)])
+                ref += w * (Bg.T @ Hf @ Bg)
+            assert asm.hessian(coeffs).tobytes() == ref.tobytes()
+
     def test_stationary_at_zero(self, spline1):
         asm = _ActionAssembler(spline1, 4, jet1(0.2, 0.9), 0.3)
         assert np.allclose(asm.gradient(np.zeros((5, 1))), 0.0, atol=1e-14)

@@ -369,6 +369,29 @@ def test_bad_later_scenario_exits_2_before_solving(tmp_path, capsys, monkeypatch
     assert not out.exists()
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+@pytest.mark.parametrize("command, solver, cfg", [
+    ("bvp", "solve_boundary_path", BVP_CFG),
+    ("order", "estimate_order", ORDER_CFG),
+], ids=["bvp", "order"])
+def test_workers_below_one_exits_2_before_solving(tmp_path, capsys, monkeypatch,
+                                                   command, solver, cfg, workers):
+    import varint.cli
+
+    calls = []
+    monkeypatch.setattr(varint.cli, solver, lambda *a, **k: calls.append(a))
+    out = tmp_path / "out"
+    rc = main([command, "--config", write_config(tmp_path, cfg), "--out", str(out),
+               "--workers", workers])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 2
+    assert len(lines) == 1
+    err = json.loads(lines[0])["error"]
+    assert err["type"] == "config" and "--workers" in err["message"]
+    assert calls == []
+    assert not out.exists()
+
+
 def test_repeated_scenario_name_exits_2_before_solving(tmp_path, capsys, monkeypatch):
     # two scenarios of one name would write the same two files, the later
     # one silently replacing the earlier

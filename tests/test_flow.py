@@ -568,6 +568,19 @@ class TestPathNewton:
                                     guess=guess)
         assert again.diagnostics["newton_iterations"] == [0]
 
+    @pytest.mark.parametrize("bad", ["rows", "columns", "flat", "nan", "inf"])
+    def test_bad_guess_names_the_expected_shape(self, spline2, bad):
+        Ld = taylor_average(spline2)
+        x0 = JetPoint([0.0, 0.0], ([1.0, 1.0],))
+        xN = JetPoint([1.0, 0.5], ([0.0, 2.0],))
+        grid = uniform_grid(0.0, 1.0, 8)
+        guess = _hermite_path(x0, xN, grid)
+        guess = {"rows": guess[1:], "columns": guess[:, :3], "flat": guess.ravel(),
+                 "nan": np.where(np.eye(*guess.shape, dtype=bool), np.nan, guess),
+                 "inf": -np.inf * np.ones_like(guess)}[bad]
+        with pytest.raises(ValueError, match=r"^guess .*\(N - 1, 2n\) = \(7, 4\)"):
+            solve_boundary_path(Ld, x0, xN, grid, guess=guess)
+
     def test_max_iter_exhausted(self):
         from varint.errors import NoConvergence
         from varint.newton import floors

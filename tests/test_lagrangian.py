@@ -13,7 +13,7 @@ from varint import (JetPoint, LagrangianModel, MechanicalModel,
                     hessian_W, legendre, named_lagrangian)
 from varint.errors import SingularHessian
 from varint.lagrangian import (_acceleration_hessian, _column_pow, el_residual_raw,
-                              fourth_order_rhs_floats, fourth_order_rhs_raw)
+                              fourth_order_rhs_raw)
 
 from conftest import model_from_expr
 
@@ -114,9 +114,14 @@ def _solve_per_member(L, Y):
     return np.array([np.linalg.solve(w, -r) for w, r in zip(W, R)])
 
 
+def _q4_floats(L, y):
+    """The generated q4 of L on the Python floats of y, as a flat list."""
+    return [e for e, in L.q4.generated.floats(*y)]
+
+
 class TestConstantAccelerationHessian:
-    """A model whose W does not depend on the jet and is regular stores W^-1
-    when built, and its right-hand side multiplies by it."""
+    """A model whose W does not depend on the jet and is regular has a
+    generated q4 = -W^-1 el4 at q4 = 0, and its right-hand side runs it."""
 
     @pytest.mark.parametrize("name, n", [("spline", 1), ("spline", 2),
                                          ("spline-potential", 1),
@@ -124,7 +129,8 @@ class TestConstantAccelerationHessian:
                                          ("spline-velocity", 1)])
     def test_spline_family_equals_general_path(self, name, n, rng):
         L = named_lagrangian(name, n)
-        assert np.array_equal(L._W_inv, np.eye(n))
+        assert L.q4 is not None
+        assert np.array_equal(hessian_W(L, jet(*np.ones((3, n))))[0], np.eye(n))
         for M in (1, 4, 40):
             Y = rng.normal(size=(M, 4 * n)) * 10.0 ** rng.integers(-3, 4, size=(M, 4 * n))
             assert np.array_equal(fourth_order_rhs_raw(L, Y), _solve_per_member(L, Y))
@@ -145,7 +151,7 @@ class TestConstantAccelerationHessian:
         L = model_from_expr(2, "ddq0**2 + ddq0*ddq1/2 + ddq1**2 + q0**2*dq1")
         W, regular = hessian_W(L, JetPoint(np.ones(2), (np.ones(2), np.ones(2))))
         assert regular and np.array_equal(W, [[2.0, 0.5], [0.5, 2.0]])
-        assert L._W_inv is not None
+        assert L.q4 is not None
         for M in (1, 4, 40):
             Y = rng.normal(size=(M, 8)) * 10.0 ** rng.integers(-3, 4, size=(M, 8))
             got, ref = fourth_order_rhs_raw(L, Y), _solve_per_member(L, Y)
@@ -154,24 +160,32 @@ class TestConstantAccelerationHessian:
             assert np.all(np.abs(got - ref) <= tol)
             # each row depends on its own member only, on floats alike
             assert np.array_equal(got, [fourth_order_rhs_raw(L, y[None])[0] for y in Y])
-            assert np.array_equal(got, [fourth_order_rhs_floats(L)(y) for y in Y.tolist()])
+            assert np.array_equal(got, [_q4_floats(L, y) for y in Y.tolist()])
 
     def test_singular_W_builds_and_raises_on_first_call(self):
         degenerate = model_from_expr(1, "ddq0*dq0")
-        assert degenerate._W_inv is None
+        assert degenerate.q4 is None
         with pytest.raises(SingularHessian,
                            match="^acceleration Hessian of lagrangian is singular at this jet$"):
             fourth_order_rhs_raw(degenerate, np.array([[0.0, 1.0, 2.0, 3.0]]))
 
-    def test_position_term_keeps_stored_W(self, spline_potential):
+    def test_position_term_subtracts_W_inv_grad_f(self, spline_potential, rng):
+        # f(q) leaves W = I alone: the penalized q4, by the general path,
+        # is the base's minus W^-1 grad f(q) = 4 q^3
         model = spline_potential.with_position_term(
             lambda q: float(q[0] ** 4), lambda q: 4 * q ** 3, lambda q: np.diag(12 * q ** 2))
-        assert model._W_inv is not None and model._W_inv is spline_potential._W_inv
+        assert model.q4 is None
+        Y = rng.normal(size=(40, 4)) * 10.0 ** rng.integers(-3, 4, size=(40, 4))
+        got = fourth_order_rhs_raw(model, Y)
+        ref = fourth_order_rhs_raw(spline_potential, Y) - 4 * Y[:, :1] ** 3
+        # 4 ulp of each member's largest entry
+        tol = 4 * np.finfo(float).eps * np.max(np.abs(ref), axis=1, keepdims=True)
+        assert np.all(np.abs(got - ref) <= tol)
 
     def test_jet_dependent_and_fd_models_store_none(self, stacked_models):
         models = dict(stacked_models)
         for name in ("lifted-two-link", "fd-value-only", "from-sympy"):
-            assert models[name]._W_inv is None, name
+            assert models[name].q4 is None, name
 
 
 class TestLegendre:
@@ -595,7 +609,7 @@ def test_nan_powers_equal_numpy_scalars(k, q, rest):
                 assert _same_bits(generated.stack(np.repeat(z[None], M, axis=0)),
                                   np.repeat(ref[None], M, axis=0))
         try:
-            q4 = fourth_order_rhs_floats(L)(y[:4].tolist())
+            q4 = _q4_floats(L, y[:4].tolist())
         except (ArithmeticError, ValueError):
             return
         assert _same_bits(q4, fourth_order_rhs_raw(L, y[None, :4])[0])
