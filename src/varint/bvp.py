@@ -155,9 +155,15 @@ def _hermite_coeffs(a: JetPoint, b: JetPoint, T: float):
 H_MAX = 4.0
 
 
-def _check_h(h):
-    if not 0.0 < h <= H_MAX:
+def _check_ends(L: LagrangianModel, jets, order: int, h=None):
+    """Raise :class:`ValueError` unless every jet has ``order`` and the
+    model's dimension, and ``h``, where given, lies in (0, H_MAX]."""
+    if h is not None and not 0.0 < h <= H_MAX:
         raise ValueError(f"step h={h} outside (0, {H_MAX}]")
+    for jet in jets:
+        if jet.order != order or jet.dim != L.n:
+            raise ValueError(f"expected jets of order {order} and dimension {L.n}, "
+                             f"got order {jet.order} and dimension {jet.dim}")
 
 
 def solve_regularized(L: LagrangianModel, q1jet: JetPoint, q2jet: JetPoint, h: float,
@@ -172,9 +178,7 @@ def solve_regularized(L: LagrangianModel, q1jet: JetPoint, q2jet: JetPoint, h: f
     ||H0||_inf max(1, max |w|), H0 being the start's Hessian, where that
     scale is finite.
     """
-    _check_h(h)
-    if q1jet.order != 1:
-        raise ValueError("the regularized solver handles second-order models (order-1 jets)")
+    _check_ends(L, (q1jet, q2jet), 1, h)
     if degree < 2:
         raise ValueError("degree must be >= 2")
     w = endpoints_to_w(q1jet, q2jet, h)
@@ -259,20 +263,18 @@ def _rk4(L: LagrangianModel, Y, h: float, substeps: int, with_action: bool = Fal
     Returns the end states and the (M,) running actions (None without).
 
     A stack of at most ``_FLOAT_ROWS`` members of a model with a generated
-    ``q4`` (and generated value code, for the action) runs member by member
-    on the Python-float form of that code, which skips numpy's fixed cost
+    ``q4`` (whose value code is generated too) runs member by member on
+    the Python-float form of that code, which skips numpy's fixed cost
     per operation; other stacks run on numpy columns.  Both paths give the
     same bits, as each generated call does pointwise and stacked.  Where
     Python floats raise, or end in a non-finite number, the whole stack
     runs again on columns, so its nan, inf and warnings are numpy's.
     """
     n = L.n
-    q4 = L.q4 if len(Y) <= _FLOAT_ROWS else None
-    generated = getattr(L.value, "generated", None)
-    if q4 is not None and (generated is not None or not with_action):
-        value = generated.floats if with_action else None
+    if L.q4 is not None and len(Y) <= _FLOAT_ROWS:
+        value = L.value.generated.floats if with_action else None
         try:
-            runs = [_rk4_floats(q4.generated.floats, value, y, h, substeps)
+            runs = [_rk4_floats(L.q4.generated.floats, value, y, h, substeps)
                     for y in Y.tolist()]
         except (ArithmeticError, ValueError):
             pass
@@ -312,7 +314,10 @@ def integrate_el(L: LagrangianModel, jet3: JetPoint, h: float, substeps: int,
     running action.  Returns the order-3 jet at t = h (and the action when
     requested).
     """
-    Y, action = _rk4(L, jet3.as_array()[None], h, substeps, with_action)
+    _check_ends(L, (jet3,), 3)
+    if not int(substeps) == substeps >= 1:
+        raise ValueError(f"substeps must be a positive integer, got {substeps}")
+    Y, action = _rk4(L, jet3.as_array()[None], h, int(substeps), with_action)
     out = JetPoint.from_array(Y[0], 3, L.n)
     return (out, float(action[0])) if with_action else out
 
@@ -383,7 +388,7 @@ def shooting_bvp(L: LagrangianModel, q1jet: JetPoint, q2jet: JetPoint, h: float,
     (Richardson's error estimate).  At the cap of 1024 a move still
     shrinking issues :class:`UnsettledSubsteps`.
     """
-    _check_h(h)
+    _check_ends(L, (q1jet, q2jet), 1, h)
     c2, c3 = _hermite_coeffs(q1jet, q2jet, h)
     left = np.concatenate([q1jet.q, q1jet.deriv(1)])[None]
     target = np.concatenate([q2jet.q, q2jet.deriv(1)])[None]

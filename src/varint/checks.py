@@ -160,37 +160,28 @@ def _outcomes(names, seed):
         yield name, outcome
 
 
-def _received(pipe):
-    """The pickled (name, outcome) pairs a pipe carries until it ends; a
-    pair cut short by its sender's death is dropped."""
-    while True:
-        try:
-            yield pickle.load(pipe)
-        except (EOFError, pickle.UnpicklingError):
-            return
-
-
 def _forked(mine, theirs, seed: int) -> dict:
     """The outcomes of the suites ``mine``, run by this process, and
-    ``theirs``, run by one forked child that pickles each outcome into a
-    pipe.  The child is reaped on every path, and killed first if this
-    process raises."""
+    ``theirs``, run by one forked child that pickles them into a pipe as
+    one message, so its share arrives whole or not at all.  The child is
+    reaped on every path, and killed first if this process raises."""
     result_r, result_w = os.pipe()
     pid = os.fork()
     if pid == 0:  # the child never returns into its caller
         try:
             os.close(result_r)
             with open(result_w, "wb") as out:
-                for pair in _outcomes(theirs, seed):
-                    out.write(pickle.dumps(pair))
-                    out.flush()
+                pickle.dump(dict(_outcomes(theirs, seed)), out)
         finally:
             os._exit(0)
     os.close(result_w)
     with open(result_r, "rb") as results:
         try:
             outcomes = dict(_outcomes(mine, seed))
-            outcomes.update(_received(results))
+            try:
+                outcomes.update(pickle.load(results))
+            except (EOFError, pickle.UnpicklingError):
+                pass  # the child died before or while sending its share
         except BaseException:
             os.kill(pid, signal.SIGKILL)
             raise
@@ -210,9 +201,10 @@ def run_suites(names=None, seed: int = 0) -> int:
     exists, one forked child runs those in ``_CHILD`` and this process the
     rest; otherwise all run here.  The lines are printed once all have run,
     the same bytes either way, and a suite's exception is raised after the
-    lines before it.  A child that ends without sending what it ran raises
-    :class:`VarintError`.  Python 3.12 and later warn when a process with
-    other threads forks; the CLI has none under one-thread BLAS.
+    lines before it.  The child's share arrives whole or not at all: a
+    child that ends without sending it raises :class:`VarintError` naming
+    all of its share.  Python 3.12 and later warn when a process with other
+    threads forks; the CLI has none under one-thread BLAS.
     """
     names = list(names) if names else sorted(SUITES)
     unknown = [n for n in names if n not in SUITES]

@@ -83,6 +83,8 @@ class _AffineJetScheme(DiscreteLagrangian):
 
     def _maps(self, h, n):
         if self._cache_h != (h, n):
+            if n != self.L.n:
+                raise ValueError(f"pair dimension {n} is not the model's {self.L.n}")
             self._cache = [(w, np.kron(C, np.eye(n))) for w, C in self._terms(h)]
             self._cache_h = (h, n)
         return self._cache

@@ -72,10 +72,10 @@ def run(Ld: DiscreteLagrangian, x0: JetPoint, x1: JetPoint,
     plus the (D1, D2) of the solved pair) and the per-step conserved-quantity
     samples.
     """
+    x = fplus(Ld, PairState(x0, x1, grid.h)).as_array()
     m = 2 * x0.dim
     X, R = np.empty((grid.N + 1, m)), np.empty((grid.N - 1, m))
     X[0], X[1] = x0.as_array(), x1.as_array()
-    x = fplus(Ld, PairState(x0, x1, grid.h)).as_array()
     for k in range(1, grid.N):
         try:
             y, D = _step_map(Ld, x, grid.h, 2.0 * X[k] - X[k - 1])

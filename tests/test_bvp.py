@@ -6,8 +6,9 @@ import pytest
 import scipy.integrate
 import scipy.special
 
-from varint import (JetPoint, endpoints_to_w, exact_Ld, integrate_el, lift_cost,
-                    shooting_bvp, solve_regularized, two_link_problem)
+from varint import (JetPoint, endpoints_to_w, exact_Ld, integrate_el,
+                    legendre_match_errors, lift_cost, shooting_bvp, solve_regularized,
+                    two_link_problem)
 from varint.bvp import GAMMA, _ActionAssembler, _basis_tables, _rk4
 from varint.errors import UnsettledSubsteps
 
@@ -460,3 +461,46 @@ class TestExactAction:
     def test_unknown_method(self, spline1):
         with pytest.raises(ValueError):
             exact_Ld(spline1, jet1(0, 0), jet1(1, 0), 1.0, method="nope")
+
+
+
+def jet_of(order, n=1, q=0.1):
+    return JetPoint(np.full(n, q), tuple(np.full(n, 0.5 + i) for i in range(order)))
+
+
+class TestEndpointChecks:
+    """The exact-action entry points take order-1 jets of the model's
+    dimension and a step in (0, H_MAX], and the flow integrator an order-3
+    jet and a positive substep count; anything else is a ValueError that
+    says what was expected."""
+
+    SOLVES = {
+        "shooting": lambda L, a, b, h: shooting_bvp(L, a, b, h),
+        "exact-shooting": lambda L, a, b, h: exact_Ld(L, a, b, h, method="shooting"),
+        "legendre-match": lambda L, a, b, h: legendre_match_errors(L, a, b, h),
+        "regularized": lambda L, a, b, h: solve_regularized(L, a, b, h),
+        "exact-regularized": lambda L, a, b, h: exact_Ld(L, a, b, h),
+    }
+
+    @pytest.mark.parametrize("order, n", [(0, 1), (2, 1), (1, 2)])
+    @pytest.mark.parametrize("solve", SOLVES)
+    def test_solvers_reject_other_jets(self, spline1, solve, order, n):
+        with pytest.raises(ValueError, match=f"expected jets of order 1 and dimension 1, "
+                                             f"got order {order} and dimension {n}"):
+            self.SOLVES[solve](spline1, jet_of(order, n), jet_of(order, n, q=0.2), 0.3)
+
+    @pytest.mark.parametrize("solve", SOLVES)
+    def test_solvers_reject_a_step_out_of_range(self, spline1, solve):
+        with pytest.raises(ValueError, match=r"step h=5.0 outside \(0, 4.0\]"):
+            self.SOLVES[solve](spline1, jet_of(1), jet_of(1, q=0.2), 5.0)
+
+    @pytest.mark.parametrize("order, n", [(1, 1), (2, 1), (3, 2)])
+    def test_integrate_el_rejects_other_jets(self, spline1, order, n):
+        with pytest.raises(ValueError, match=f"expected jets of order 3 and dimension 1, "
+                                             f"got order {order} and dimension {n}"):
+            integrate_el(spline1, jet_of(order, n), 0.3, 16)
+
+    @pytest.mark.parametrize("substeps", [0, -2, 1.5])
+    def test_integrate_el_rejects_a_substep_count(self, spline1, substeps):
+        with pytest.raises(ValueError, match="substeps must be a positive integer"):
+            integrate_el(spline1, jet_of(3), 0.3, substeps)

@@ -12,7 +12,7 @@ import pytest
 
 from varint import checks
 from varint.cli import main
-from varint.errors import NoConvergence
+from varint.errors import NoConvergence, VarintError
 from varint.lagrangian import LagrangianModel
 
 
@@ -172,6 +172,24 @@ def test_a_child_that_dies_raises_naming_its_suite(monkeypatch, capsys):
     # the caller does not take up the dead child's share
     assert "suites ['b', 'c'] ended without their results" in err["message"]
     assert lines[:-1] == ["PASS a: here"]
+
+
+def test_a_child_that_dies_midway_sends_none_of_its_share(monkeypatch, capsys):
+    # the child finishes b and dies in c: its share arrives whole or not at
+    # all, so b's line is not printed and the error names both suites
+    def outcome(name, here):
+        if name == "c" and not here:
+            os._exit(3)
+        return True, "here" if here else "there"
+
+    _suites(monkeypatch, outcome)
+    assert main(["check"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:-1] == ["PASS a: here"]
+    err = json.loads(lines[-1])["error"]
+    assert "suites ['b', 'c'] ended without their results" in err["message"]
+    with pytest.raises(VarintError, match=r"suites \['b', 'c'\] ended"):
+        checks.run_suites()
 
 
 def test_an_interrupt_kills_and_reaps_the_child(monkeypatch):

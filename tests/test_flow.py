@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from varint import (JetPoint, PairState, Wd_matrix, del_residual, initial_pair,
+from varint import (JetPoint, PairState, Wd_matrix, del_residual, fplus, initial_pair,
                     pack, phi_values, run, solve_boundary_path, spline_exact, step,
                     taylor_average, uniform_grid, unpack)
 from varint.discretization import SCHEMES, DiscreteLagrangian, make_scheme
@@ -322,6 +322,40 @@ class TestRun:
         ref = traj(0.125)
         assert np.allclose(x1.q, ref.q, atol=1e-12)
         assert np.allclose(x1.deriv(1), ref.deriv(1), atol=1e-12)
+
+
+def jet_n(n, q=0.1):
+    return JetPoint(np.full(n, q), (np.full(n, 0.5),))
+
+
+class TestPairDimension:
+    """A pair whose dimension is not its model's, and seeds of unequal
+    dimension, are each a ValueError that says so."""
+
+    CALLS = {
+        "fplus": lambda Ld, a, b: fplus(Ld, PairState(a, b, 0.25)),
+        "step": lambda Ld, a, b: step(Ld, a, b, 0.25),
+        "run": lambda Ld, a, b: run(Ld, a, b, uniform_grid(0.0, 1.0, 4)),
+        "boundary": lambda Ld, a, b: solve_boundary_path(Ld, a, b, uniform_grid(0.0, 1.0, 4)),
+    }
+
+    @pytest.mark.parametrize("call", CALLS)
+    @pytest.mark.parametrize("name", sorted(set(SCHEMES) - {"spline-exact"}))
+    def test_a_pair_of_another_dimension(self, spline1, name, call):
+        Ld = make_scheme(name, spline1)
+        with pytest.raises(ValueError, match="pair dimension 2 is not the model's 1"):
+            self.CALLS[call](Ld, jet_n(2), jet_n(2, q=0.2))
+        # the scheme still serves pairs of its model's dimension
+        self.CALLS["fplus"](Ld, jet_n(1), jet_n(1, q=0.2))
+
+    def test_run_seeds_of_unequal_dimension(self, spline1):
+        with pytest.raises(ValueError, match="left and right jets must have equal dimension"):
+            run(taylor_average(spline1), jet_n(1), jet_n(2), uniform_grid(0.0, 1.0, 4))
+
+    def test_initial_pair_takes_an_order_3_jet(self, spline1):
+        with pytest.raises(ValueError, match="expected jets of order 3 and dimension 1, "
+                                             "got order 1 and dimension 1"):
+            initial_pair(spline1, jet_n(1), 0.125)
 
 
 def _count_jets(monkeypatch):
