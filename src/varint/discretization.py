@@ -21,10 +21,11 @@ class DiscreteLagrangian:
     """Scalar one-step action approximation with block partials.
 
     ``value`` maps a :class:`PairState` to a float.  ``partials`` returns the
-    four covectors (D1, D2, D3, D4) with respect to (q0, v0, q1, v1), and
-    ``second_partials`` the full symmetric (4n, 4n) second-derivative matrix.
-    Subclasses either supply analytic derivatives or inherit the central
-    finite-difference fallbacks on ``value``.
+    packed (4n,) covector (D1, D2, D3, D4) with respect to (q0, v0, q1, v1),
+    in the layout of :func:`pack` and read-only for a pair of a path sweep,
+    and ``second_partials`` the full symmetric (4n, 4n) second-derivative
+    matrix.  Subclasses either supply analytic derivatives or inherit the
+    central finite-difference fallbacks on ``value``.
     """
 
     def __init__(self, name="discrete-lagrangian"):
@@ -33,16 +34,17 @@ class DiscreteLagrangian:
     def value(self, s: PairState) -> float:
         raise NotImplementedError
 
-    def partials(self, s: PairState):
+    def partials(self, s: PairState) -> np.ndarray:
         n = s.n
         g = _central_diff(lambda X: [self.value(unpack(x, 2, n, s.h)) for x in X],
                           pack(s))
-        return g[:n], g[n:2 * n], g[2 * n:3 * n], g[3 * n:]
+        g.setflags(write=False)
+        return g
 
     def second_partials(self, s: PairState) -> np.ndarray:
         n = s.n
-        J = _central_diff(lambda X: [np.concatenate(self.partials(unpack(x, 2, n, s.h)))
-                                     for x in X], pack(s))
+        J = _central_diff(lambda X: [self.partials(unpack(x, 2, n, s.h)) for x in X],
+                          pack(s))
         return 0.5 * (J + J.T)
 
     def residual_scale(self, s: PairState) -> float:
@@ -100,7 +102,7 @@ class _AffineJetScheme(DiscreteLagrangian):
 
     def _swept(self, s: PairState, kind):
         if s._sweep is None:
-            return None
+            return self._sum(kind, pack(s), s.h, s.n)
         X, i, memo = s._sweep
         entry = memo.get((self, kind))
         if entry is None:
@@ -127,19 +129,13 @@ class _AffineJetScheme(DiscreteLagrangian):
         return out
 
     def value(self, s: PairState) -> float:
-        v = self._swept(s, "value")
-        return float(self._sum("value", pack(s), s.h, s.n) if v is None else v)
+        return float(self._swept(s, "value"))
 
-    def partials(self, s: PairState):
-        n, g = s.n, self._swept(s, "partials")
-        if g is None:
-            g = self._sum("partials", pack(s), s.h, n)
-        return g[:n], g[n:2 * n], g[2 * n:3 * n], g[3 * n:]
+    def partials(self, s: PairState) -> np.ndarray:
+        return self._swept(s, "partials")
 
     def second_partials(self, s: PairState) -> np.ndarray:
-        """The (4n, 4n) matrix; read-only for a pair of a path sweep."""
-        H = self._swept(s, "second_partials")
-        return self._sum("second_partials", pack(s), s.h, s.n) if H is None else H
+        return self._swept(s, "second_partials")
 
     def _fd_noise_scale(self, s: PairState) -> float:
         return 0.0 if self.L.analytic_grad else super()._fd_noise_scale(s)
@@ -219,16 +215,15 @@ class _SplineExact(DiscreteLagrangian):
         return float(np.sum(6.0 / h**3 * d * d + 6.0 / h**2 * d * (v0 + v1)
                             + 2.0 / h * (v0 * v0 + v0 * v1 + v1 * v1)))
 
-    def partials(self, s: PairState):
+    def partials(self, s: PairState) -> np.ndarray:
         h = s.h
         q0, v0, q1, v1 = pack(s).reshape(4, s.n)
         d = q0 - q1
-        sv = v0 + v1
-        D1 = 12.0 / h**3 * d + 6.0 / h**2 * sv
-        D2 = 6.0 / h**2 * d + 2.0 / h * (2.0 * v0 + v1)
-        D3 = -D1
-        D4 = 6.0 / h**2 * d + 2.0 / h * (v0 + 2.0 * v1)
-        return D1, D2, D3, D4
+        D1 = 12.0 / h**3 * d + 6.0 / h**2 * (v0 + v1)
+        D = np.concatenate([D1, 6.0 / h**2 * d + 2.0 / h * (2.0 * v0 + v1), -D1,
+                            6.0 / h**2 * d + 2.0 / h * (v0 + 2.0 * v1)])
+        D.setflags(write=False)
+        return D
 
     def second_partials(self, s: PairState) -> np.ndarray:
         """The constant matrix of step h, read-only (it is shared)."""

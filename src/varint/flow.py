@@ -124,7 +124,7 @@ def _pairs_of(nodes, h):
 
 
 def _path_residual(Ld, pairs):
-    D = np.array([np.concatenate(Ld.partials(p)) for p in pairs])
+    D = np.array([Ld.partials(p) for p in pairs])
     m = D.shape[1] // 2
     return D[:-1, m:] + D[1:, :m]
 
@@ -311,6 +311,9 @@ def solve_boundary_path(Ld: DiscreteLagrangian, x0: JetPoint, xN: JetPoint,
     N = grid.N
     if N < 2:
         raise ValueError("boundary solve needs at least N = 2 steps")
+    if x0.order != 1 or xN.order != 1 or x0.dim != xN.dim:
+        raise ValueError(f"expected endpoint jets of order 1 and one dimension, got orders "
+                         f"{x0.order} and {xN.order}, dimensions {x0.dim} and {xN.dim}")
     if guess is not None:
         guess, shape = np.asarray(guess, dtype=float), (N - 1, 2 * x0.dim)
         if guess.shape != shape:

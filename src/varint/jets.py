@@ -76,9 +76,9 @@ class PairState:
     """Two jet points of equal order plus the step ``h`` separating them.
 
     With jets of order k-1 this is the discrete state of a k-th order scheme;
-    for k = 2 it carries (q0, v0, q1, v1).  The state is stored packed, as
-    the read-only vector :func:`pack` returns; ``left`` and ``right`` are
-    built from it on first access.  :func:`unpack` is the cheap constructor.
+    for k = 2 it carries (q0, v0, q1, v1).  The state is stored only packed,
+    as the read-only vector :func:`pack` returns; ``left`` and ``right`` are
+    jets built from it on first access.  :func:`unpack` is the cheap constructor.
 
     A pair of a path sweep also knows the read-only pair array whose row it
     is: ``_sweep`` is (array, row, memo), with one ``memo`` dict shared by
@@ -98,8 +98,6 @@ class PairState:
             raise ValueError("left and right jets must have equal dimension")
         x = np.concatenate([left.q, *left.derivs, right.q, *right.derivs])
         _fill(self, x, left.order + 1, h)
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
 
     def __post_init__(self):
         if not self.h > 0.0:

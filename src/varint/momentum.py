@@ -21,15 +21,17 @@ from .newton import floors, newton_one
 
 
 def fplus(Ld: DiscreteLagrangian, s: PairState) -> MomentaState:
-    """Momenta (D3, D4) attached at the later point of the pair."""
-    _, _, D3, D4 = Ld.partials(s)
-    return MomentaState(s.right.q, s.right.deriv(1), D3, D4)
+    """Momenta (D3, D4) attached at the later point (q1, v1) of the pair:
+    the second halves of the covector and of the packed pair."""
+    k = 2 * s.n
+    return MomentaState.from_array(np.concatenate([pack(s)[k:], Ld.partials(s)[k:]]), s.n)
 
 
 def fminus(Ld: DiscreteLagrangian, s: PairState) -> MomentaState:
-    """Momenta (-D1, -D2) attached at the earlier point of the pair."""
-    D1, D2, _, _ = Ld.partials(s)
-    return MomentaState(s.left.q, s.left.deriv(1), -D1, -D2)
+    """Momenta (-D1, -D2) attached at the earlier point (q0, v0) of the
+    pair: the first halves of the covector, negated, and of the packed pair."""
+    k = 2 * s.n
+    return MomentaState.from_array(np.concatenate([pack(s)[:k], -Ld.partials(s)[:k]]), s.n)
 
 
 def Wd_matrix(Ld: DiscreteLagrangian, s: PairState) -> np.ndarray:
@@ -85,7 +87,7 @@ def _invert(Ld, node, target, h, z0, plus):
     def residual(z):
         nonlocal last
         s = pair(z)
-        D = np.concatenate(Ld.partials(s))
+        D = Ld.partials(s)
         last = z, s, D
         return (D[k:] if plus else -D[:k]) - target
 
@@ -113,7 +115,7 @@ def _invert(Ld, node, target, h, z0, plus):
     if last[0] is z:
         return last[1], last[2]
     s = pair(z)
-    return s, np.concatenate(Ld.partials(s))
+    return s, Ld.partials(s)
 
 
 def hamiltonian_step(Ld: DiscreteLagrangian, m: MomentaState, h: float) -> MomentaState:
@@ -184,7 +186,6 @@ def legendre_match_errors(L: LagrangianModel, q1jet: JetPoint, q2jet: JetPoint,
 
     base = np.concatenate([q1jet.q, q1jet.deriv(1), q2jet.q, q2jet.deriv(1)])
     D = _central_diff(actions, base, 2e-5)
-    D1, D2, D3, D4 = D[:n], D[n:2 * n], D[2 * n:3 * n], D[3 * n:]
-    left_err = max(np.max(np.abs(-D1 - cont0.p)), np.max(np.abs(-D2 - cont0.pt)))
-    right_err = max(np.max(np.abs(D3 - conth.p)), np.max(np.abs(D4 - conth.pt)))
+    left_err = np.max(np.abs(-D[:2 * n] - cont0.as_array()[2 * n:]))
+    right_err = np.max(np.abs(D[2 * n:] - conth.as_array()[2 * n:]))
     return float(left_err), float(right_err)

@@ -139,7 +139,7 @@ class TestSplineExact:
 class TestBlockPartials:
     def test_spline_exact_values(self):
         Ld = spline_exact()
-        D1, D2, D3, D4 = Ld.partials(pair(0, 0, 1, 0, 1.0))
+        D1, D2, D3, D4 = np.split(Ld.partials(pair(0, 0, 1, 0, 1.0)), 4)
         assert D1[0] == pytest.approx(-12.0)
         assert D2[0] == pytest.approx(-6.0)
         assert D3[0] == pytest.approx(12.0)
@@ -149,10 +149,10 @@ class TestBlockPartials:
         # D3 is linear in q1 for the exact action; it vanishes at the minimizer
         Ld = spline_exact()
         h, q0, v0, v1 = 0.5, 0.2, 0.4, -0.1
-        s0 = Ld.partials(pair(q0, v0, 0.0, v1, h))[2][0]
-        s1 = Ld.partials(pair(q0, v0, 1.0, v1, h))[2][0]
+        s0 = np.split(Ld.partials(pair(q0, v0, 0.0, v1, h)), 4)[2][0]
+        s1 = np.split(Ld.partials(pair(q0, v0, 1.0, v1, h)), 4)[2][0]
         qstar = -s0 / (s1 - s0)
-        assert abs(Ld.partials(pair(q0, v0, qstar, v1, h))[2][0]) <= 1e-12
+        assert abs(np.split(Ld.partials(pair(q0, v0, qstar, v1, h)), 4)[2][0]) <= 1e-12
 
     @pytest.mark.parametrize("maker", [
         lambda L: taylor_average(L),
@@ -167,8 +167,8 @@ class TestBlockPartials:
         fd.value = Ld.value  # FD base implementation on the same value
         for _ in range(10):
             s = pair(*rng.normal(size=4), float(rng.uniform(0.1, 0.8)))
-            ana = np.concatenate(Ld.partials(s))
-            ref = np.concatenate(fd.partials(s))
+            ana = Ld.partials(s)
+            ref = fd.partials(s)
             assert np.allclose(ana, ref, rtol=1e-6, atol=1e-6)
 
     def test_spline_exact_analytic_vs_fd(self, rng):
@@ -178,8 +178,7 @@ class TestBlockPartials:
         fd.value = Ld.value
         for _ in range(10):
             s = pair(*rng.normal(size=4), float(rng.uniform(0.2, 0.8)))
-            assert np.allclose(np.concatenate(Ld.partials(s)),
-                               np.concatenate(fd.partials(s)), rtol=1e-6, atol=1e-6)
+            assert np.allclose(Ld.partials(s), fd.partials(s), rtol=1e-6, atol=1e-6)
 
     def test_second_partials_vs_fd(self, spline_potential, rng):
         Ld = taylor_average(spline_potential)
@@ -296,5 +295,5 @@ class TestAffineSchemesOnFlatJets:
                               float(rng.uniform(0.05, 0.5)))
                 value, g, H = _block_reference(Ld, s)
                 assert Ld.value(s) == value, (name, L.name)
-                assert np.concatenate(Ld.partials(s)).tobytes() == g.tobytes(), L.name
+                assert Ld.partials(s).tobytes() == g.tobytes(), L.name
                 assert Ld.second_partials(s).tobytes() == H.tobytes(), L.name

@@ -4,9 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
-from varint import (JetPoint, PairState, Wd_matrix, del_residual, fplus, initial_pair,
-                    pack, phi_values, run, solve_boundary_path, spline_exact, step,
-                    taylor_average, uniform_grid, unpack)
+from varint import (JetPoint, PairState, Wd_matrix, del_residual, fminus, fplus,
+                    initial_pair, pack, phi_values, run, solve_boundary_path, spline_exact,
+                    step, taylor_average, uniform_grid, unpack)
 from varint.discretization import SCHEMES, DiscreteLagrangian, make_scheme
 from varint.errors import NoConvergence, SingularKKT, SingularWd, VarintError
 from varint.flow import (_hermite_path, _newton_path, _pairs_of, _path_jacobian,
@@ -154,7 +154,7 @@ class TestRun:
         vals = []
         for k in range(grid.N):
             s = PairState(path.states[k], path.states[k + 1], grid.h)
-            D1, D2, D3, D4 = Ld.partials(s)
+            D1, D2, D3, D4 = np.split(Ld.partials(s), 4)
             vals.append(D3 @ direction)
         assert np.max(np.abs(np.diff(vals))) <= 1e-10
 
@@ -308,11 +308,10 @@ class TestRun:
         monkeypatch.setattr(momentum, "newton_one", stalling)
         Ld = taylor_average(spline2)
         node, h = np.array([0.1, -0.2, 0.3, 0.5]), 0.1
-        target = -np.concatenate(Ld.partials(unpack(
-            np.concatenate([node, node + 0.05]), 2, 2, h)))[:4]
+        target = -Ld.partials(unpack(np.concatenate([node, node + 0.05]), 2, 2, h))[:4]
         s, D = momentum._invert(Ld, node, target, h, None, plus=False)
         assert pack(s).tobytes() == np.concatenate([node, roots[0]]).tobytes()
-        assert D.tobytes() == np.concatenate(Ld.partials(s)).tobytes()
+        assert D.tobytes() == Ld.partials(s).tobytes()
 
     def test_initial_pair_seeds_on_trajectory(self, spline1):
         traj = cubic_trajectory(np.array([[0.3], [-0.7], [1.1], [0.9]]))
@@ -351,6 +350,15 @@ class TestPairDimension:
     def test_run_seeds_of_unequal_dimension(self, spline1):
         with pytest.raises(ValueError, match="left and right jets must have equal dimension"):
             run(taylor_average(spline1), jet_n(1), jet_n(2), uniform_grid(0.0, 1.0, 4))
+        # a boundary solve's endpoints are order-1 jets of one dimension too
+        order2 = JetPoint([0.1], ([0.5], [0.0]))
+        for a, b, got in [(jet_n(1), jet_n(2), "orders 1 and 1, dimensions 1 and 2"),
+                          (jet_n(2), jet_n(1), "orders 1 and 1, dimensions 2 and 1"),
+                          (order2, order2, "orders 2 and 2, dimensions 1 and 1"),
+                          (jet_n(1), order2, "orders 1 and 2, dimensions 1 and 1")]:
+            with pytest.raises(ValueError, match="^expected endpoint jets of order 1 and "
+                                                 f"one dimension, got {got}$"):
+                solve_boundary_path(taylor_average(spline1), a, b, uniform_grid(0.0, 1.0, 4))
 
     def test_initial_pair_takes_an_order_3_jet(self, spline1):
         with pytest.raises(ValueError, match="expected jets of order 3 and dimension 1, "
@@ -383,6 +391,17 @@ def test_paths_build_no_jet_per_node(spline2, monkeypatch, solve):
             else solve_boundary_path(Ld, x0, x1, grid))
     assert made["n"] == 0
     assert path.nodes.shape == (grid.N + 1, 4)
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMES))
+def test_momentum_maps_build_no_jet(spline2, monkeypatch, name):
+    # the maps take (q, v) and the momenta as halves of the packed pair
+    # and of its covector
+    Ld = make_scheme(name, spline2)
+    s = unpack(np.linspace(-0.4, 0.3, 8), 2, 2, 0.25)
+    made = _count_jets(monkeypatch)
+    fplus(Ld, s), fminus(Ld, s)
+    assert made["n"] == 0
 
 
 class TestBoundaryPath:
@@ -445,8 +464,8 @@ class TestPathAssembly:
         pairs = list(_pairs_of(np.array([x.as_array() for x in states]), 0.3))
         R = _path_residual(Ld, pairs)
         for k in range(1, 5):
-            D1b, D2b, _, _ = Ld.partials(pairs[k])
-            _, _, D3a, D4a = Ld.partials(pairs[k - 1])
+            D1b, D2b, _, _ = np.split(Ld.partials(pairs[k]), 4)
+            _, _, D3a, D4a = np.split(Ld.partials(pairs[k - 1]), 4)
             ref = np.concatenate([D3a + D1b, D4a + D2b])
             assert R[k - 1].tobytes() == ref.tobytes()
 

@@ -18,9 +18,9 @@ from hypothesis import strategies as st
 
 from varint import (JetPoint, LagrangianModel, PairState, SingularWd, Wd_matrix,
                     del_residual, fminus, fplus, hamiltonian_step, lift_cost, make_scheme,
-                    named_lagrangian, phi_values, run, step, symplectic_defect,
+                    named_lagrangian, phi_values, run, spline_exact, step, symplectic_defect,
                     two_link_problem, uniform_grid)
-from varint.discretization import SCHEMES, _AffineJetScheme
+from varint.discretization import SCHEMES, DiscreteLagrangian, _AffineJetScheme
 from varint.flow import _pairs_of
 from varint.jets import pack, unpack
 
@@ -108,7 +108,7 @@ def test_del_residual_is_the_sum_of_both_pairs_partials(L, name, data):
     prev, cur, nxt = (JetPoint(data.draw(vector), (data.draw(vector),)) for _ in range(3))
     h = data.draw(st.floats(0.05, 0.5))
     Ld = make_scheme(name, L)
-    a, b = (np.concatenate(Ld.partials(PairState(x, y, h))) for x, y in ((prev, cur), (cur, nxt)))
+    a, b = (Ld.partials(PairState(x, y, h)) for x, y in ((prev, cur), (cur, nxt)))
     expected = a[a.size // 2:] + b[:b.size // 2]
     assert del_residual(Ld, prev, cur, nxt, h).tobytes() == expected.tobytes()
 
@@ -165,7 +165,9 @@ def _bytes(r):
 def test_sweep_rows_equal_per_pair_calls(L, N, seed, T):
     # the pairs of a path sweep are answered from one evaluation on their
     # pair array; each row has the bytes of the per-pair code, run on a
-    # copy of the row and on a PairState built from jets
+    # copy of the row and on a PairState built from jets.  Every scheme's
+    # partials are the packed (4n,) covector, read-only on a sweep pair,
+    # and the momentum maps are its halves next to the pair's
     nodes = np.random.default_rng(seed).normal(size=(N + 1, 2 * L.n))
     h, n = T / N, L.n
     for name in AFFINE:
@@ -193,3 +195,16 @@ def test_sweep_rows_equal_per_pair_calls(L, N, seed, T):
                 for alone in (unpack(x, 2, n, h), PairState(*jets, h)):
                     assert alone._sweep is None
                     assert _bytes(getattr(Ld, method)(alone)) == b, (name, method)
+    # spline-exact is L's exact action only for 1/2 |qddot|^2, but its
+    # partials take pairs of any dimension; the value-only scheme inherits
+    # the finite-difference partials
+    value_only = DiscreteLagrangian()
+    value_only.value = make_scheme("taylor", L).value
+    for Ld in [make_scheme(name, L) for name in AFFINE] + [spline_exact(), value_only]:
+        for s in _pairs_of(nodes, h):
+            D, x = Ld.partials(s), pack(s)
+            assert D.dtype == float and D.shape == (4 * n,) and not D.flags.writeable
+            plus = np.concatenate([x[2 * n:], D[2 * n:]])
+            minus = np.concatenate([x[:2 * n], -D[:2 * n]])
+            assert fplus(Ld, s).as_array().tobytes() == plus.tobytes(), Ld.name
+            assert fminus(Ld, s).as_array().tobytes() == minus.tobytes(), Ld.name
