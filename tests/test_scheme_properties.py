@@ -155,7 +155,7 @@ AFFINE = [name for name in SCHEMES if name != "spline-exact"]
 
 
 def _bytes(r):
-    return np.concatenate(r).tobytes() if isinstance(r, tuple) else np.float64(r).tobytes()
+    return np.asarray(r, dtype=float).tobytes()
 
 
 @pytest.mark.parametrize("N", [2, 3, 25, 200])
