@@ -57,23 +57,12 @@ def joint_limit_penalty(theta: float, lo: float = 0.0,
 
 
 def _hinge(y, d):
+    """The blended max(0, y) of half-width d: its value, slope and curvature."""
     if y <= -d:
-        return 0.0
+        return 0.0, 0.0, 0.0
     if y >= d:
-        return y
-    return (y + d) ** 2 / (4.0 * d)
-
-
-def _hinge_d1(y, d):
-    if y <= -d:
-        return 0.0
-    if y >= d:
-        return 1.0
-    return (y + d) / (2.0 * d)
-
-
-def _hinge_d2(y, d):
-    return 1.0 / (2.0 * d) if -d < y < d else 0.0
+        return y, 1.0, 0.0
+    return (y + d) ** 2 / (4.0 * d), (y + d) / (2.0 * d), 1.0 / (2.0 * d)
 
 
 @dataclass(frozen=True)
@@ -95,27 +84,30 @@ class JointLimitPenalty:
     def __post_init__(self):
         if not (self.slope > 0 and self.width > 0 and self.lo < self.hi):
             raise ValueError("penalty needs slope > 0, width > 0 and lo < hi")
+        if not 0 <= self.index < self.n:
+            raise ValueError(f"penalty index {self.index} is not in [0, n = {self.n})")
 
     def exact(self, theta: float) -> float:
         return joint_limit_penalty(theta, self.lo, self.hi, self.slope)
 
-    def value(self, q) -> float:
+    def _hinges(self, q):
         t = float(q[self.index])
-        return self.slope * (_hinge(self.lo - t, self.width)
-                             + _hinge(t - self.hi, self.width))
+        return _hinge(self.lo - t, self.width), _hinge(t - self.hi, self.width)
+
+    def value(self, q) -> float:
+        (a, _, _), (b, _, _) = self._hinges(q)
+        return self.slope * (a + b)
 
     def grad(self, q) -> np.ndarray:
-        t = float(q[self.index])
+        (_, a, _), (_, b, _) = self._hinges(q)
         g = np.zeros(self.n)
-        g[self.index] = self.slope * (-_hinge_d1(self.lo - t, self.width)
-                                      + _hinge_d1(t - self.hi, self.width))
+        g[self.index] = self.slope * (-a + b)
         return g
 
     def hess(self, q) -> np.ndarray:
-        t = float(q[self.index])
+        (_, _, a), (_, _, b) = self._hinges(q)
         H = np.zeros((self.n, self.n))
-        H[self.index, self.index] = self.slope * (_hinge_d2(self.lo - t, self.width)
-                                                  + _hinge_d2(t - self.hi, self.width))
+        H[self.index, self.index] = self.slope * (a + b)
         return H
 
 
@@ -145,6 +137,8 @@ class OCProblem:
             raise ValueError("T must be positive")
         if self.N < 2:
             raise ValueError("N must be at least 2")
+        if self.penalty is not None and self.penalty.n != self.model.n:
+            raise ValueError(f"penalty n = {self.penalty.n} is not the model's {self.model.n}")
 
 
 def lift_cost(P: OCProblem) -> LagrangianModel:

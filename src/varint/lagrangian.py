@@ -442,30 +442,31 @@ class LagrangianModel:
         """New model whose value gains a configuration-only term f(q).
 
         ``df`` returns the n-gradient and ``d2f`` the (n, n) Hessian of f.
+        Each stack (the value, and the gradient, Hessian and el4 where this
+        model has them analytically) is this model's stack of the same rows
+        with each row's term added to the row's first n entries along each
+        axis, and each call is the stack of its one row.
         """
-        base, n = self, self.n
+        n = self.n
 
-        def value(y):
-            return base.value(y) + float(f(y[:n]))
+        def plus_term(stack, term):
+            def plus(X):
+                S = stack(X)
+                T = np.array([term(x[:n]) for x in X], dtype=float)
+                S[(slice(None),) + (slice(n),) * (T.ndim - 1)] += T
+                return S
+            return plus
 
-        def grad(y):
-            g = np.array(base.grad(y))
-            g[:n] += np.asarray(df(y[:n]), dtype=float)
-            return g
-
-        def hess(y):
-            H = np.array(base.hess(y))
-            H[:n, :n] += np.asarray(d2f(y[:n]), dtype=float)
-            return H
-
-        def el4(y):
-            return base.el4(y) + np.asarray(df(y[:n]), dtype=float)
-
-        return type(self)._of_flat(n, value,
-                                   grad=grad if base.analytic_grad else None,
-                                   hess=hess if base.analytic_hess else None,
-                                   el4=el4 if base.el4 is not None else None,
-                                   name=name or f"{base.name}+penalty")
+        stacks = {kind: plus_term(getattr(self, f"{kind}_stack"), term)
+                  for kind, term, analytic in [
+                      ("value", f, True), ("grad", df, self.analytic_grad),
+                      ("hess", d2f, self.analytic_hess), ("el4", df, self.el4 is not None)]
+                  if analytic}
+        calls = {kind: lambda y, stack=stack: stack(y[None])[0] for kind, stack in stacks.items()}
+        calls["value"] = lambda y: float(stacks["value"](y[None])[0])
+        model = type(self)._of_flat(n, **calls, name=name or f"{self.name}+penalty")
+        vars(model).update({f"{kind}_stack": stack for kind, stack in stacks.items()})
+        return model
 
 
 class MechanicalModel(LagrangianModel):

@@ -277,6 +277,15 @@ def _path_digest(path):
     return hashlib.sha256(qv.tobytes()).hexdigest()
 
 
+def _table_digest(P, result):
+    """sha256 of the solution table's (t, q, v, u) rows, with the arm's
+    torques from ``two_link_forces`` as the command line writes them."""
+    params = vi.TwoLinkParams()
+    _, rows = vi.solution_table(P, result,
+                                forces=lambda jet: vi.two_link_forces(params, jet))
+    return hashlib.sha256(rows.tobytes()).hexdigest()
+
+
 def test_criterion_10_two_link_swing_up():
     start = time.perf_counter()
     P = vi.two_link_problem(N=200)
@@ -297,10 +306,13 @@ def test_criterion_10_two_link_swing_up():
     # a last-bit change can land on another stationary path: pin the bytes
     assert _path_digest(res.path) == (
         "8ae0f68c3be86a92582d76c84144cd2797d0d74a9dd7dc15a148f56b71f1eb76")
+    assert _table_digest(P, res) == (
+        "3c8a7aae453f022ea98ce788bc7310141637d782343b6d8b5bf66ea3ac426f76")
 
     pstart = time.perf_counter()
     pen = vi.JointLimitPenalty(n=2)
-    resp = vi.solve_ocp(vi.two_link_problem(N=200, penalty=pen))
+    Pp = vi.two_link_problem(N=200, penalty=pen)
+    resp = vi.solve_ocp(Pp)
     pelapsed = time.perf_counter() - pstart
     th2 = resp.path.positions()[:, 1]
     eps_lo = max(0.0, -float(th2.min()))
@@ -310,8 +322,12 @@ def test_criterion_10_two_link_swing_up():
     assert len(resp.newton_iterations) == 8             # penalty stages
     # the last stage stalls below solve_ocp's 200-iteration cap
     assert resp.newton_iterations[-1][-1] < 200
+    assert resp.newton_iterations == [[39, 18, 79, 29], [47], [46], [21], [21],
+                                      [18], [17], [176]]
     assert _path_digest(resp.path) == (
         "0ee1cc11a2e4c0f705545cc7b12955a1dad4ce22b17c838a32c1f789a56de9c4")
+    assert _table_digest(Pp, resp) == (
+        "bf8ccaae42190f12602f742248d7c968de8b41912d773299347df82a870bb85c")
     print(f"\nPASS criterion 10: N=200 solve {elapsed:.1f}s (limit 60s), "
           f"endpoints {end_err:.1e} (tol 1e-9), residual {resid:.1e} (tol 1e-8), "
           f"cost {res.cost:.4f}, Newton iterations {res.newton_iterations[0]}; "

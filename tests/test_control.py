@@ -123,10 +123,11 @@ class TestPenalty:
     @pytest.mark.parametrize("bad", [dict(width=0.0), dict(width=-1e-6),
                                      dict(slope=0.0), dict(slope=-1.0),
                                      dict(width=float("nan")),
-                                     dict(lo=1.0, hi=1.0), dict(lo=1.0, hi=0.5)])
+                                     dict(lo=1.0, hi=1.0), dict(lo=1.0, hi=0.5),
+                                     dict(n=1), dict(index=2), dict(index=-1)])
     def test_rejects_bad_settings(self, bad):
         with pytest.raises(ValueError):
-            JointLimitPenalty(n=2, **bad)
+            JointLimitPenalty(**{"n": 2, **bad})
 
     def test_smoothed_gradient_consistent(self):
         pen = JointLimitPenalty(n=2, width=1e-3)
@@ -134,6 +135,73 @@ class TestPenalty:
             q = np.array([0.0, t])
             num = (pen.value(q + [0, 1e-9]) - pen.value(q - [0, 1e-9])) / 2e-9
             assert pen.grad(q)[1] == pytest.approx(num, rel=1e-4, abs=1e-4)
+
+
+def _bytes(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+class TestPenalizedStacks:
+    """A penalized model's stacks are the base model's stacks with the
+    position term added to each row."""
+
+    @pytest.fixture(scope="class")
+    def base(self):
+        return lift_cost(two_link_problem(N=4))
+
+    @pytest.mark.parametrize("width", [0.5, 1e-3])
+    def test_rows_are_base_calls_plus_the_term(self, base, width, rng):
+        pen = JointLimitPenalty(n=2, width=width)
+        L = lift_cost(two_link_problem(N=4, penalty=pen))
+        lo, hi, w = pen.lo, pen.hi, width
+        # theta2 below lo - w, in each blend band, between the bands and
+        # above hi + w, four rows each, and the four band edges
+        regions = [(lo - w - 1.0, lo - w), (lo - w, lo + w), (lo + w, hi - w),
+                   (hi - w, hi + w), (hi + w, hi + w + 1.0)]
+        th2 = np.concatenate([rng.uniform(a, b, 4) for a, b in regions]
+                             + [[lo - w, lo + w, hi - w, hi + w]])
+        X = rng.normal(size=(len(th2), 10))
+        X[:, 1] = th2
+        jets = X[:, :6]
+        assert len(X) >= max(getattr(base, k).generated.min_rows
+                             for k in ("value", "grad", "hess", "el4"))
+        stacks = L.value_stack(jets), L.grad_stack(jets), L.hess_stack(jets), L.el4_stack(X)
+        for i, (x, y) in enumerate(zip(jets, X)):
+            q = x[:2]
+            g = np.array(base.grad(x))
+            g[:2] += np.asarray(pen.grad(q), dtype=float)
+            H = np.array(base.hess(x))
+            H[:2, :2] += np.asarray(pen.hess(q), dtype=float)
+            want = (base.value(x) + float(pen.value(q)), g, H,
+                    base.el4(y) + np.asarray(pen.grad(q), dtype=float))
+            got = L.value(x), L.grad(x), L.hess(x), L.el4(y)
+            for stack, w_i, g_i in zip(stacks, want, got):
+                assert _bytes(stack[i]) == _bytes(w_i) == _bytes(g_i), (i, th2[i])
+        assert type(L.value(jets[0])) is float
+
+    @pytest.mark.parametrize("kind", ["value", "grad", "hess", "el4"])
+    def test_stack_runs_the_bases_generated_stack(self, base, kind, monkeypatch, rng):
+        # one call of the base's generated code on the columns, no row loop
+        pen = JointLimitPenalty(n=2)
+        L = base.with_position_term(pen.value, pen.grad, pen.hess)
+        pointwise = getattr(base, kind)
+        generated, stack = pointwise.generated, pointwise.generated.stack
+        counts = {"stack": 0, "pointwise": 0}
+
+        def counted(y):
+            counts["pointwise"] += 1
+            return pointwise(y)
+
+        def counted_stack(X):
+            counts["stack"] += 1
+            return stack(X)
+
+        counted.generated = generated
+        monkeypatch.setattr(base, kind, counted)
+        monkeypatch.setattr(generated, "stack", counted_stack)
+        X = rng.normal(size=(generated.min_rows, 10 if kind == "el4" else 6))
+        getattr(L, f"{kind}_stack")(X)
+        assert counts == {"stack": 1, "pointwise": 0}
 
 
 class TestSolveOcp:
@@ -207,6 +275,8 @@ class TestSolveOcp:
         with pytest.raises(ValueError):
             OCProblem(free_particle_model(1), control_effort_cost(),
                       qa=[0.0, 1.0], va=[0.0], qb=[1.0], vb=[0.0], T=1.0, N=4)
+        with pytest.raises(ValueError, match="penalty n = 3 is not the model's 2"):
+            two_link_problem(N=4, penalty=JointLimitPenalty(n=3))
 
 
 class TestSolutionTable:

@@ -154,23 +154,6 @@ class TestSymplecticDefect:
         # drifting the configuration output breaks the canonical two-form
         Ld = spline_exact()
 
-        class Corrupted:
-            n = None
-            name = "corrupted"
-
-            def partials(self, s):
-                D1, D2, D3, D4 = Ld.partials(s)
-                return D1, D2, D3, D4
-
-            def second_partials(self, s):
-                return Ld.second_partials(s)
-
-            def residual_scale(self, s):
-                return Ld.residual_scale(s)
-
-            def value(self, s):
-                return Ld.value(s)
-
         import varint.momentum as momentum
 
         base = momentum.hamiltonian_step
