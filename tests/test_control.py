@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from varint import (JetPoint, JointLimitPenalty, OCProblem, TwoLinkParams,
                     free_particle_model, joint_limit_penalty, lift_cost, run,
                     solution_table, solve_ocp, spline_lagrangian,
                     two_link_forces, two_link_model, two_link_problem)
+from varint.lagrangian import _Generated
 from oracles import dense_taylor_bvp_oracle
 
 
@@ -145,14 +147,40 @@ class TestPenalizedStacks:
     """A penalized model's stacks are the base model's stacks with the
     position term added to each row."""
 
-    @pytest.fixture(scope="class")
-    def base(self):
-        return lift_cost(two_link_problem(N=4))
+    WIDTHS = (0.5, 1e-3)
 
-    @pytest.mark.parametrize("width", [0.5, 1e-3])
-    def test_rows_are_base_calls_plus_the_term(self, base, width, rng):
-        pen = JointLimitPenalty(n=2, width=width)
-        L = lift_cost(two_link_problem(N=4, penalty=pen))
+    @pytest.fixture(scope="class")
+    def models(self):
+        # the lifted two-link cost, and penalized ones built from it while
+        # every generated evaluator counts its stacks and pointwise calls
+        base = lift_cost(two_link_problem(N=4))
+        counts = collections.Counter()
+        stack, call = _Generated.stack, _Generated.call.func
+
+        def counted_stack(self, X):
+            counts["stack"] += 1
+            return stack(self, X)
+
+        def counted_call(self):
+            pointwise = call(self)
+
+            def counted(y):
+                counts["pointwise"] += 1
+                return pointwise(y)
+
+            counted.generated = self
+            return counted
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_Generated, "stack", counted_stack)
+            mp.setattr(_Generated, "call", property(counted_call))
+            yield base, {w: lift_cost(two_link_problem(
+                N=4, penalty=JointLimitPenalty(n=2, width=w))) for w in self.WIDTHS}, counts
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_rows_are_base_calls_plus_the_term(self, models, width, rng):
+        base, penalized, _ = models
+        L, pen = penalized[width], JointLimitPenalty(n=2, width=width)
         lo, hi, w = pen.lo, pen.hi, width
         # theta2 below lo - w, in each blend band, between the bands and
         # above hi + w, four rows each, and the four band edges
@@ -167,6 +195,8 @@ class TestPenalizedStacks:
                              for k in ("value", "grad", "hess", "el4"))
         stacks = L.value_stack(jets), L.grad_stack(jets), L.hess_stack(jets), L.el4_stack(X)
         for i, (x, y) in enumerate(zip(jets, X)):
+            # the reference: the base's pointwise calls, with the term added
+            # to a copy of each result
             q = x[:2]
             g = np.array(base.grad(x))
             g[:2] += np.asarray(pen.grad(q), dtype=float)
@@ -179,29 +209,17 @@ class TestPenalizedStacks:
                 assert _bytes(stack[i]) == _bytes(w_i) == _bytes(g_i), (i, th2[i])
         assert type(L.value(jets[0])) is float
 
+    @pytest.mark.parametrize("width", WIDTHS)
     @pytest.mark.parametrize("kind", ["value", "grad", "hess", "el4"])
-    def test_stack_runs_the_bases_generated_stack(self, base, kind, monkeypatch, rng):
-        # one call of the base's generated code on the columns, no row loop
-        pen = JointLimitPenalty(n=2)
-        L = base.with_position_term(pen.value, pen.grad, pen.hess)
-        pointwise = getattr(base, kind)
-        generated, stack = pointwise.generated, pointwise.generated.stack
-        counts = {"stack": 0, "pointwise": 0}
-
-        def counted(y):
-            counts["pointwise"] += 1
-            return pointwise(y)
-
-        def counted_stack(X):
-            counts["stack"] += 1
-            return stack(X)
-
-        counted.generated = generated
-        monkeypatch.setattr(base, kind, counted)
-        monkeypatch.setattr(generated, "stack", counted_stack)
-        X = rng.normal(size=(generated.min_rows, 10 if kind == "el4" else 6))
-        getattr(L, f"{kind}_stack")(X)
-        assert counts == {"stack": 1, "pointwise": 0}
+    def test_stack_runs_the_bases_generated_stack(self, models, width, kind, rng):
+        # one run of the base's generated code on the stack's columns and
+        # no pointwise call of it, from the crossover on
+        base, penalized, counts = models
+        rows = getattr(base, kind).generated.min_rows
+        X = rng.normal(size=(rows, 10 if kind == "el4" else 6))
+        counts.clear()
+        getattr(penalized[width], f"{kind}_stack")(X)
+        assert counts == {"stack": 1}
 
 
 class TestSolveOcp:
